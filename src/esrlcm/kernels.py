@@ -1,53 +1,27 @@
-"""Hot numeric kernels with a numba backend and a pure-numpy fallback.
+"""Hot numeric kernels of the sampler sweep, in plain numpy.
 
-The backend is chosen once at import time from the ``ESRLCM_BACKEND``
-environment variable:
-
-* ``auto`` (default): use numba when it is importable, numpy otherwise.
-* ``numba``: require numba, raise if it is missing.
-* ``numpy``: force the pure-numpy path even when numba is installed.
-
-Both backends implement identical semantics; ``categorical_rows`` is
-bit-identical across backends because it consumes caller-supplied uniforms
-and performs the same sequential cumulative sums.
+``categorical_rows`` consumes caller-supplied uniforms, so its draws are
+reproducible given those uniforms.
 """
-
-import os
 
 import numpy as np
 
-_CHOICES = ("auto", "numba", "numpy")
-BACKEND_ENV = "ESRLCM_BACKEND"
-
-_requested = os.environ.get(BACKEND_ENV, "auto").lower()
-if _requested not in _CHOICES:
-    raise ValueError(f"{BACKEND_ENV} must be one of {_CHOICES}, got {_requested!r}")
-
-if _requested in ("auto", "numba"):
-    try:
-        import numba
-
-        _HAVE_NUMBA = True
-    except ImportError:
-        if _requested == "numba":
-            raise
-        _HAVE_NUMBA = False
-else:
-    _HAVE_NUMBA = False
-
-ACTIVE_BACKEND = "numba" if _HAVE_NUMBA else "numpy"
+ACTIVE_BACKEND = "numpy"
 
 
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-# ---------------------------------------------------------------------------
-
-def _class_loglik_numpy(x, log_theta, log_one_minus_theta):
+def class_loglik(x, log_theta, log_one_minus_theta):
+    """Per-observation, per-class Bernoulli log likelihood matrix (n x C)."""
     x = x.astype(np.float64, copy=False)
     return x @ log_theta.T + (1.0 - x) @ log_one_minus_theta.T
 
 
-def _categorical_rows_numpy(logp, u):
+def categorical_rows(logp, u):
+    """Sample one category per row of unnormalized log probabilities.
+
+    Row i is normalized by max-subtraction and the draw consumes ``u[i]``:
+    it picks the first category whose cumulative weight reaches
+    ``u[i]`` times the row total.
+    """
     shift = logp - logp.max(axis=1, keepdims=True)
     p = np.exp(shift)
     cum = np.cumsum(p, axis=1)
@@ -55,7 +29,8 @@ def _categorical_rows_numpy(logp, u):
     return (cum < target[:, None]).sum(axis=1).astype(np.int64)
 
 
-def _class_counts_numpy(x, memberships, n_classes):
+def class_counts(x, memberships, n_classes):
+    """Per-class success counts (C x J) and per-class totals (C,)."""
     n = x.shape[0]
     onehot = np.zeros((n, n_classes), dtype=np.float64)
     if n:
@@ -63,94 +38,3 @@ def _class_counts_numpy(x, memberships, n_classes):
     successes = onehot.T @ x.astype(np.float64, copy=False)
     totals = onehot.sum(axis=0)
     return successes.astype(np.int64), totals.astype(np.int64)
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-if _HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _class_loglik_numba(x, log_theta, log_one_minus_theta):
-        n, n_items = x.shape
-        n_classes = log_theta.shape[0]
-        out = np.empty((n, n_classes), dtype=np.float64)
-        for i in range(n):
-            for c in range(n_classes):
-                acc = 0.0
-                for j in range(n_items):
-                    if x[i, j] == 1:
-                        acc += log_theta[c, j]
-                    else:
-                        acc += log_one_minus_theta[c, j]
-                out[i, c] = acc
-        return out
-
-    @numba.njit(cache=True)
-    def _categorical_rows_numba(logp, u):
-        n, n_classes = logp.shape
-        out = np.empty(n, dtype=np.int64)
-        for i in range(n):
-            m = logp[i, 0]
-            for c in range(1, n_classes):
-                if logp[i, c] > m:
-                    m = logp[i, c]
-            total = 0.0
-            for c in range(n_classes):
-                total += np.exp(logp[i, c] - m)
-            target = u[i] * total
-            cum = 0.0
-            pick = n_classes - 1
-            for c in range(n_classes):
-                cum += np.exp(logp[i, c] - m)
-                if cum >= target:
-                    pick = c
-                    break
-            out[i] = pick
-        return out
-
-    @numba.njit(cache=True)
-    def _class_counts_numba(x, memberships, n_classes):
-        n, n_items = x.shape
-        successes = np.zeros((n_classes, n_items), dtype=np.int64)
-        totals = np.zeros(n_classes, dtype=np.int64)
-        for i in range(n):
-            c = memberships[i]
-            totals[c] += 1
-            for j in range(n_items):
-                if x[i, j] == 1:
-                    successes[c, j] += 1
-        return successes, totals
-
-
-def class_loglik(x, log_theta, log_one_minus_theta):
-    """Per-observation, per-class Bernoulli log likelihood matrix (n x C)."""
-    if ACTIVE_BACKEND == "numba" and x.shape[0] > 0:
-        return _class_loglik_numba(
-            np.ascontiguousarray(x),
-            np.ascontiguousarray(log_theta),
-            np.ascontiguousarray(log_one_minus_theta),
-        )
-    return _class_loglik_numpy(x, log_theta, log_one_minus_theta)
-
-
-def categorical_rows(logp, u):
-    """Sample one category per row of unnormalized log probabilities.
-
-    Row i is normalized by max-subtraction and the draw consumes the
-    caller-supplied uniform ``u[i]``, so results are reproducible given the
-    uniforms regardless of backend.
-    """
-    if ACTIVE_BACKEND == "numba" and logp.shape[0] > 0:
-        return _categorical_rows_numba(np.ascontiguousarray(logp), np.ascontiguousarray(u))
-    return _categorical_rows_numpy(logp, u)
-
-
-def class_counts(x, memberships, n_classes):
-    """Per-class success counts (C x J) and per-class totals (C,)."""
-    if ACTIVE_BACKEND == "numba" and x.shape[0] > 0:
-        return _class_counts_numba(
-            np.ascontiguousarray(x), np.ascontiguousarray(memberships), n_classes
-        )
-    return _class_counts_numpy(x, memberships, n_classes)

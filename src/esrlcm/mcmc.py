@@ -25,17 +25,20 @@ from .model import (
     base_vector_log_prior,
     canonicalize,
     full_log_joint,
+    theta_matrix,
 )
 from .repelled_beta import RepelledBetaParams, SamplingError, beta_log_pdf
+
+# Rejection proposals per exact theta' draw before the Metropolis fallback.
+THETA_MAX_ATTEMPTS = 50_000
 
 
 @dataclass
 class McmcConfig:
-    """Sweep counts, seeding, thinning, and sampler switches.
+    """Sweep counts, seeding, thinning, and the unrestricted switch.
 
-    ``v_mode`` may be left as None to inherit the prior's mode.
-    ``unrestricted`` pins every column to the all-distinct partition,
-    recovering a plain latent class model.
+    The v mode is the prior's. ``unrestricted`` pins every column to the
+    all-distinct partition, recovering a plain latent class model.
     """
 
     n_main: int
@@ -43,12 +46,8 @@ class McmcConfig:
     n_chains: int = 1
     seed: int = 0
     thin: int = 1
-    v_mode: str = None
     store_c_every: int = 0
     unrestricted: bool = False
-    rj_proposal_correction: bool = True
-    max_sample_attempts: int = 50_000
-    theta_mh_fallback: bool = True
 
     def __post_init__(self):
         if self.n_main < 1:
@@ -61,8 +60,6 @@ class McmcConfig:
             raise ValueError("n_chains must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative 64-bit integer")
-        if self.v_mode not in (None, V_FIXED_ZERO, V_FREE):
-            raise ValueError(f"invalid v_mode {self.v_mode!r}")
 
 
 @dataclass
@@ -86,8 +83,7 @@ class PosteriorDraws:
         return BaseClassMatrix(np.column_stack(self.base_columns[d]))
 
     def theta_matrix(self, d: int) -> np.ndarray:
-        cols = [tp[col - 1] for col, tp in zip(self.base_columns[d], self.theta_prime[d])]
-        return np.column_stack(cols)
+        return theta_matrix(self.base_columns[d], self.theta_prime[d])
 
     def to_jsonl(self, path) -> None:
         with open(path, "w") as fh:
@@ -145,17 +141,8 @@ def _clip_unit(values):
     return np.clip(values, 1e-12, 1.0 - 1e-12)
 
 
-def _item_counts(column, memberships, x_j):
-    """Per-set success/failure counts for one item from raw responses."""
-    n_sets = int(column.max())
-    by_class = column[memberships] - 1
-    succ = np.bincount(by_class, weights=x_j, minlength=n_sets)
-    tot = np.bincount(by_class, minlength=n_sets)
-    return succ, tot - succ
-
-
 def _item_counts_from_class_counts(column, succ_j, totals):
-    """Same as :func:`_item_counts` but from cached per-class counts."""
+    """Per-set success/failure counts for one item from per-class counts."""
     n_sets = int(column.max())
     idx = column - 1
     succ = np.bincount(idx, weights=succ_j, minlength=n_sets)
@@ -163,17 +150,8 @@ def _item_counts_from_class_counts(column, succ_j, totals):
     return succ, tot - succ
 
 
-def collapsed_item_loglik_v0(column, memberships, x_j) -> float:
-    """Marginal log likelihood of one item's responses given its partition.
-
-    Integrates the per-set response probabilities out under independent
-    uniform priors, valid only at v = 0.
-    """
-    succ, fail = _item_counts(np.asarray(column), np.asarray(memberships), np.asarray(x_j))
-    return float(betaln(1.0 + succ, 1.0 + fail).sum())
-
-
 def _collapsed_loglik_counts(column, succ_j, totals) -> float:
+    """Log likelihood of one item's partition with theta' integrated out (v = 0)."""
     succ, fail = _item_counts_from_class_counts(column, succ_j, totals)
     return float(betaln(1.0 + succ, 1.0 + fail).sum())
 
@@ -243,8 +221,7 @@ def gibbs_update_base_class_v0(j, state, data, prior, rng, counts=None):
     return state
 
 
-def rj_update_base_class(j, state, data, prior, rng, counts=None,
-                         proposal_correction=True):
+def rj_update_base_class(j, state, data, prior, rng, counts=None):
     """Reversible jump move on one item's partition and theta', for v > 0.
 
     The column proposal reuses the collapsed v = 0 conditional; the source
@@ -252,10 +229,9 @@ def rj_update_base_class(j, state, data, prior, rng, counts=None,
     proposals. The acceptance ratio combines the partition prior, the
     normalized repelled beta prior (dimensions may differ), the likelihood,
     the beta proposal densities of the refreshed components in both
-    directions, and, with ``proposal_correction`` on, the forward/reverse
-    column proposal probabilities (the menus coincide, so their normalizers
-    cancel and only the weight ratio survives); switching the correction off
-    reproduces the plain acceptance formula for comparison.
+    directions, and the forward/reverse column proposal probabilities (the
+    menus coincide, so their normalizers cancel and only the weight ratio
+    survives).
     """
     succ, totals = counts if counts is not None else _class_count_cache(state, data)
     succ_j = succ[:, j].astype(np.float64)
@@ -319,8 +295,7 @@ def rj_update_base_class(j, state, data, prior, rng, counts=None,
         log_acc += beta_log_pdf(theta_old[label - 1], 1.0 + s_old[label - 1], 1.0 + f_old[label - 1])
     for label in forward_refresh:
         log_acc -= beta_log_pdf(theta_new[label - 1], 1.0 + s_new[label - 1], 1.0 + f_new[label - 1])
-    if proposal_correction:
-        log_acc += log_w[old_idx] - log_w[pick]
+    log_acc += log_w[old_idx] - log_w[pick]
 
     accepted = np.log(rng.random()) < log_acc
     if accepted:
@@ -442,27 +417,18 @@ def metropolis_update_v(state, prior, rng):
 # conjugate updates
 # ---------------------------------------------------------------------------
 
-def _log_gap_term(theta, v):
-    if theta.size < 2 or v == 0.0:
-        return 0.0
-    gaps = np.diff(np.sort(theta))
-    if np.any(gaps <= 0.0):
-        return -np.inf
-    return v * float(np.log(gaps).sum())
-
-
 def gibbs_update_theta(j, state, data, prior, rng, counts=None,
-                       max_attempts=1_000_000, return_attempts=False,
-                       mh_fallback=True):
+                       max_attempts=THETA_MAX_ATTEMPTS):
     """Redraw theta' for item j from its repelled beta full conditional.
 
-    The exact rejection draw is attempted first. When its budget runs out
-    (large repulsion with several near-identical sets) and ``mh_fallback``
-    is on, one independence Metropolis step with the same conjugate beta
-    proposal is taken instead: the proposal density cancels the beta factors
-    of the target, so the acceptance ratio is the gap-term ratio and the
-    full conditional stays exactly invariant. With ``mh_fallback`` off the
-    sampling failure propagates.
+    The exact rejection draw is attempted first. When its budget of
+    ``max_attempts`` proposals runs out (large repulsion with several
+    near-identical sets), one independence Metropolis step with the same
+    conjugate beta proposal is taken instead: the proposal density cancels
+    the beta factors of the target, so the acceptance ratio is the gap-term
+    ratio and the full conditional stays exactly invariant.
+
+    Returns ``(state, attempts, fell_back)``.
     """
     succ, totals = counts if counts is not None else _class_count_cache(state, data)
     s_b, f_b = _item_counts_from_class_counts(
@@ -473,18 +439,15 @@ def gibbs_update_theta(j, state, data, prior, rng, counts=None,
     try:
         draw, attempts = repelled_beta.sample(params, rng, max_attempts, return_attempts=True)
         state.theta_prime[j] = _clip_unit(draw)
-    except SamplingError as err:
-        if not mh_fallback:
-            raise SamplingError(f"item {j}: {err}") from err
+    except SamplingError:
         fell_back = True
         attempts = max_attempts
         proposal = _clip_unit(rng.beta(params.alpha[:, 0], params.alpha[:, 1]))
-        log_acc = _log_gap_term(proposal, state.v) - _log_gap_term(state.theta_prime[j], state.v)
+        log_acc = (repelled_beta.log_gap_term(proposal, state.v)
+                   - repelled_beta.log_gap_term(state.theta_prime[j], state.v))
         if np.log(rng.random()) < log_acc:
             state.theta_prime[j] = proposal
-    if return_attempts:
-        return state, attempts, fell_back
-    return state
+    return state, attempts, fell_back
 
 
 def gibbs_update_pi(state, prior, rng):
@@ -493,16 +456,6 @@ def gibbs_update_pi(state, prior, rng):
     pi = rng.dirichlet(prior.alpha_c + counts)
     state.pi = np.clip(pi, 1e-300, None)
     state.pi /= state.pi.sum()
-    return state
-
-
-def gibbs_update_c(i, state, data, rng):
-    """Redraw one observation's class membership."""
-    theta = state.theta_matrix()
-    x_i = data.x[i].astype(np.float64)
-    loglik = x_i @ np.log(theta).T + (1.0 - x_i) @ np.log1p(-theta).T
-    logp = np.log(state.pi) + loglik
-    state.memberships[i] = _pick_categorical(logp, rng)
     return state
 
 
@@ -520,9 +473,8 @@ def _update_all_memberships(state, data, rng):
 # chain driver
 # ---------------------------------------------------------------------------
 
-def _initial_state(data, prior, config, rng):
+def _initial_state(data, prior, rng):
     n_classes = prior.n_classes
-    v_mode = config.v_mode or prior.v_mode
     base = BaseClassMatrix(
         np.tile(np.arange(1, n_classes + 1)[:, None], (1, data.n_items))
     )
@@ -534,23 +486,21 @@ def _initial_state(data, prior, config, rng):
         memberships=rng.integers(0, n_classes, size=data.n),
         base=base,
         theta_prime=[_clip_unit(rng.random(n_classes)) for _ in range(data.n_items)],
-        v=min(0.1, prior.max_v / 2.0) if v_mode == V_FREE else 0.0,
+        v=min(0.1, prior.max_v / 2.0) if prior.v_mode == V_FREE else 0.0,
     )
     return state
 
 
 def run_chain(data: Dataset, prior: PriorConfig, config: McmcConfig,
-              rng=None, chain_index: int = 0) -> PosteriorDraws:
+              chain_index: int = 0) -> PosteriorDraws:
     """Run one chain and return the retained draws.
 
     Sweep order: memberships, pi, per item (base class move, theta' Gibbs),
     then v when free. Warmup sweeps are discarded and every ``thin``-th main
     sweep is retained.
     """
-    v_mode = config.v_mode or prior.v_mode
-    if rng is None:
-        rng = np.random.default_rng(config.seed ^ chain_index)
-    state = _initial_state(data, prior, config, rng)
+    rng = np.random.default_rng(config.seed ^ chain_index)
+    state = _initial_state(data, prior, rng)
     n_items = data.n_items
 
     iters, log_joint, vs, pis = [], [], [], []
@@ -569,24 +519,17 @@ def run_chain(data: Dataset, prior: PriorConfig, config: McmcConfig,
         gibbs_update_pi(state, prior, rng)
         for j in range(n_items):
             if not config.unrestricted:
-                if v_mode == V_FIXED_ZERO:
+                if prior.v_mode == V_FIXED_ZERO:
                     gibbs_update_base_class_v0(j, state, data, prior, rng, counts=counts)
                 else:
-                    _, acc = rj_update_base_class(
-                        j, state, data, prior, rng, counts=counts,
-                        proposal_correction=config.rj_proposal_correction,
-                    )
+                    _, acc = rj_update_base_class(j, state, data, prior, rng, counts=counts)
                     rj_total += 1
                     rj_accept += acc
-            _, attempts, fell_back = gibbs_update_theta(
-                j, state, data, prior, rng, counts=counts,
-                max_attempts=config.max_sample_attempts, return_attempts=True,
-                mh_fallback=config.theta_mh_fallback,
-            )
+            _, attempts, fell_back = gibbs_update_theta(j, state, data, prior, rng, counts=counts)
             theta_attempts_total += attempts
             theta_attempts_max = max(theta_attempts_max, attempts)
             theta_mh_fallbacks += fell_back
-        if v_mode == V_FREE:
+        if prior.v_mode == V_FREE:
             _, acc = metropolis_update_v(state, prior, rng)
             v_total += 1
             v_accept += acc

@@ -269,6 +269,12 @@ def theta_from_base(theta_prime_j, column) -> np.ndarray:
     return theta_prime_j[column - 1]
 
 
+def theta_matrix(columns, theta_prime) -> np.ndarray:
+    """Per-class response probabilities, classes by items, from each item's
+    canonical column and theta' vector. Unvalidated: lengths must match."""
+    return np.column_stack([tp[col - 1] for col, tp in zip(columns, theta_prime)])
+
+
 @dataclass
 class ModelState:
     """One MCMC state.
@@ -307,9 +313,7 @@ class ModelState:
 
     def theta_matrix(self) -> np.ndarray:
         """Per-class response probabilities, classes by items."""
-        cols = [theta_from_base(self.theta_prime[j], self.base.column(j))
-                for j in range(self.base.n_items)]
-        return np.column_stack(cols)
+        return theta_matrix(self.base.labels.T, self.theta_prime)
 
 
 def _log_dirichlet_pdf(x, alpha) -> float:

@@ -67,12 +67,23 @@ def log_density_unnormalized(params: RepelledBetaParams, rho) -> float:
     a1 = params.alpha[:, 0]
     a2 = params.alpha[:, 1]
     out = float(np.sum((a1 - 1.0) * np.log(rho) + (a2 - 1.0) * np.log1p(-rho)))
-    if params.m >= 2 and params.v > 0:
-        gaps = np.diff(np.sort(rho, kind="stable"))
-        if np.any(gaps == 0.0):
-            return -np.inf
-        out += params.v * float(np.log(gaps).sum())
+    if params.v > 0:
+        out += log_gap_term(rho, params.v)
     return out
+
+
+def log_gap_term(rho, v: float) -> float:
+    """The repulsion term v * sum(log gaps) of the sorted components.
+
+    Zero when v = 0 or there is a single component, -inf when v > 0 and two
+    components coincide. Unvalidated: callers pass a 1-d float array.
+    """
+    if rho.size < 2 or v == 0.0:
+        return 0.0
+    gaps = np.diff(np.sort(rho))
+    if np.any(gaps <= 0.0):
+        return -np.inf
+    return v * float(np.log(gaps).sum())
 
 
 def log_normalizer_all_ones(m: int, v: float) -> float:
@@ -95,10 +106,12 @@ def normalizer_all_ones(m: int, v: float) -> float:
 
 
 def log_density_all_ones(rho, v: float) -> float:
-    """Normalized log density for the all-ones shape matrix."""
-    rho = np.asarray(rho, dtype=np.float64)
-    params = RepelledBetaParams(np.ones((rho.shape[0], 2)), v)
-    return log_normalizer_all_ones(params.m, v) + log_density_unnormalized(params, rho)
+    """Normalized log density for the all-ones shape matrix.
+
+    A sampler hot path: ``rho`` is a float array already inside (0, 1), so
+    only the normalizer and the gap term are left to compute.
+    """
+    return log_normalizer_all_ones(rho.size, v) + log_gap_term(rho, v)
 
 
 def sample(params: RepelledBetaParams, rng, max_attempts: int = 1_000_000,
@@ -162,29 +175,11 @@ def gaps_distribution(m: int, v: float) -> np.ndarray:
     return out
 
 
-def sample_sorted_all_ones(m: int, v: float, rng) -> np.ndarray:
-    """Exact sorted draw for the all-ones case via the gap Dirichlet."""
-    return np.cumsum(rng.dirichlet(gaps_distribution(m, v)))[:m]
-
-
 def expected_rho(m: int, v: float, k: int) -> float:
     """Expectation of the k-th order statistic in the all-ones case."""
     if not 1 <= k <= m:
         raise ValueError(f"k must be in 1..{m}, got {k}")
     return (1.0 + (v + 1.0) * (k - 1)) / ((m - 1) * (v + 1.0) + 2.0)
-
-
-def conjugate_posterior(params: RepelledBetaParams, counts) -> RepelledBetaParams:
-    """Posterior after Bernoulli responses: shapes add counts, v unchanged.
-
-    ``counts[k] = (successes, failures)`` observed for component k.
-    """
-    counts = np.asarray(counts)
-    if counts.shape != (params.m, 2):
-        raise ValueError(f"counts must have shape ({params.m}, 2), got {counts.shape}")
-    if np.any(counts < 0) or not np.all(counts == np.floor(counts)):
-        raise ValueError("counts must be nonnegative integers")
-    return RepelledBetaParams(params.alpha + counts.astype(np.float64), params.v)
 
 
 def beta_log_pdf(x: float, a: float, b: float) -> float:

@@ -14,7 +14,7 @@ from importlib import resources
 
 import numpy as np
 
-from .model import BaseClassMatrix, Dataset, canonicalize, theta_from_base
+from .model import BaseClassMatrix, Dataset, canonicalize, theta_matrix
 
 SUPPORTED_CLASS_COUNTS = (4, 5, 8, 11, 16)
 HOLDOUT_SEED_OFFSET = 2 ** 32
@@ -79,9 +79,7 @@ class SimulationTruth:
     seed: int
 
     def theta_matrix(self) -> np.ndarray:
-        cols = [theta_from_base(self.theta_prime[j], self.base.column(j))
-                for j in range(self.base.n_items)]
-        return np.column_stack(cols)
+        return theta_matrix(self.base.labels.T, self.theta_prime)
 
     def to_json(self, path) -> None:
         rec = {
@@ -98,11 +96,15 @@ class SimulationTruth:
     def from_json(cls, path) -> "SimulationTruth":
         with open(path) as fh:
             rec = json.load(fh)
+        base = BaseClassMatrix(np.column_stack(
+            [np.asarray(col, dtype=np.int64) for col in rec["B"]]
+        ))
+        theta_prime = [np.asarray(t, dtype=np.float64) for t in rec["theta_prime"]]
+        if [t.shape for t in theta_prime] != [(n,) for n in base.n_base_all()]:
+            raise ValueError("truth theta' lengths do not match the base class columns")
         return cls(
-            base=BaseClassMatrix(np.column_stack(
-                [np.asarray(col, dtype=np.int64) for col in rec["B"]]
-            )),
-            theta_prime=[np.asarray(t, dtype=np.float64) for t in rec["theta_prime"]],
+            base=base,
+            theta_prime=theta_prime,
             pi=np.asarray(rec["pi"], dtype=np.float64),
             memberships=np.asarray(rec["c"], dtype=np.int64),
             seed=int(rec["seed"]),

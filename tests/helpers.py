@@ -2,9 +2,10 @@
 
 import numpy as np
 from scipy import integrate
-from scipy.special import gammaln
+from scipy.special import betaln, gammaln
 from scipy.stats import dirichlet as sp_dirichlet
 
+from esrlcm.mcmc import _pick_categorical
 from esrlcm.model import (
     BaseClassMatrix,
     Dataset,
@@ -12,6 +13,7 @@ from esrlcm.model import (
     PriorConfig,
     canonicalize,
 )
+from esrlcm.repelled_beta import RepelledBetaParams, gaps_distribution
 
 
 def quadrature_integral_all_ones(m, v):
@@ -114,3 +116,50 @@ def oracle_full_log_joint(state, data, prior):
 
 def _count_partitions_with_blocks(n, k):
     return sum(1 for p in iter_set_partitions(range(n)) if len(p) == k)
+
+
+def _item_counts(column, memberships, x_j):
+    """Per-set success/failure counts for one item from raw responses."""
+    n_sets = int(column.max())
+    by_class = column[memberships] - 1
+    succ = np.bincount(by_class, weights=x_j, minlength=n_sets)
+    tot = np.bincount(by_class, minlength=n_sets)
+    return succ, tot - succ
+
+
+def collapsed_item_loglik_v0(column, memberships, x_j) -> float:
+    """Marginal log likelihood of one item's responses given its partition.
+
+    Integrates the per-set response probabilities out under independent
+    uniform priors, valid only at v = 0.
+    """
+    succ, fail = _item_counts(np.asarray(column), np.asarray(memberships), np.asarray(x_j))
+    return float(betaln(1.0 + succ, 1.0 + fail).sum())
+
+
+def gibbs_update_c(i, state, data, rng):
+    """Redraw one observation's class membership."""
+    theta = state.theta_matrix()
+    x_i = data.x[i].astype(np.float64)
+    loglik = x_i @ np.log(theta).T + (1.0 - x_i) @ np.log1p(-theta).T
+    logp = np.log(state.pi) + loglik
+    state.memberships[i] = _pick_categorical(logp, rng)
+    return state
+
+
+def conjugate_posterior(params: RepelledBetaParams, counts) -> RepelledBetaParams:
+    """Posterior after Bernoulli responses: shapes add counts, v unchanged.
+
+    ``counts[k] = (successes, failures)`` observed for component k.
+    """
+    counts = np.asarray(counts)
+    if counts.shape != (params.m, 2):
+        raise ValueError(f"counts must have shape ({params.m}, 2), got {counts.shape}")
+    if np.any(counts < 0) or not np.all(counts == np.floor(counts)):
+        raise ValueError("counts must be nonnegative integers")
+    return RepelledBetaParams(params.alpha + counts.astype(np.float64), params.v)
+
+
+def sample_sorted_all_ones(m: int, v: float, rng) -> np.ndarray:
+    """Exact sorted draw for the all-ones case via the gap Dirichlet."""
+    return np.cumsum(rng.dirichlet(gaps_distribution(m, v)))[:m]

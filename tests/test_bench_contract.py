@@ -1,0 +1,38 @@
+"""The benchmark's traced run patches package bindings by name; a renamed or
+deleted binding must fail here, not only in the benchmark."""
+
+from pathlib import Path
+
+import numpy as np
+
+import esrlcm
+from esrlcm import cli
+from esrlcm.model import Dataset
+
+from test_cli import write_config
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_traced_fit_runs_with_every_patch_installed(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    rng = np.random.default_rng(0)
+    data_path = tmp_path / "data.csv"
+    Dataset(rng.integers(0, 2, size=(40, 3))).to_csv(data_path)
+    config = write_config(tmp_path / "run.json", data_path, tmp_path / "out",
+                          prior={"v_mode": "free"}, mcmc={"n_warmup": 2, "n_main": 3})
+
+    tracer = tracing.Tracer(tmp_path)
+    try:
+        tracing.install(tracer)
+        assert cli.main(["fit", "--config", str(config)]) == 0
+    finally:
+        tracer.uninstall()
+    assert esrlcm.ACTIVE_BACKEND == "numpy"
+
+    # the patched bindings are the ones the sweep calls
+    names = {rec[tracing.NAME] for rec in tracer.spans}
+    assert {"kernels.class_counts", "repelled_beta.log_density_all_ones"} <= names
+    assert all(tracer.counts[k] for k in ("rj.moves", "theta.updates", "v.moves", "sample.draws"))

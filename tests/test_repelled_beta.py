@@ -4,7 +4,7 @@ from scipy import integrate, stats
 
 from esrlcm import repelled_beta as rb
 
-from helpers import quadrature_integral_all_ones
+from helpers import conjugate_posterior, quadrature_integral_all_ones, sample_sorted_all_ones
 
 
 def params(alpha, v=0.0):
@@ -105,7 +105,7 @@ class TestSampling:
         rng = np.random.default_rng(3)
         p = params(np.ones((2, 2)), 1.0)
         rejected = np.sort([rb.sample(p, rng) for _ in range(40_000)], axis=1)
-        via_gaps = np.array([rb.sample_sorted_all_ones(2, 1.0, rng) for _ in range(40_000)])
+        via_gaps = np.array([sample_sorted_all_ones(2, 1.0, rng) for _ in range(40_000)])
         for k in range(2):
             assert stats.ks_2samp(rejected[:, k], via_gaps[:, k]).pvalue > 0.01
 
@@ -138,7 +138,7 @@ class TestExpectedRho:
 
     def test_monte_carlo_over_gap_dirichlet(self):
         rng = np.random.default_rng(8)
-        draws = np.array([rb.sample_sorted_all_ones(3, 2.0, rng)[0] for _ in range(200_000)])
+        draws = np.array([sample_sorted_all_ones(3, 2.0, rng)[0] for _ in range(200_000)])
         assert rb.expected_rho(3, 2.0, 1) == pytest.approx(draws.mean(), abs=4 * draws.std() / 450)
         assert rb.expected_rho(3, 2.0, 1) == pytest.approx(1 / 8)
 
@@ -158,20 +158,20 @@ class TestExpectedRho:
 class TestConjugacy:
     def test_no_data_leaves_params_unchanged(self):
         p = params(np.ones((2, 2)), 1.0)
-        post = rb.conjugate_posterior(p, np.zeros((2, 2), dtype=int))
+        post = conjugate_posterior(p, np.zeros((2, 2), dtype=int))
         assert np.allclose(post.alpha, p.alpha) and post.v == p.v
 
     def test_componentwise_addition(self):
-        post = rb.conjugate_posterior(params(np.ones((2, 2))), [[2, 1], [0, 0]])
+        post = conjugate_posterior(params(np.ones((2, 2))), [[2, 1], [0, 0]])
         assert np.allclose(post.alpha, [[3, 2], [1, 1]])
 
     def test_v_invariant(self):
-        post = rb.conjugate_posterior(params([[3, 2], [1, 4]], 1.0), [[1, 1], [2, 0]])
+        post = conjugate_posterior(params([[3, 2], [1, 4]], 1.0), [[1, 1], [2, 0]])
         assert np.allclose(post.alpha, [[4, 3], [3, 4]]) and post.v == 1.0
 
     def test_rejects_negative_counts(self):
         with pytest.raises(ValueError):
-            rb.conjugate_posterior(params(np.ones((2, 2))), [[-1, 0], [0, 0]])
+            conjugate_posterior(params(np.ones((2, 2))), [[-1, 0], [0, 0]])
 
     def test_posterior_density_is_prior_plus_likelihood(self):
         # posterior log density differs from prior + Bernoulli log likelihood
@@ -181,7 +181,7 @@ class TestConjugacy:
             m = int(rng.integers(1, 4))
             p = params(rng.uniform(0.5, 3.0, size=(m, 2)), float(rng.uniform(0, 2)))
             counts = rng.integers(0, 5, size=(m, 2))
-            post = rb.conjugate_posterior(p, counts)
+            post = conjugate_posterior(p, counts)
             rho_a = rng.uniform(0.05, 0.95, size=m)
             rho_b = rng.uniform(0.05, 0.95, size=m)
 

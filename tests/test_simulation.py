@@ -1,4 +1,5 @@
 import hashlib
+import json
 from importlib import resources
 
 import numpy as np
@@ -124,3 +125,8 @@ class TestSimulate:
         assert np.array_equal(again.base.labels, truth.base.labels)
         assert np.array_equal(again.memberships, truth.memberships)
         assert all(np.array_equal(a, b) for a, b in zip(again.theta_prime, truth.theta_prime))
+        rec = json.loads(path.read_text())
+        rec["theta_prime"][0].append(0.5)
+        path.write_text(json.dumps(rec))
+        with pytest.raises(ValueError):
+            sim.SimulationTruth.from_json(path)
