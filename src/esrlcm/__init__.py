@@ -17,7 +17,6 @@ from .model import (
     canonicalize,
     full_log_joint,
     stirling2,
-    theta_from_base,
 )
 from .mcmc import McmcConfig, PosteriorDraws, run_chain, run_chains
 from .repelled_beta import RepelledBetaParams, SamplingError
@@ -41,6 +40,5 @@ __all__ = [
     "run_chain",
     "run_chains",
     "stirling2",
-    "theta_from_base",
     "__version__",
 ]

@@ -18,22 +18,12 @@ class BudgetExceededError(RuntimeError):
     """Exhaustive search exceeded its work budget."""
 
 
-@dataclass
-class ItemLevels:
-    """Per-item response level counts, all at least 2."""
-
-    m: np.ndarray
-
-    def __post_init__(self):
-        self.m = np.asarray(self.m, dtype=np.int64)
-        if self.m.ndim != 1 or np.any(self.m < 2):
-            raise ValueError("levels must be a vector of integers >= 2")
-
-
 def _levels_array(m, n_items) -> np.ndarray:
-    m = m.m if isinstance(m, ItemLevels) else np.asarray(m, dtype=np.int64)
+    m = np.asarray(m, dtype=np.int64)
     if m.shape != (n_items,):
         raise ValueError(f"levels must have one entry per item ({n_items})")
+    if np.any(m < 2):
+        raise ValueError("every item needs at least 2 response levels")
     return m
 
 
@@ -63,19 +53,6 @@ class IdentifiabilityReport:
                 "merged2": self.witness.merged2.tolist(),
             }
         return out
-
-
-def is_merged_of(base: BaseClassMatrix, merged: BaseClassMatrix) -> bool:
-    """True when every column of ``merged`` coarsens the same column of ``base``.
-
-    Per item there must be a single-valued label map g with
-    merged[c] = g(base[c]) for every class.
-    """
-    if (base.n_classes, base.n_items) != (merged.n_classes, merged.n_items):
-        raise ValueError("matrices must have identical dimensions")
-    return all(
-        _is_column_merge(base.column(j), merged.column(j)) for j in range(base.n_items)
-    )
 
 
 def _is_column_merge(column, merged_column) -> bool:

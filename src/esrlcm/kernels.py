@@ -30,11 +30,10 @@ def categorical_rows(logp, u):
 
 
 def class_counts(x, memberships, n_classes):
-    """Per-class success counts (C x J) and per-class totals (C,)."""
+    """Per-class success counts (C x J) and per-class totals (C,), as floats."""
     n = x.shape[0]
     onehot = np.zeros((n, n_classes), dtype=np.float64)
     if n:
         onehot[np.arange(n), memberships] = 1.0
     successes = onehot.T @ x.astype(np.float64, copy=False)
-    totals = onehot.sum(axis=0)
-    return successes.astype(np.int64), totals.astype(np.int64)
+    return successes, onehot.sum(axis=0)

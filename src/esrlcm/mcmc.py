@@ -27,7 +27,7 @@ from .model import (
     full_log_joint,
     theta_matrix,
 )
-from .repelled_beta import RepelledBetaParams, SamplingError, beta_log_pdf
+from .repelled_beta import RepelledBetaParams, SamplingError
 
 # Rejection proposals per exact theta' draw before the Metropolis fallback.
 THETA_MAX_ATTEMPTS = 50_000
@@ -56,6 +56,9 @@ class McmcConfig:
             raise ValueError("n_warmup must be >= 0")
         if self.thin < 1:
             raise ValueError("thin must be >= 1")
+        if self.thin > self.n_main:
+            raise ValueError(f"thin ({self.thin}) exceeds n_main ({self.n_main}): "
+                             "no draw would be retained")
         if self.n_chains < 1:
             raise ValueError("n_chains must be >= 1")
         if self.seed < 0:
@@ -150,35 +153,27 @@ def _item_counts_from_class_counts(column, succ_j, totals):
     return succ, tot - succ
 
 
-def _collapsed_loglik_counts(column, succ_j, totals) -> float:
-    """Log likelihood of one item's partition with theta' integrated out (v = 0)."""
-    succ, fail = _item_counts_from_class_counts(column, succ_j, totals)
-    return float(betaln(1.0 + succ, 1.0 + fail).sum())
-
-
-def _item_loglik(column, theta_j, succ_j, totals) -> float:
-    """Bernoulli log likelihood of one item from per-class counts."""
-    t = theta_j[column - 1]
-    fail_j = totals - succ_j
-    return float(succ_j @ np.log(t) + fail_j @ np.log1p(-t))
-
-
-def _base_move_candidates(column, target):
-    """Candidate columns when class ``target`` may change its label.
+def _column_menu(column, target, succ_j, totals, prior):
+    """Candidate columns and their log weights when class ``target`` may
+    change its label.
 
     The menu is: join each equivalence set present among the other classes,
-    or open a fresh singleton set. The current column is always in the menu.
+    or open a fresh set; the current column is always in it. Rows are
+    canonical. A row's weight is its partition prior times its likelihood
+    with theta' integrated out under independent uniform priors (v = 0).
     """
-    others = np.delete(column, target)
-    candidates = []
-    for label in np.unique(others):
-        cand = column.copy()
-        cand[target] = label
-        candidates.append(canonicalize(cand))
-    cand = column.copy()
-    cand[target] = column.max() + 1
-    candidates.append(canonicalize(cand))
-    return candidates
+    n_classes = column.size
+    labels = np.append(np.unique(np.delete(column, target)), column.max() + 1)
+    raw = np.repeat(column[None, :], labels.size, axis=0)
+    raw[:, target] = labels
+    # canonical relabeling: each entry takes the rank of its label's first occurrence
+    first = (raw[:, :, None] == raw[:, None, :]).argmax(axis=2)
+    menu = np.take_along_axis(np.cumsum(first == np.arange(n_classes), axis=1), first, axis=1)
+    member = menu[:, :, None] == np.arange(1, n_classes + 1)  # row, class, set
+    succ = succ_j @ member
+    fail = totals @ member - succ
+    log_w = base_vector_log_prior(menu, prior) + betaln(1.0 + succ, 1.0 + fail).sum(axis=1)
+    return menu, log_w
 
 
 def _pick_categorical(log_weights, rng) -> int:
@@ -204,16 +199,10 @@ def gibbs_update_base_class_v0(j, state, data, prior, rng, counts=None):
     is then redrawn conjugately because the number of sets may have changed.
     """
     succ, totals = counts if counts is not None else _class_count_cache(state, data)
-    succ_j = succ[:, j].astype(np.float64)
-    totals = totals.astype(np.float64)
-
+    succ_j = succ[:, j]
     target = int(rng.integers(state.base.n_classes))
-    candidates = _base_move_candidates(state.base.column(j), target)
-    log_w = [
-        base_vector_log_prior(cand, prior) + _collapsed_loglik_counts(cand, succ_j, totals)
-        for cand in candidates
-    ]
-    column = candidates[_pick_categorical(log_w, rng)]
+    menu, log_w = _column_menu(state.base.column(j), target, succ_j, totals, prior)
+    column = menu[_pick_categorical(log_w, rng)]
     state.base.labels[:, j] = column
 
     s_b, f_b = _item_counts_from_class_counts(column, succ_j, totals)
@@ -221,82 +210,45 @@ def gibbs_update_base_class_v0(j, state, data, prior, rng, counts=None):
     return state
 
 
+def _rj_theta_proposal(col_old, theta_old, col_new, target, succ_j, totals, rng):
+    """theta' for the proposed column of a reversible jump move.
+
+    The destination set of the moved class and what remains of its source
+    set are drawn from their conjugate betas, in label order; every other
+    set keeps its members and its value.
+    """
+    theta_new = np.empty(col_new.max())
+    theta_new[col_new - 1] = theta_old[col_old - 1]
+    rest = col_old == col_old[target]
+    rest[target] = False
+    refresh = np.unique(np.append(col_new[rest], col_new[target])) - 1
+    s_new, f_new = _item_counts_from_class_counts(col_new, succ_j, totals)
+    theta_new[refresh] = _clip_unit(rng.beta(1.0 + s_new[refresh], 1.0 + f_new[refresh]))
+    return theta_new
+
+
 def rj_update_base_class(j, state, data, prior, rng, counts=None):
     """Reversible jump move on one item's partition and theta', for v > 0.
 
-    The column proposal reuses the collapsed v = 0 conditional; the source
-    and destination sets of the moved class receive fresh conjugate beta
-    proposals. The acceptance ratio combines the partition prior, the
-    normalized repelled beta prior (dimensions may differ), the likelihood,
-    the beta proposal densities of the refreshed components in both
-    directions, and the forward/reverse column proposal probabilities (the
-    menus coincide, so their normalizers cancel and only the weight ratio
-    survives).
+    The column proposal is the collapsed v = 0 conditional over the menu and
+    theta' comes from :func:`_rj_theta_proposal`. In Green's acceptance
+    ratio the column weights, the partition priors, the likelihood and the
+    beta proposal densities of the refreshed sets cancel: a refreshed set's
+    beta density turns its likelihood into its collapsed term, and the
+    untouched sets are equal on both sides. What is left is the ratio of
+    the normalized repelled beta densities of the new and old theta'.
     """
     succ, totals = counts if counts is not None else _class_count_cache(state, data)
-    succ_j = succ[:, j].astype(np.float64)
-    totals = totals.astype(np.float64)
-    v = state.v
-
-    col_old = state.base.column(j).copy()
+    succ_j = succ[:, j]
+    col_old = state.base.column(j)
     theta_old = state.theta_prime[j]
     target = int(rng.integers(state.base.n_classes))
-    candidates = _base_move_candidates(col_old, target)
-    log_w = np.array([
-        base_vector_log_prior(cand, prior) + _collapsed_loglik_counts(cand, succ_j, totals)
-        for cand in candidates
-    ])
-    pick = _pick_categorical(log_w, rng)
-    col_new = candidates[pick]
-    old_idx = next(i for i, cand in enumerate(candidates) if np.array_equal(cand, col_old))
+    menu, log_w = _column_menu(col_old, target, succ_j, totals, prior)
+    col_new = menu[_pick_categorical(log_w, rng)]
+    theta_new = _rj_theta_proposal(col_old, theta_old, col_new, target, succ_j, totals, rng)
 
-    n_new = int(col_new.max())
-    s_new, f_new = _item_counts_from_class_counts(col_new, succ_j, totals)
-    s_old, f_old = _item_counts_from_class_counts(col_old, succ_j, totals)
-
-    # Sets touched by the move: the destination (always exists in the new
-    # column) and the remainder of the source (when the moved class was not
-    # alone). Both are refreshed; everything else carries its value over.
-    dest_new = int(col_new[target])
-    source_members = np.flatnonzero((col_old == col_old[target]))
-    source_members = source_members[source_members != target]
-    forward_refresh = {dest_new}
-    if source_members.size:
-        forward_refresh.add(int(col_new[source_members[0]]))
-
-    theta_new = np.empty(n_new)
-    for label in range(1, n_new + 1):
-        members = np.flatnonzero(col_new == label)
-        members = members[members != target]
-        if label in forward_refresh:
-            theta_new[label - 1] = _clip_unit(
-                rng.beta(1.0 + s_new[label - 1], 1.0 + f_new[label - 1])
-            )
-        else:
-            theta_new[label - 1] = theta_old[col_old[members[0]] - 1]
-
-    # Reverse move: from the new column, moving the class back refreshes the
-    # old source set and, when the destination already existed, that set too.
-    reverse_refresh = {int(col_old[target])}
-    dest_members = np.flatnonzero(col_new == dest_new)
-    dest_members = dest_members[dest_members != target]
-    if dest_members.size:
-        reverse_refresh.add(int(col_old[dest_members[0]]))
-
-    log_acc = (
-        base_vector_log_prior(col_new, prior)
-        - base_vector_log_prior(col_old, prior)
-        + repelled_beta.log_density_all_ones(theta_new, v)
-        - repelled_beta.log_density_all_ones(theta_old, v)
-        + _item_loglik(col_new, theta_new, succ_j, totals)
-        - _item_loglik(col_old, theta_old, succ_j, totals)
-    )
-    for label in reverse_refresh:
-        log_acc += beta_log_pdf(theta_old[label - 1], 1.0 + s_old[label - 1], 1.0 + f_old[label - 1])
-    for label in forward_refresh:
-        log_acc -= beta_log_pdf(theta_new[label - 1], 1.0 + s_new[label - 1], 1.0 + f_new[label - 1])
-    log_acc += log_w[old_idx] - log_w[pick]
-
+    log_acc = (repelled_beta.log_density_all_ones(theta_new, state.v)
+               - repelled_beta.log_density_all_ones(theta_old, state.v))
     accepted = np.log(rng.random()) < log_acc
     if accepted:
         state.base.labels[:, j] = col_new
@@ -431,9 +383,7 @@ def gibbs_update_theta(j, state, data, prior, rng, counts=None,
     Returns ``(state, attempts, fell_back)``.
     """
     succ, totals = counts if counts is not None else _class_count_cache(state, data)
-    s_b, f_b = _item_counts_from_class_counts(
-        state.base.column(j), succ[:, j].astype(np.float64), totals.astype(np.float64)
-    )
+    s_b, f_b = _item_counts_from_class_counts(state.base.column(j), succ[:, j], totals)
     params = RepelledBetaParams(np.column_stack([1.0 + s_b, 1.0 + f_b]), state.v)
     fell_back = False
     try:

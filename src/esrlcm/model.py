@@ -241,32 +241,23 @@ def _log_lambda_normalizer(n_classes: int, lam: float) -> float:
     return float(np.log(sum(row[k] * lam ** k for k in range(1, n_classes + 1))))
 
 
-def base_vector_log_prior(column, prior: PriorConfig) -> float:
-    """Log prior probability of one canonical base class column.
+def base_vector_log_prior(columns, prior: PriorConfig):
+    """Log prior probability of canonical base class columns.
 
-    With zeta: log zeta[n_sets] - log S(C, n_sets). With lam the prior is
-    proportional to lam**n_sets, normalized over all partitions.
+    Takes one column, or a matrix with one column per row, and returns one
+    value per column. With zeta: log zeta[n_sets] - log S(C, n_sets). With
+    lam the prior is proportional to lam**n_sets, normalized over all
+    partitions.
     """
-    column = np.asarray(column)
-    n_classes = column.size
-    n_sets = int(column.max())
+    columns = np.asarray(columns)
+    n_classes = columns.shape[-1]
+    n_sets = columns.max(axis=-1)
     if prior.lam is not None:
-        return n_sets * float(np.log(prior.lam)) - _log_lambda_normalizer(n_classes, prior.lam)
-    z = prior.zeta[n_sets - 1]
-    if z == 0.0:
-        return -np.inf
-    return float(np.log(z)) - float(np.log(stirling2(n_classes, n_sets)))
-
-
-def theta_from_base(theta_prime_j, column) -> np.ndarray:
-    """Expand per-set response probabilities to per-class: theta[c] = theta'[label[c]]."""
-    theta_prime_j = np.asarray(theta_prime_j, dtype=np.float64)
-    column = np.asarray(column)
-    if theta_prime_j.shape != (int(column.max()),):
-        raise ValueError(
-            f"theta' has length {theta_prime_j.size} but the column has {int(column.max())} sets"
-        )
-    return theta_prime_j[column - 1]
+        out = n_sets * float(np.log(prior.lam)) - _log_lambda_normalizer(n_classes, prior.lam)
+    else:
+        with np.errstate(divide="ignore"):  # zeta may give a set count no mass
+            out = np.log(prior.zeta[n_sets - 1]) - np.log(_stirling_row(n_classes))[n_sets]
+    return float(out) if columns.ndim == 1 else out
 
 
 def theta_matrix(columns, theta_prime) -> np.ndarray:

@@ -16,7 +16,7 @@ Dirichlet distribution, and the family is conjugate for Bernoulli responses.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaln, gammaln
+from scipy.special import gammaln
 
 
 class SamplingError(RuntimeError):
@@ -100,11 +100,6 @@ def log_normalizer_all_ones(m: int, v: float) -> float:
     )
 
 
-def normalizer_all_ones(m: int, v: float) -> float:
-    """Normalizing constant for the all-ones shape matrix."""
-    return float(np.exp(log_normalizer_all_ones(m, v)))
-
-
 def log_density_all_ones(rho, v: float) -> float:
     """Normalized log density for the all-ones shape matrix.
 
@@ -158,32 +153,3 @@ def sample(params: RepelledBetaParams, rng, max_attempts: int = 1_000_000,
         f"no acceptance in {max_attempts} attempts (m={m}, v={params.v}); "
         "the repulsion exponent is too large for rejection sampling at this dimension"
     )
-
-
-def gaps_distribution(m: int, v: float) -> np.ndarray:
-    """Dirichlet parameters of the sorted-component gaps (all-ones case).
-
-    The vector (rho_(1), rho_(2)-rho_(1), ..., 1-rho_(M)) of length M+1 is
-    Dirichlet([1, v+1, ..., v+1, 1]). Cumulative sums of the first M gap
-    draws give an exact monotone sample.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    out = np.full(m + 1, v + 1.0)
-    out[0] = 1.0
-    out[-1] = 1.0
-    return out
-
-
-def expected_rho(m: int, v: float, k: int) -> float:
-    """Expectation of the k-th order statistic in the all-ones case."""
-    if not 1 <= k <= m:
-        raise ValueError(f"k must be in 1..{m}, got {k}")
-    return (1.0 + (v + 1.0) * (k - 1)) / ((m - 1) * (v + 1.0) + 2.0)
-
-
-def beta_log_pdf(x: float, a: float, b: float) -> float:
-    """Log density of Beta(a, b) at x in (0, 1)."""
-    if x <= 0.0 or x >= 1.0:
-        return -np.inf
-    return (a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x) - betaln(a, b)

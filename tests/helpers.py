@@ -3,17 +3,24 @@
 import numpy as np
 from scipy import integrate
 from scipy.special import betaln, gammaln
+from scipy.stats import beta as sp_beta
 from scipy.stats import dirichlet as sp_dirichlet
 
+from esrlcm.identifiability import _is_column_merge
 from esrlcm.mcmc import _pick_categorical
 from esrlcm.model import (
     BaseClassMatrix,
     Dataset,
     ModelState,
     PriorConfig,
+    base_vector_log_prior,
     canonicalize,
 )
-from esrlcm.repelled_beta import RepelledBetaParams, gaps_distribution
+from esrlcm.repelled_beta import (
+    RepelledBetaParams,
+    log_density_all_ones,
+    log_normalizer_all_ones,
+)
 
 
 def quadrature_integral_all_ones(m, v):
@@ -163,3 +170,114 @@ def conjugate_posterior(params: RepelledBetaParams, counts) -> RepelledBetaParam
 def sample_sorted_all_ones(m: int, v: float, rng) -> np.ndarray:
     """Exact sorted draw for the all-ones case via the gap Dirichlet."""
     return np.cumsum(rng.dirichlet(gaps_distribution(m, v)))[:m]
+
+
+def normalizer_all_ones(m: int, v: float) -> float:
+    """Normalizing constant for the all-ones shape matrix."""
+    return float(np.exp(log_normalizer_all_ones(m, v)))
+
+
+def gaps_distribution(m: int, v: float) -> np.ndarray:
+    """Dirichlet parameters of the sorted-component gaps (all-ones case).
+
+    The vector (rho_(1), rho_(2)-rho_(1), ..., 1-rho_(M)) of length M+1 is
+    Dirichlet([1, v+1, ..., v+1, 1]). Cumulative sums of the first M gap
+    draws give an exact monotone sample.
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    out = np.full(m + 1, v + 1.0)
+    out[0] = 1.0
+    out[-1] = 1.0
+    return out
+
+
+def expected_rho(m: int, v: float, k: int) -> float:
+    """Expectation of the k-th order statistic in the all-ones case."""
+    if not 1 <= k <= m:
+        raise ValueError(f"k must be in 1..{m}, got {k}")
+    return (1.0 + (v + 1.0) * (k - 1)) / ((m - 1) * (v + 1.0) + 2.0)
+
+
+def theta_from_base(theta_prime_j, column) -> np.ndarray:
+    """Expand per-set response probabilities to per-class: theta[c] = theta'[label[c]]."""
+    theta_prime_j = np.asarray(theta_prime_j, dtype=np.float64)
+    column = np.asarray(column)
+    if theta_prime_j.shape != (int(column.max()),):
+        raise ValueError(
+            f"theta' has length {theta_prime_j.size} but the column has {int(column.max())} sets"
+        )
+    return theta_prime_j[column - 1]
+
+
+def is_merged_of(base: BaseClassMatrix, merged: BaseClassMatrix) -> bool:
+    """True when every column of ``merged`` coarsens the same column of ``base``.
+
+    Per item there must be a single-valued label map g with
+    merged[c] = g(base[c]) for every class.
+    """
+    if (base.n_classes, base.n_items) != (merged.n_classes, merged.n_items):
+        raise ValueError("matrices must have identical dimensions")
+    return all(
+        _is_column_merge(base.column(j), merged.column(j)) for j in range(base.n_items)
+    )
+
+
+def _set_counts(column, succ_j, totals):
+    """Per-set success/failure counts of one item from per-class counts."""
+    n_sets = int(column.max())
+    succ = np.bincount(column - 1, weights=succ_j, minlength=n_sets)
+    return succ, np.bincount(column - 1, weights=totals, minlength=n_sets) - succ
+
+
+def column_menu_loop(column, target, succ_j, totals, prior):
+    """Per-candidate loop form of the base move menu and its log weights."""
+    others = np.delete(column, target)
+    raw = []
+    for label in list(np.unique(others)) + [column.max() + 1]:
+        cand = column.copy()
+        cand[target] = label
+        raw.append(canonicalize(cand))
+    log_w = []
+    for cand in raw:
+        succ, fail = _set_counts(cand, succ_j, totals)
+        log_w.append(base_vector_log_prior(cand, prior) + betaln(1.0 + succ, 1.0 + fail).sum())
+    return raw, np.asarray(log_w)
+
+
+def rj_log_acceptance_terms(col_old, theta_old, col_new, theta_new, target,
+                            succ_j, totals, prior, v):
+    """Reversible jump log acceptance ratio term by term.
+
+    Sums the partition prior ratio, the normalized repelled beta ratio, the
+    item likelihood ratio, the beta proposal densities of the sets refreshed
+    by the reverse and the forward move, and the reverse-over-forward column
+    weight ratio. The refreshed sets are the moved class's destination and
+    what remains of its source.
+    """
+    def loglik(col, theta):
+        t = theta[col - 1]
+        return succ_j @ np.log(t) + (totals - succ_j) @ np.log1p(-t)
+
+    def refreshed(col_from, col_to):
+        # labels in col_to of the sets the move from col_from to col_to redraws
+        rest = np.flatnonzero(col_from == col_from[target])
+        return {int(col_to[target])} | {int(col_to[c]) for c in rest if c != target}
+
+    def proposal(col, theta, labels):
+        succ, fail = _set_counts(col, succ_j, totals)
+        return sum(sp_beta.logpdf(theta[k - 1], 1.0 + succ[k - 1], 1.0 + fail[k - 1])
+                   for k in labels)
+
+    def log_weight(col):
+        succ, fail = _set_counts(col, succ_j, totals)
+        return base_vector_log_prior(col, prior) + betaln(1.0 + succ, 1.0 + fail).sum()
+
+    return (
+        base_vector_log_prior(col_new, prior) - base_vector_log_prior(col_old, prior)
+        + log_density_all_ones(theta_new, v) - log_density_all_ones(theta_old, v)
+        + loglik(col_new, theta_new) - loglik(col_old, theta_old)
+        + proposal(col_old, theta_old, refreshed(col_new, col_old))
+        - proposal(col_new, theta_new, refreshed(col_old, col_new))
+        + log_weight(col_old) - log_weight(col_new)
+    )

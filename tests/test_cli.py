@@ -124,6 +124,14 @@ class TestFitCommand:
         config = write_config(tmp_path / "c.json", tmp_path / "nope.csv", tmp_path / "o")
         assert cli.main(["fit", "--config", str(config)]) == 1
 
+    def test_thin_above_n_main_fails_before_sampling(self, toy_run, capsys):
+        tmp_path, _ = toy_run
+        config = write_config(tmp_path / "thin.json", tmp_path / "data.csv", tmp_path / "out",
+                              mcmc={"n_main": 5, "thin": 10})
+        assert cli.main(["fit", "--config", str(config)]) == 1
+        assert "no draw would be retained" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "draws_chain0.jsonl").exists()
+
 
 class TestCheckIdCommand:
     def test_q_matrix_block_diagonal_form(self, tmp_path):
@@ -145,6 +153,12 @@ class TestCheckIdCommand:
         out = tmp_path / "r.json"
         assert cli.main(["check-id", "--matrix", str(path), "--out", str(out)]) == 0
         assert json.loads(out.read_text())["status"] == "Unknown"
+
+    def test_levels_below_two_rejected(self, tmp_path, capsys):
+        path = tmp_path / "b.csv"
+        np.savetxt(path, np.array([[1, 1], [2, 2], [3, 3]]), fmt="%d", delimiter=",")
+        assert cli.main(["check-id", "--matrix", str(path), "--levels", "1"]) == 1
+        assert "at least 2" in capsys.readouterr().err
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as err:

@@ -3,18 +3,16 @@ import pytest
 
 from esrlcm.identifiability import (
     BudgetExceededError,
-    ItemLevels,
     check_conditions,
     exhaustive_search,
     greedy_search,
-    is_merged_of,
     kruskal_rank,
     numeric_verify,
     q_matrix_to_base,
 )
 from esrlcm.model import BaseClassMatrix
 
-from helpers import random_canonical_column
+from helpers import is_merged_of, random_canonical_column
 
 # Six-item, five-class worked example: two ternary items then four binary ones.
 EXAMPLE_B = BaseClassMatrix(np.array([
@@ -247,7 +245,7 @@ class TestQMatrixImport:
 
 class TestItemLevels:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            ItemLevels(np.array([2, 1]))
-        levels = ItemLevels(np.array([2, 3]))
-        assert greedy_search(BaseClassMatrix(np.array([[1, 1], [2, 2]])), levels) is not None
+        base = BaseClassMatrix(np.array([[1, 1], [2, 2]]))
+        with pytest.raises(ValueError, match="at least 2"):
+            greedy_search(base, [2, 1])
+        assert greedy_search(base, [2, 3]) is not None

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from esrlcm import mcmc
+from esrlcm import kernels, mcmc
 from esrlcm.mcmc import (
     McmcConfig,
     PosteriorDraws,
@@ -25,8 +25,16 @@ from esrlcm.model import (
     base_vector_log_prior,
     full_log_joint,
 )
+from esrlcm.repelled_beta import log_density_all_ones
 
-from helpers import collapsed_item_loglik_v0, gibbs_update_c
+from helpers import (
+    collapsed_item_loglik_v0,
+    column_menu_loop,
+    expected_rho,
+    gibbs_update_c,
+    random_canonical_column,
+    rj_log_acceptance_terms,
+)
 
 
 def make_state(columns, theta_prime, memberships, pi=None, v=0.0):
@@ -75,21 +83,32 @@ class TestCollapsedLoglik:
 class TestBaseClassGibbsV0:
     def test_candidate_odds_match_hand_calculation(self):
         # merge vs split posterior odds 2:3 for one success/one failure pair
-        from esrlcm.mcmc import _base_move_candidates, _collapsed_loglik_counts
-
         column = np.array([1, 2])
         succ_j = np.array([1.0, 0.0])
         totals = np.array([1.0, 1.0])
         prior = PriorConfig.default(2, lam=1.0, v_mode="fixed_zero")
-        cands = _base_move_candidates(column, 1)
-        weights = {
-            tuple(cand.tolist()): np.exp(
-                base_vector_log_prior(cand, prior)
-                + _collapsed_loglik_counts(cand, succ_j, totals)
-            )
-            for cand in cands
-        }
+        menu, log_w = mcmc._column_menu(column, 1, succ_j, totals, prior)
+        weights = {tuple(row.tolist()): np.exp(w) for row, w in zip(menu, log_w)}
         assert weights[(1, 1)] / weights[(1, 2)] == pytest.approx(2 / 3)
+
+    def test_menu_matches_loop_form(self):
+        # same canonical rows in the same order, same weights
+        rng = np.random.default_rng(11)
+        for trial in range(400):
+            n_classes = int(rng.integers(1, 9))
+            column = random_canonical_column(rng, n_classes)
+            totals = rng.integers(0, 20, size=n_classes).astype(float)
+            succ_j = np.floor(rng.random(n_classes) * (totals + 1))
+            if trial % 2:
+                prior = PriorConfig.default(n_classes, lam=rng.uniform(0.2, 1.0))
+            else:
+                prior = PriorConfig(alpha_c=np.ones(n_classes),
+                                    zeta=rng.dirichlet(np.ones(n_classes)))
+            target = int(rng.integers(n_classes))
+            menu, log_w = mcmc._column_menu(column, target, succ_j, totals, prior)
+            rows, ref_w = column_menu_loop(column, target, succ_j, totals, prior)
+            assert np.array_equal(menu, np.array(rows))
+            assert np.allclose(log_w, ref_w, rtol=1e-12, atol=1e-12)
 
     def test_prior_only_chain_recovers_partition_prior(self):
         rng = np.random.default_rng(0)
@@ -164,8 +183,6 @@ class TestReversibleJump:
     def test_theta_prior_moments_at_fixed_v(self):
         # conditional on a two-set column, sorted theta' must match the
         # order statistic expectations of the gap representation
-        from esrlcm.repelled_beta import expected_rho
-
         rng = np.random.default_rng(19)
         prior = PriorConfig.default(3, lam=0.5, v_mode="free")
         data = Dataset(np.empty((0, 1), dtype=int))
@@ -180,6 +197,46 @@ class TestReversibleJump:
         assert two_set_draws.shape[0] > 5_000
         expected = [expected_rho(2, 1.0, k) for k in (1, 2)]
         assert np.allclose(two_set_draws.mean(axis=0), expected, atol=0.01)
+
+
+class TestReversibleJumpRatio:
+    def test_density_ratio_equals_term_by_term_ratio(self):
+        # the partition priors, likelihoods, beta proposals and column
+        # weights cancel, leaving the repelled beta density ratio
+        rng = np.random.default_rng(41)
+        for trial in range(300):
+            n_classes = int(rng.integers(2, 9))
+            n = int(rng.integers(0, 61))
+            x = rng.integers(0, 2, size=(n, 1))
+            succ, totals = kernels.class_counts(x, rng.integers(0, n_classes, size=n), n_classes)
+            if trial % 2:
+                prior = PriorConfig.default(n_classes, lam=rng.uniform(0.2, 1.0))
+            else:
+                prior = PriorConfig(alpha_c=np.ones(n_classes),
+                                    zeta=rng.dirichlet(np.ones(n_classes)))
+            v = rng.uniform(0.05, 2.0)
+            col_old = random_canonical_column(rng, n_classes)
+            theta_old = rng.uniform(0.01, 0.99, size=col_old.max())
+            target = int(rng.integers(n_classes))
+            menu, _ = mcmc._column_menu(col_old, target, succ[:, 0], totals, prior)
+            col_new = menu[rng.integers(len(menu))]
+            theta_new = mcmc._rj_theta_proposal(col_old, theta_old, col_new, target,
+                                                succ[:, 0], totals, rng)
+            short = log_density_all_ones(theta_new, v) - log_density_all_ones(theta_old, v)
+            full = rj_log_acceptance_terms(col_old, theta_old, col_new, theta_new, target,
+                                           succ[:, 0], totals, prior, v)
+            assert short == pytest.approx(full, rel=1e-10, abs=1e-10)
+
+    def test_zeta_without_mass_on_the_start_leaves_it(self):
+        # the all-distinct start has zero prior mass here; the chain must
+        # leave it and never come back
+        rng = np.random.default_rng(8)
+        data = Dataset(rng.integers(0, 2, size=(60, 4)))
+        prior = PriorConfig(alpha_c=np.ones(4), zeta=np.array([0.4, 0.3, 0.3, 0.0]))
+        draws = run_chain(data, prior, McmcConfig(n_main=20, n_warmup=20, seed=1))
+        assert np.all(np.isfinite(draws.log_joint))
+        assert max(col.max() for cols in draws.base_columns for col in cols) < 4
+        assert draws.stats["rj_accept_rate"] > 0
 
 
 class TestMapV:
@@ -313,8 +370,6 @@ class TestThetaGibbs:
             fallbacks += fell_back
             draws.append(np.sort(state.theta_prime[0]))
         assert fallbacks > 20_000
-        from esrlcm.repelled_beta import expected_rho
-
         means = np.asarray(draws).mean(axis=0)
         assert np.allclose(means, [expected_rho(2, 1.0, 1), expected_rho(2, 1.0, 2)],
                            atol=0.01)

@@ -16,10 +16,9 @@ from esrlcm.model import (
     canonicalize,
     full_log_joint,
     stirling2,
-    theta_from_base,
 )
 
-from helpers import iter_set_partitions, oracle_full_log_joint, random_state
+from helpers import iter_set_partitions, oracle_full_log_joint, random_state, theta_from_base
 
 
 class TestCanonicalize:

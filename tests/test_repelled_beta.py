@@ -4,7 +4,14 @@ from scipy import integrate, stats
 
 from esrlcm import repelled_beta as rb
 
-from helpers import conjugate_posterior, quadrature_integral_all_ones, sample_sorted_all_ones
+from helpers import (
+    conjugate_posterior,
+    expected_rho,
+    gaps_distribution,
+    normalizer_all_ones,
+    quadrature_integral_all_ones,
+    sample_sorted_all_ones,
+)
 
 
 def params(alpha, v=0.0):
@@ -60,21 +67,21 @@ class TestLogDensityUnnormalized:
 class TestNormalizer:
     def test_dimension_one_is_uniform(self):
         for v in (0.0, 0.5, 2.0):
-            assert rb.normalizer_all_ones(1, v) == pytest.approx(1.0)
+            assert normalizer_all_ones(1, v) == pytest.approx(1.0)
 
     def test_two_independent_uniforms(self):
-        assert rb.normalizer_all_ones(2, 0.0) == pytest.approx(1.0)
+        assert normalizer_all_ones(2, 0.0) == pytest.approx(1.0)
 
     def test_against_quadrature_m2_v1(self):
         # 1 / integral of |x - y| over the unit square
         integral = quadrature_integral_all_ones(2, 1.0)
-        assert rb.normalizer_all_ones(2, 1.0) == pytest.approx(1.0 / integral)
-        assert rb.normalizer_all_ones(2, 1.0) == pytest.approx(3.0)
+        assert normalizer_all_ones(2, 1.0) == pytest.approx(1.0 / integral)
+        assert normalizer_all_ones(2, 1.0) == pytest.approx(3.0)
 
     @pytest.mark.parametrize("m", [2, 3])
     @pytest.mark.parametrize("v", [0.0, 0.5, 1.0, 2.0])
     def test_integrates_to_one(self, m, v):
-        total = rb.normalizer_all_ones(m, v) * quadrature_integral_all_ones(m, v)
+        total = normalizer_all_ones(m, v) * quadrature_integral_all_ones(m, v)
         assert abs(total - 1.0) < 1e-6
 
 
@@ -97,7 +104,7 @@ class TestSampling:
         rng = np.random.default_rng(42)
         p = params(np.ones((3, 2)), 2.0)
         draws = np.sort([rb.sample(p, rng) for _ in range(30_000)], axis=1)
-        expected = [rb.expected_rho(3, 2.0, k) for k in (1, 2, 3)]
+        expected = [expected_rho(3, 2.0, k) for k in (1, 2, 3)]
         se = draws.std(axis=0) / np.sqrt(draws.shape[0])
         assert np.all(np.abs(draws.mean(axis=0) - expected) < 4 * se)
 
@@ -123,36 +130,36 @@ class TestSampling:
 
 class TestGapsDistribution:
     def test_uniform_order_statistics(self):
-        assert np.allclose(rb.gaps_distribution(2, 0.0), [1, 1, 1])
+        assert np.allclose(gaps_distribution(2, 0.0), [1, 1, 1])
 
     def test_repelled_case(self):
-        assert np.allclose(rb.gaps_distribution(3, 2.0), [1, 3, 3, 1])
+        assert np.allclose(gaps_distribution(3, 2.0), [1, 3, 3, 1])
 
     def test_fractional_exponent(self):
-        assert np.allclose(rb.gaps_distribution(4, 0.5), [1, 1.5, 1.5, 1.5, 1])
+        assert np.allclose(gaps_distribution(4, 0.5), [1, 1.5, 1.5, 1.5, 1])
 
 
 class TestExpectedRho:
     def test_median_of_three_uniforms(self):
-        assert rb.expected_rho(3, 0.0, 2) == pytest.approx(0.5)
+        assert expected_rho(3, 0.0, 2) == pytest.approx(0.5)
 
     def test_monte_carlo_over_gap_dirichlet(self):
         rng = np.random.default_rng(8)
         draws = np.array([sample_sorted_all_ones(3, 2.0, rng)[0] for _ in range(200_000)])
-        assert rb.expected_rho(3, 2.0, 1) == pytest.approx(draws.mean(), abs=4 * draws.std() / 450)
-        assert rb.expected_rho(3, 2.0, 1) == pytest.approx(1 / 8)
+        assert expected_rho(3, 2.0, 1) == pytest.approx(draws.mean(), abs=4 * draws.std() / 450)
+        assert expected_rho(3, 2.0, 1) == pytest.approx(1 / 8)
 
     def test_max_of_pair_against_quadrature(self):
         val, _ = integrate.dblquad(
             lambda x, y: max(x, y) * 3.0 * abs(x - y), 0, 1, 0, 1,
             epsabs=1e-10, epsrel=1e-9,
         )
-        assert rb.expected_rho(2, 1.0, 2) == pytest.approx(val, abs=1e-6)
-        assert rb.expected_rho(2, 1.0, 2) == pytest.approx(0.75)
+        assert expected_rho(2, 1.0, 2) == pytest.approx(val, abs=1e-6)
+        assert expected_rho(2, 1.0, 2) == pytest.approx(0.75)
 
     def test_out_of_range_k(self):
         with pytest.raises(ValueError):
-            rb.expected_rho(3, 1.0, 4)
+            expected_rho(3, 1.0, 4)
 
 
 class TestConjugacy:

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from esrlcm import simulation as sim
-from esrlcm.model import theta_from_base
+
+from helpers import theta_from_base
 
 # transcription guard: the generation fixtures are pinned byte for byte
 FIXTURE_SHA256 = {
