@@ -210,7 +210,15 @@ def cmd_check_id(args):
 def cmd_metrics(args):
     truth = simulation.SimulationTruth.from_json(args.truth)
     draws = mcmc.PosteriorDraws.from_jsonl(args.draws)
+    holdout = Dataset.from_csv(args.holdout) if args.holdout else None
     mode = evaluation.mode_restrictions(draws)
+    shape = (mode.n_classes, mode.n_items)
+    if (truth.base.n_classes, truth.base.n_items) != shape:
+        raise ValueError(f"truth has {truth.base.n_classes} classes x {truth.base.n_items} "
+                         f"items but the draws have {shape[0]} classes x {shape[1]} items")
+    if holdout is not None and holdout.n_items != mode.n_items:
+        raise ValueError(f"holdout has {holdout.n_items} items "
+                         f"but the draws have {mode.n_items} items")
     _, theta_bar = evaluation.posterior_mean_parameters(draws)
     alignment = evaluation.align_classes(truth.theta_matrix(), theta_bar)
     sens, spec = evaluation.restriction_sensitivity_specificity(truth.base, mode, alignment)
@@ -220,8 +228,7 @@ def cmd_metrics(args):
         "oos_loglik": None,
         "per_item_mode_columns": [mode.column(j).tolist() for j in range(mode.n_items)],
     }
-    if args.holdout:
-        holdout = Dataset.from_csv(args.holdout)
+    if holdout is not None:
         payload["oos_loglik"] = evaluation.predictive_loglik(draws, holdout, mode=args.mode)
     out = json.dumps(payload, indent=2)
     if args.out:

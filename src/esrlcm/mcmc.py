@@ -441,6 +441,21 @@ def _initial_state(data, prior, rng):
     return state
 
 
+def _check_start_reachable(prior, config):
+    """Reject a zeta prior under which the chain can never leave its start.
+
+    The chain starts with every column all-distinct (C sets), and one base
+    move reaches only columns with C or C - 1 sets; an unrestricted fit
+    stays at C sets.
+    """
+    n_reachable = 1 if config.unrestricted else 2
+    if prior.zeta is not None and not prior.zeta[-n_reachable:].any():
+        n_classes = prior.n_classes
+        sets = " or ".join(str(n_classes - k) for k in range(n_reachable))
+        raise ValueError(f"zeta {prior.zeta.tolist()} gives no mass to {sets} sets, "
+                         f"so the chain cannot leave its {n_classes}-set start")
+
+
 def run_chain(data: Dataset, prior: PriorConfig, config: McmcConfig,
               chain_index: int = 0) -> PosteriorDraws:
     """Run one chain and return the retained draws.
@@ -449,6 +464,7 @@ def run_chain(data: Dataset, prior: PriorConfig, config: McmcConfig,
     then v when free. Warmup sweeps are discarded and every ``thin``-th main
     sweep is retained.
     """
+    _check_start_reachable(prior, config)
     rng = np.random.default_rng(config.seed ^ chain_index)
     state = _initial_state(data, prior, rng)
     n_items = data.n_items
@@ -484,10 +500,12 @@ def run_chain(data: Dataset, prior: PriorConfig, config: McmcConfig,
             v_total += 1
             v_accept += acc
 
+        # memberships change only at the top of the sweep, so ``counts`` is
+        # still the current class count when the draw is retained
         main_iter = sweep - config.n_warmup
         if main_iter >= 0 and (main_iter + 1) % config.thin == 0:
             iters.append(main_iter)
-            log_joint.append(full_log_joint(state, data, prior))
+            log_joint.append(full_log_joint(state, data, prior, counts))
             vs.append(state.v)
             pis.append(state.pi.copy())
             base_columns.append([state.base.column(j).copy() for j in range(n_items)])

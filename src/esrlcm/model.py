@@ -100,7 +100,8 @@ class Dataset:
 
     The canonical CSV layout has a header ``item1,...,itemJ`` and one 0/1
     row per observation. Empty datasets (n = 0) are allowed so that
-    prior-only chains can run.
+    prior-only chains can run. ``x`` is checked once here and kept as one
+    float64, C-contiguous matrix: the dtype every kernel computes in.
     """
 
     x: np.ndarray
@@ -111,7 +112,7 @@ class Dataset:
             raise ValueError(f"x must be a 2-d matrix with at least one item, got shape {x.shape}")
         if x.size and not np.isin(x, (0, 1)).all():
             raise ValueError("all responses must be 0 or 1")
-        self.x = np.ascontiguousarray(x, dtype=np.int8)
+        self.x = np.ascontiguousarray(x, dtype=np.float64)
 
     @property
     def n(self) -> int:
@@ -313,12 +314,15 @@ def _log_dirichlet_pdf(x, alpha) -> float:
     )
 
 
-def full_log_joint(state: ModelState, data: Dataset, prior: PriorConfig) -> float:
+def full_log_joint(state: ModelState, data: Dataset, prior: PriorConfig,
+                   counts=None) -> float:
     """Log of the full joint density of parameters and data.
 
     Sums the Dirichlet prior on pi, per-item partition priors and normalized
     repelled beta priors on theta', the (unnormalized) prior on v when v is
     free, the membership probabilities, and the Bernoulli likelihood.
+    ``counts`` are the ``kernels.class_counts`` of the state's memberships;
+    they are recounted when not given.
     """
     n_classes = state.base.n_classes
     if data.n_items != state.base.n_items or prior.n_classes != n_classes:
@@ -336,7 +340,9 @@ def full_log_joint(state: ModelState, data: Dataset, prior: PriorConfig) -> floa
             return -np.inf
         out += prior.d1 * float(np.log(state.v)) + prior.d2 * state.v
 
-    successes, totals = kernels.class_counts(data.x, state.memberships, n_classes)
+    if counts is None:
+        counts = kernels.class_counts(data.x, state.memberships, n_classes)
+    successes, totals = counts
     out += float(totals @ np.log(state.pi))
     theta = state.theta_matrix()
     failures = totals[:, None] - successes

@@ -39,5 +39,8 @@ def test_traced_fit_runs_with_every_patch_installed(tmp_path, monkeypatch, v_mod
     assert {"kernels.class_counts", "mcmc.base_move", "repelled_beta.log_density_all_ones"} <= names
     assert tracer.counts["model.base_vector_log_prior"] > 0
     assert all(tracer.counts[k] for k in ("theta.updates", "sample.draws"))
+    # one class count per sweep: retention reuses the sweep's counts
+    class_counts = [rec for rec in tracer.spans if rec[tracing.NAME] == "kernels.class_counts"]
+    assert len(class_counts) == 5
     if v_mode == "free":
         assert tracer.counts["rj.moves"] and tracer.counts["v.moves"]

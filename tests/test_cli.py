@@ -132,6 +132,17 @@ class TestFitCommand:
         assert "no draw would be retained" in capsys.readouterr().err
         assert not (tmp_path / "out" / "draws_chain0.jsonl").exists()
 
+    @pytest.mark.parametrize("zeta, flags", [([0.0, 1.0, 0.0, 0.0], []),
+                                             ([0.0, 0.0, 1.0, 0.0], ["--unrestricted"])])
+    def test_zeta_without_mass_near_the_start_fails_before_sampling(self, toy_run, capsys,
+                                                                   zeta, flags):
+        tmp_path, _ = toy_run
+        config = write_config(tmp_path / "zeta.json", tmp_path / "data.csv", tmp_path / "out",
+                              classes=4, prior={"lambda": None, "zeta": zeta})
+        assert cli.main(["fit", "--config", str(config), *flags]) == 1
+        assert "zeta" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "draws_chain0.jsonl").exists()
+
 
 class TestCheckIdCommand:
     def test_q_matrix_block_diagonal_form(self, tmp_path):
@@ -196,6 +207,35 @@ class TestMetricsCommand:
         assert 0.0 <= payload["specificity"] <= 1.0
         assert payload["oos_loglik"] < 0
         assert len(payload["per_item_mode_columns"]) == 32
+
+    @pytest.fixture
+    def small_fit(self, tmp_path):
+        sim_csv, truth_json = tmp_path / "sim.csv", tmp_path / "truth.json"
+        assert cli.main(["simulate", "--classes", "4", "--n", "60", "--seed", "3",
+                         "--out", str(sim_csv), "--truth", str(truth_json)]) == 0
+        config = write_config(tmp_path / "run.json", sim_csv, tmp_path / "fit", classes=4,
+                              mcmc={"n_warmup": 2, "n_main": 2})
+        assert cli.main(["fit", "--config", str(config)]) == 0
+        return tmp_path, truth_json, tmp_path / "fit" / "draws_chain0.jsonl"
+
+    def test_holdout_with_other_item_count_rejected(self, small_fit, capsys):
+        tmp_path, truth_json, draws = small_fit
+        holdout = tmp_path / "hold31.csv"
+        Dataset(np.zeros((5, 31), dtype=int)).to_csv(holdout)
+        assert cli.main(["metrics", "--truth", str(truth_json), "--draws", str(draws),
+                         "--holdout", str(holdout)]) == 1
+        err = capsys.readouterr().err
+        assert "holdout has 31 items" in err and "draws have 32 items" in err
+
+    def test_truth_with_other_class_count_rejected(self, small_fit, capsys):
+        tmp_path, _, draws = small_fit
+        truth5 = tmp_path / "truth5.json"
+        assert cli.main(["simulate", "--classes", "5", "--n", "10", "--seed", "3",
+                         "--out", str(tmp_path / "sim5.csv"), "--truth", str(truth5)]) == 0
+        capsys.readouterr()
+        assert cli.main(["metrics", "--truth", str(truth5), "--draws", str(draws)]) == 1
+        err = capsys.readouterr().err
+        assert "truth has 5 classes" in err and "draws have 4 classes x 32 items" in err
 
 
 class TestCvCommand:

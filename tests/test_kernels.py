@@ -27,6 +27,17 @@ class TestBackendEquivalence:
         ])
         assert np.allclose(got, ref, atol=1e-10)
 
+    def test_class_loglik_on_float_x_matches_per_row_reference(self):
+        x, theta, _, _, _ = random_inputs(4)
+        x = x.astype(np.float64)
+        got = kernels.class_loglik(x, np.log(theta), np.log1p(-theta))
+        ref = np.array([
+            [sum(np.log(t[j]) if row[j] == 1.0 else np.log(1.0 - t[j]) for j in range(row.size))
+             for t in theta]
+            for row in x
+        ])
+        assert np.allclose(got, ref, rtol=0.0, atol=1e-10)
+
     def test_categorical_rows_bit_identical(self):
         _, _, _, logp, u = random_inputs(1)
         got = kernels.categorical_rows(logp, u)

@@ -479,6 +479,19 @@ class TestRunChain:
             assert full_log_joint(state, data, prior) == pytest.approx(draws.log_joint[d])
             assert np.array_equal(draws.theta_matrix(d), state.theta_matrix())
 
+    @pytest.mark.parametrize("v_mode", ["free", "fixed_zero"])
+    def test_retained_log_joint_equals_a_fresh_joint_exactly(self, v_mode):
+        # the chain reuses the sweep's class counts; a recount must agree bit for bit
+        data, prior = self.small_inputs(v_mode, n=40)
+        draws = run_chain(data, prior, McmcConfig(n_main=20, n_warmup=5, seed=11,
+                                                  store_c_every=1))
+        assert len(draws.memberships) == draws.n_draws
+        for it, c in draws.memberships.items():
+            d = int(np.flatnonzero(draws.iters == it)[0])
+            state = ModelState(pi=draws.pi[d], memberships=c, base=draws.base_matrix(d),
+                               theta_prime=draws.theta_prime[d], v=draws.v[d])
+            assert full_log_joint(state, data, prior) == draws.log_joint[d]
+
     def test_prior_recovery_through_full_chain(self):
         prior = PriorConfig.default(3, lam=0.5, v_mode="fixed_zero")
         data = Dataset(np.empty((0, 2), dtype=int))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from esrlcm import kernels
 from esrlcm import model as em
 from esrlcm.model import (
     BaseClassMatrix,
@@ -143,6 +144,20 @@ class TestTypes:
         again = Dataset.from_csv(path)
         assert np.array_equal(again.x, data.x)
 
+    def test_dataset_x_is_float64_c_contiguous(self):
+        data = Dataset(np.array([[0, 1, 1], [1, 0, 0]], dtype=np.int8).T)
+        assert data.x.dtype == np.float64 and data.x.flags["C_CONTIGUOUS"]
+        assert data.x.tolist() == [[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]]
+
+    def test_dataset_csv_roundtrip_byte_identical(self, tmp_path):
+        rng = np.random.default_rng(6)
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        Dataset(rng.integers(0, 2, size=(50, 4))).to_csv(first)
+        Dataset.from_csv(first).to_csv(second)
+        assert first.read_bytes() == second.read_bytes()
+        rows = first.read_text().splitlines()[1:]
+        assert set(",".join(rows).split(",")) == {"0", "1"}
+
     def test_empty_dataset_allowed(self):
         assert Dataset(np.empty((0, 3))).n == 0
 
@@ -217,6 +232,15 @@ class TestFullLogJoint:
         for _ in range(20):
             state, data, prior = random_state(rng, 3, 3, 4)
             assert np.isfinite(full_log_joint(state, data, prior))
+
+    @pytest.mark.parametrize("v_mode", ["free", "fixed_zero"])
+    def test_given_counts_equal_recount(self, v_mode):
+        rng = np.random.default_rng(29)
+        for _ in range(20):
+            state, data, prior = random_state(rng, 3, 4, int(rng.integers(0, 30)), v_mode)
+            counts = kernels.class_counts(data.x, state.memberships, 3)
+            assert full_log_joint(state, data, prior, counts=counts) == \
+                full_log_joint(state, data, prior)
 
     def test_dimension_mismatch_raises(self):
         rng = np.random.default_rng(4)
