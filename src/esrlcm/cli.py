@@ -111,8 +111,9 @@ def cmd_fit(args):
             draws.write_memberships(out_dir / f"memberships_chain{k}.jsonl")
 
     pooled = mcmc.concat_draws(chains)
-    pi_bar, theta_bar = evaluation.posterior_mean_parameters(pooled)
-    mode = evaluation.mode_restrictions(pooled)
+    perms = evaluation._aligned_permutations(pooled)
+    pi_bar, theta_bar = evaluation.posterior_mean_parameters(pooled, perms)
+    mode = evaluation.mode_restrictions(pooled, perms)
     summary = {
         "pi_mean": pi_bar.tolist(),
         "theta_mean": theta_bar.tolist(),
@@ -211,7 +212,8 @@ def cmd_metrics(args):
     truth = simulation.SimulationTruth.from_json(args.truth)
     draws = mcmc.PosteriorDraws.from_jsonl(args.draws)
     holdout = Dataset.from_csv(args.holdout) if args.holdout else None
-    mode = evaluation.mode_restrictions(draws)
+    perms = evaluation._aligned_permutations(draws)
+    mode = evaluation.mode_restrictions(draws, perms)
     shape = (mode.n_classes, mode.n_items)
     if (truth.base.n_classes, truth.base.n_items) != shape:
         raise ValueError(f"truth has {truth.base.n_classes} classes x {truth.base.n_items} "
@@ -219,7 +221,7 @@ def cmd_metrics(args):
     if holdout is not None and holdout.n_items != mode.n_items:
         raise ValueError(f"holdout has {holdout.n_items} items "
                          f"but the draws have {mode.n_items} items")
-    _, theta_bar = evaluation.posterior_mean_parameters(draws)
+    _, theta_bar = evaluation.posterior_mean_parameters(draws, perms)
     alignment = evaluation.align_classes(truth.theta_matrix(), theta_bar)
     sens, spec = evaluation.restriction_sensitivity_specificity(truth.base, mode, alignment)
     payload = {

@@ -63,26 +63,33 @@ def predictive_loglik(draws: PosteriorDraws, holdout: Dataset,
 
 def _aligned_permutations(draws: PosteriorDraws):
     """Permutation per draw onto the highest log-joint draw's labeling."""
+    if draws.n_draws == 0:
+        raise ValueError("draws must be nonempty")
     ref = draws.theta_matrix(int(np.argmax(draws.log_joint)))
     return [align_classes(ref, draws.theta_matrix(d)) for d in range(draws.n_draws)]
 
 
-def posterior_mean_parameters(draws: PosteriorDraws):
-    """Posterior-mean class weights and response matrix of aligned draws."""
-    perms = _aligned_permutations(draws)
+def posterior_mean_parameters(draws: PosteriorDraws, perms=None):
+    """Posterior-mean class weights and response matrix of aligned draws.
+
+    ``perms`` are the draws' :func:`_aligned_permutations`, computed when
+    not given.
+    """
+    if perms is None:
+        perms = _aligned_permutations(draws)
     pi = np.mean([draws.pi[d][perm] for d, perm in enumerate(perms)], axis=0)
     theta = np.mean([draws.theta_matrix(d)[perm] for d, perm in enumerate(perms)], axis=0)
     return pi, theta
 
 
-def mode_restrictions(draws: PosteriorDraws) -> BaseClassMatrix:
+def mode_restrictions(draws: PosteriorDraws, perms=None) -> BaseClassMatrix:
     """Most frequent partition per item among aligned draws.
 
     Ties break toward fewer equivalence sets, then lexicographically.
+    ``perms`` are as in :func:`posterior_mean_parameters`.
     """
-    if draws.n_draws == 0:
-        raise ValueError("draws must be nonempty")
-    perms = _aligned_permutations(draws)
+    if perms is None:
+        perms = _aligned_permutations(draws)
     n_items = len(draws.base_columns[0])
     columns = []
     for j in range(n_items):

@@ -2,9 +2,11 @@
 v = 0, reversible jump base class moves at v > 0, and an independence
 Metropolis step on the repulsion exponent v.
 
-Each sweep updates, in order: all memberships, the class weights, then per
-item the base class column followed by a conjugate redraw of theta', and
-finally v when it is free. Chains are reproducible given (seed, chain index).
+Each sweep updates, in order: all memberships, the class weights, then the
+base class columns and theta'. At v = 0 every item's column and theta' move
+in one batched collapsed step; with v free each item takes a reversible
+jump move followed by a repelled beta redraw of theta', and v comes last.
+Chains are reproducible given (seed, chain index).
 """
 
 import json
@@ -144,35 +146,45 @@ def _clip_unit(values):
     return np.clip(values, 1e-12, 1.0 - 1e-12)
 
 
-def _item_counts_from_class_counts(column, succ_j, totals):
-    """Per-set success/failure counts for one item from per-class counts."""
-    n_sets = int(column.max())
-    idx = column - 1
-    succ = np.bincount(idx, weights=succ_j, minlength=n_sets)
-    tot = np.bincount(idx, weights=totals, minlength=n_sets)
-    return succ, tot - succ
+def _set_counts(columns, succ, totals):
+    """Per-set success and failure counts of canonical columns (..., C).
 
-
-def _column_menu(column, target, succ_j, totals, prior):
-    """Candidate columns and their log weights when class ``target`` may
-    change its label.
-
-    The menu is: join each equivalence set present among the other classes,
-    or open a fresh set; the current column is always in it. Rows are
-    canonical. A row's weight is its partition prior times its likelihood
-    with theta' integrated out under independent uniform priors (v = 0).
+    ``succ`` holds per-class successes broadcastable against ``columns``;
+    set s of a column is at index s - 1, and unused sets count zero.
     """
-    n_classes = column.size
-    labels = np.append(np.unique(np.delete(column, target)), column.max() + 1)
-    raw = np.repeat(column[None, :], labels.size, axis=0)
-    raw[:, target] = labels
+    member = columns[..., :, None] == np.arange(1, columns.shape[-1] + 1)  # class, set
+    s = (member * succ[..., :, None]).sum(axis=-2)
+    return s, (member * totals[:, None]).sum(axis=-2) - s
+
+
+def _column_menu(columns, targets, succ, totals, prior):
+    """Candidate columns and their log weights when, in each row of the
+    (J, C) block ``columns``, class ``targets[i]`` may change its label.
+
+    An item's menu is: join each equivalence set present among its other
+    classes (ascending label), or open a fresh set (last); its current
+    column is always in it. Rows are canonical and padded to C + 1 per item
+    with weight -inf after the valid ones. A row's weight is its partition
+    prior times its likelihood with theta' integrated out under independent
+    uniform priors (v = 0). ``succ`` is (J, C), one row per item.
+    """
+    n_items, n_classes = columns.shape
+    rows = np.arange(n_items)
+    labels = np.arange(1, n_classes + 2)
+    others = columns.copy()
+    others[rows, targets] = 0
+    fresh = columns.max(axis=1)[:, None] + 1
+    valid = (others[:, :, None] == labels).any(axis=1) | (labels == fresh)
+    # valid rows first, in label order; padding after them
+    order = np.argsort(~valid, axis=1, kind="stable")
+    raw = np.repeat(columns[:, None, :], labels.size, axis=1)
+    raw[rows, :, targets] = labels[order]
     # canonical relabeling: each entry takes the rank of its label's first occurrence
-    first = (raw[:, :, None] == raw[:, None, :]).argmax(axis=2)
-    menu = np.take_along_axis(np.cumsum(first == np.arange(n_classes), axis=1), first, axis=1)
-    member = menu[:, :, None] == np.arange(1, n_classes + 1)  # row, class, set
-    succ = succ_j @ member
-    fail = totals @ member - succ
-    log_w = base_vector_log_prior(menu, prior) + betaln(1.0 + succ, 1.0 + fail).sum(axis=1)
+    first = (raw[..., :, None] == raw[..., None, :]).argmax(axis=-1)
+    menu = np.take_along_axis(np.cumsum(first == np.arange(n_classes), axis=-1), first, axis=-1)
+    s, f = _set_counts(menu, succ[:, None, :], totals)
+    log_w = base_vector_log_prior(menu, prior) + betaln(1.0 + s, 1.0 + f).sum(axis=-1)
+    log_w[~np.take_along_axis(valid, order, axis=1)] = -np.inf
     return menu, log_w
 
 
@@ -191,22 +203,40 @@ def _class_count_cache(state, data):
 # base class updates
 # ---------------------------------------------------------------------------
 
-def gibbs_update_base_class_v0(j, state, data, prior, rng, counts=None):
-    """Collapsed Gibbs move on one item's partition, valid at v = 0.
+def _draw_theta_v0(items, columns, state, succ_items, totals, rng):
+    """Conjugate theta' of every set of the given items' (J, C) columns at v = 0.
 
-    A uniformly chosen class has its label resampled from the exact full
-    conditional over the candidate menu, with theta' integrated out; theta'
-    is then redrawn conjugately because the number of sets may have changed.
+    Given the columns, the sets' response probabilities are independent
+    betas, so one ``rng.beta`` call draws all of them, item by item in set
+    order. ``succ_items`` is (J, C), one row per item.
+    """
+    s, f = _set_counts(columns, succ_items, totals)
+    used = np.arange(columns.shape[1]) < columns.max(axis=1)[:, None]
+    draws = _clip_unit(rng.beta(1.0 + s[used], 1.0 + f[used]))
+    ends = np.cumsum(used.sum(axis=1)).tolist()
+    for j, start, end in zip(items.tolist(), [0] + ends[:-1], ends):
+        state.theta_prime[j] = draws[start:end]
+
+
+def gibbs_update_base_class_v0(items, state, data, prior, rng, counts=None):
+    """Collapsed Gibbs move on the partitions of one item or an index array
+    of items, valid at v = 0.
+
+    Per item, a uniformly chosen class has its label resampled from the
+    exact full conditional over the candidate menu, with theta' integrated
+    out; theta' is then redrawn conjugately because the number of sets may
+    have changed. Given the memberships the items are independent (the
+    partition prior and the v = 0 prior factor over items), so all of them
+    move in one array step.
     """
     succ, totals = counts if counts is not None else _class_count_cache(state, data)
-    succ_j = succ[:, j]
-    target = int(rng.integers(state.base.n_classes))
-    menu, log_w = _column_menu(state.base.column(j), target, succ_j, totals, prior)
-    column = menu[_pick_categorical(log_w, rng)]
-    state.base.labels[:, j] = column
-
-    s_b, f_b = _item_counts_from_class_counts(column, succ_j, totals)
-    state.theta_prime[j] = _clip_unit(rng.beta(1.0 + s_b, 1.0 + f_b))
+    items = np.atleast_1d(items)
+    succ_items = succ[:, items].T
+    targets = rng.integers(state.base.n_classes, size=items.size)
+    menu, log_w = _column_menu(state.base.labels[:, items].T, targets, succ_items, totals, prior)
+    columns = menu[np.arange(items.size), kernels.categorical_rows(log_w, rng.random(items.size))]
+    state.base.labels[:, items] = columns.T
+    _draw_theta_v0(items, columns, state, succ_items, totals, rng)
     return state
 
 
@@ -222,7 +252,7 @@ def _rj_theta_proposal(col_old, theta_old, col_new, target, succ_j, totals, rng)
     rest = col_old == col_old[target]
     rest[target] = False
     refresh = np.unique(np.append(col_new[rest], col_new[target])) - 1
-    s_new, f_new = _item_counts_from_class_counts(col_new, succ_j, totals)
+    s_new, f_new = _set_counts(col_new, succ_j, totals)
     theta_new[refresh] = _clip_unit(rng.beta(1.0 + s_new[refresh], 1.0 + f_new[refresh]))
     return theta_new
 
@@ -243,8 +273,9 @@ def rj_update_base_class(j, state, data, prior, rng, counts=None):
     col_old = state.base.column(j)
     theta_old = state.theta_prime[j]
     target = int(rng.integers(state.base.n_classes))
-    menu, log_w = _column_menu(col_old, target, succ_j, totals, prior)
-    col_new = menu[_pick_categorical(log_w, rng)]
+    menu, log_w = _column_menu(col_old[None, :], np.array([target]), succ_j[None, :],
+                               totals, prior)
+    col_new = menu[0, _pick_categorical(log_w[0], rng)]
     theta_new = _rj_theta_proposal(col_old, theta_old, col_new, target, succ_j, totals, rng)
 
     log_acc = (repelled_beta.log_density_all_ones(theta_new, state.v)
@@ -383,8 +414,11 @@ def gibbs_update_theta(j, state, data, prior, rng, counts=None,
     Returns ``(state, attempts, fell_back)``.
     """
     succ, totals = counts if counts is not None else _class_count_cache(state, data)
-    s_b, f_b = _item_counts_from_class_counts(state.base.column(j), succ[:, j], totals)
-    params = RepelledBetaParams(np.column_stack([1.0 + s_b, 1.0 + f_b]), state.v)
+    column = state.base.column(j)
+    s_b, f_b = _set_counts(column, succ[:, j], totals)
+    n_sets = column.max()
+    params = RepelledBetaParams(np.column_stack([1.0 + s_b[:n_sets], 1.0 + f_b[:n_sets]]),
+                                state.v)
     fell_back = False
     try:
         draw, attempts = repelled_beta.sample(params, rng, max_attempts, return_attempts=True)
@@ -460,14 +494,16 @@ def run_chain(data: Dataset, prior: PriorConfig, config: McmcConfig,
               chain_index: int = 0) -> PosteriorDraws:
     """Run one chain and return the retained draws.
 
-    Sweep order: memberships, pi, per item (base class move, theta' Gibbs),
-    then v when free. Warmup sweeps are discarded and every ``thin``-th main
-    sweep is retained.
+    Sweep order: memberships, pi, then at v = 0 one batched collapsed move
+    of every item's column and theta', and at free v per item (reversible
+    jump move, theta' Gibbs) followed by v. Warmup sweeps are discarded and
+    every ``thin``-th main sweep is retained.
     """
     _check_start_reachable(prior, config)
     rng = np.random.default_rng(config.seed ^ chain_index)
     state = _initial_state(data, prior, rng)
     n_items = data.n_items
+    items = np.arange(n_items)
 
     iters, log_joint, vs, pis = [], [], [], []
     base_columns, theta_prime, memberships = [], [], {}
@@ -483,19 +519,22 @@ def run_chain(data: Dataset, prior: PriorConfig, config: McmcConfig,
             _update_all_memberships(state, data, rng)
         counts = _class_count_cache(state, data)
         gibbs_update_pi(state, prior, rng)
-        for j in range(n_items):
-            if not config.unrestricted:
-                if prior.v_mode == V_FIXED_ZERO:
-                    gibbs_update_base_class_v0(j, state, data, prior, rng, counts=counts)
-                else:
+        if prior.v_mode == V_FIXED_ZERO:
+            if config.unrestricted:
+                _draw_theta_v0(items, state.base.labels.T, state, counts[0].T, counts[1], rng)
+            else:
+                gibbs_update_base_class_v0(items, state, data, prior, rng, counts=counts)
+        else:
+            for j in range(n_items):
+                if not config.unrestricted:
                     _, acc = rj_update_base_class(j, state, data, prior, rng, counts=counts)
                     rj_total += 1
                     rj_accept += acc
-            _, attempts, fell_back = gibbs_update_theta(j, state, data, prior, rng, counts=counts)
-            theta_attempts_total += attempts
-            theta_attempts_max = max(theta_attempts_max, attempts)
-            theta_mh_fallbacks += fell_back
-        if prior.v_mode == V_FREE:
+                _, attempts, fell_back = gibbs_update_theta(j, state, data, prior, rng,
+                                                            counts=counts)
+                theta_attempts_total += attempts
+                theta_attempts_max = max(theta_attempts_max, attempts)
+                theta_mh_fallbacks += fell_back
             _, acc = metropolis_update_v(state, prior, rng)
             v_total += 1
             v_accept += acc

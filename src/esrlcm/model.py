@@ -133,8 +133,14 @@ class Dataset:
         return cls(x)
 
     def to_csv(self, path) -> None:
+        # x is 0/1, so each row is one digit per item, joined by commas
         header = ",".join(f"item{j + 1}" for j in range(self.n_items))
-        np.savetxt(path, self.x, fmt="%d", delimiter=",", header=header, comments="")
+        rows = np.full((self.n, 2 * self.n_items), ord(","), dtype=np.uint8)
+        np.add(self.x, ord("0"), out=rows[:, 0::2], casting="unsafe")
+        rows[:, -1] = ord("\n")
+        with open(path, "wb") as fh:
+            fh.write(header.encode() + b"\n")
+            fh.write(rows.tobytes())
 
 
 @dataclass
@@ -331,10 +337,10 @@ def full_log_joint(state: ModelState, data: Dataset, prior: PriorConfig,
         raise ValueError("memberships length does not match the dataset")
 
     out = _log_dirichlet_pdf(state.pi, prior.alpha_c)
-    for j in range(state.base.n_items):
-        column = state.base.column(j)
-        out += base_vector_log_prior(column, prior)
-        out += repelled_beta.log_density_all_ones(state.theta_prime[j], state.v)
+    for log_prior, theta_prime in zip(base_vector_log_prior(state.base.labels.T, prior).tolist(),
+                                      state.theta_prime):
+        out += log_prior
+        out += repelled_beta.log_density_all_ones(theta_prime, state.v)
     if prior.v_mode == V_FREE:
         if not 0.0 < state.v < prior.max_v:
             return -np.inf

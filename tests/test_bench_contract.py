@@ -38,9 +38,16 @@ def test_traced_fit_runs_with_every_patch_installed(tmp_path, monkeypatch, v_mod
     names = {rec[tracing.NAME] for rec in tracer.spans}
     assert {"kernels.class_counts", "mcmc.base_move", "repelled_beta.log_density_all_ones"} <= names
     assert tracer.counts["model.base_vector_log_prior"] > 0
-    assert all(tracer.counts[k] for k in ("theta.updates", "sample.draws"))
     # one class count per sweep: retention reuses the sweep's counts
     class_counts = [rec for rec in tracer.spans if rec[tracing.NAME] == "kernels.class_counts"]
     assert len(class_counts) == 5
+    # the fit aligns each of its 3 retained draws once, for both summaries
+    assert tracer.counts["evaluation.align_classes"] == 3
     if v_mode == "free":
+        assert all(tracer.counts[k] for k in ("theta.updates", "sample.draws"))
         assert tracer.counts["rj.moves"] and tracer.counts["v.moves"]
+    else:
+        # at v = 0 one batched move per sweep draws every column and theta'
+        base_moves = [rec for rec in tracer.spans if rec[tracing.NAME] == "mcmc.base_move"]
+        assert len(base_moves) == 5
+        assert "mcmc.theta" not in names

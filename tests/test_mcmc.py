@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy import integrate, stats
+from scipy.special import beta as beta_fn
 
 from esrlcm import kernels, mcmc
 from esrlcm.mcmc import (
@@ -87,28 +88,41 @@ class TestBaseClassGibbsV0:
         succ_j = np.array([1.0, 0.0])
         totals = np.array([1.0, 1.0])
         prior = PriorConfig.default(2, lam=1.0, v_mode="fixed_zero")
-        menu, log_w = mcmc._column_menu(column, 1, succ_j, totals, prior)
-        weights = {tuple(row.tolist()): np.exp(w) for row, w in zip(menu, log_w)}
+        menu, log_w = mcmc._column_menu(column[None], np.array([1]), succ_j[None], totals, prior)
+        weights = {tuple(row.tolist()): np.exp(w)
+                   for row, w in zip(menu[0], log_w[0]) if w > -np.inf}
         assert weights[(1, 1)] / weights[(1, 2)] == pytest.approx(2 / 3)
 
     def test_menu_matches_loop_form(self):
-        # same canonical rows in the same order, same weights
+        # per item of a block: same canonical rows in the same order, same
+        # weights, then padding with weight -inf that no draw can pick
         rng = np.random.default_rng(11)
         for trial in range(400):
             n_classes = int(rng.integers(1, 9))
-            column = random_canonical_column(rng, n_classes)
+            n_items = int(rng.integers(1, 6))
+            columns = np.array([random_canonical_column(rng, n_classes) for _ in range(n_items)])
             totals = rng.integers(0, 20, size=n_classes).astype(float)
-            succ_j = np.floor(rng.random(n_classes) * (totals + 1))
+            succ = np.floor(rng.random((n_items, n_classes)) * (totals + 1))
             if trial % 2:
                 prior = PriorConfig.default(n_classes, lam=rng.uniform(0.2, 1.0))
             else:
                 prior = PriorConfig(alpha_c=np.ones(n_classes),
                                     zeta=rng.dirichlet(np.ones(n_classes)))
-            target = int(rng.integers(n_classes))
-            menu, log_w = mcmc._column_menu(column, target, succ_j, totals, prior)
-            rows, ref_w = column_menu_loop(column, target, succ_j, totals, prior)
-            assert np.array_equal(menu, np.array(rows))
-            assert np.allclose(log_w, ref_w, rtol=1e-12, atol=1e-12)
+            targets = rng.integers(n_classes, size=n_items)
+            menu, log_w = mcmc._column_menu(columns, targets, succ, totals, prior)
+            assert menu.shape == (n_items, n_classes + 1, n_classes)
+            n_valid = []
+            for i in range(n_items):
+                rows, ref_w = column_menu_loop(columns[i], int(targets[i]), succ[i], totals,
+                                               prior)
+                k = len(rows)
+                assert np.array_equal(menu[i, :k], np.array(rows))
+                assert np.allclose(log_w[i, :k], ref_w, rtol=1e-12, atol=1e-12)
+                assert np.all(log_w[i, k:] == -np.inf)
+                n_valid.append(k)
+            for u in (0.0, 0.5, np.nextafter(1.0, 0.0)):
+                picks = kernels.categorical_rows(log_w, np.full(n_items, u))
+                assert np.all(picks < n_valid)
 
     def test_prior_only_chain_recovers_partition_prior(self):
         rng = np.random.default_rng(0)
@@ -122,6 +136,40 @@ class TestBaseClassGibbsV0:
         freq = partition_distribution(seen, 3)
         for col, target in exact_prior(prior, 3).items():
             assert freq.get(col, 0.0) == pytest.approx(target, abs=0.03)
+
+    def test_batched_move_is_exactly_stationary(self):
+        # one call moves three items with different fixed counts; each item's
+        # columns follow its collapsed posterior over the 5 partitions, and
+        # each set's theta' its conjugate beta
+        rng = np.random.default_rng(12)
+        prior = PriorConfig.default(3, lam=0.5, v_mode="fixed_zero")
+        totals = np.array([6.0, 3.0, 5.0])
+        succ = np.array([[5.0, 0.0, 2.0], [1.0, 1.0, 4.0], [3.0, 3.0, 0.0]]).T  # class x item
+        data = Dataset(np.empty((0, 3), dtype=int))
+        state = make_state([[1, 2, 3]] * 3, [[0.2, 0.5, 0.8]] * 3, [])
+        seen = [{} for _ in range(3)]
+        theta_sums = [{} for _ in range(3)]
+        n_sweeps = 30_000
+        for _ in range(n_sweeps):
+            gibbs_update_base_class_v0(np.arange(3), state, data, prior, rng,
+                                       counts=(succ, totals))
+            for j in range(3):
+                key = tuple(state.base.column(j).tolist())
+                seen[j][key] = seen[j].get(key, 0) + 1
+                theta_sums[j][key] = theta_sums[j].get(key, 0.0) + state.theta_prime[j]
+        for j in range(3):
+            weights = {}
+            for col in all_partition_columns(3):
+                s = np.bincount(col - 1, weights=succ[:, j])
+                f = np.bincount(col - 1, weights=totals) - s
+                weights[tuple(col.tolist())] = (np.exp(base_vector_log_prior(col, prior))
+                                                * np.prod(beta_fn(1.0 + s, 1.0 + f)), s, f)
+            norm = sum(w for w, _, _ in weights.values())
+            for key, (w, s, f) in weights.items():
+                assert seen[j].get(key, 0) / n_sweeps == pytest.approx(w / norm, abs=0.015)
+                if seen[j].get(key, 0) > 2_000:
+                    mean = theta_sums[j][key] / seen[j][key]
+                    assert np.allclose(mean, (1.0 + s) / (2.0 + s + f), atol=0.01)
 
     def test_posterior_frequencies_match_enumeration(self):
         # two observations, one success and one failure, exact two-partition posterior
@@ -218,8 +266,9 @@ class TestReversibleJumpRatio:
             col_old = random_canonical_column(rng, n_classes)
             theta_old = rng.uniform(0.01, 0.99, size=col_old.max())
             target = int(rng.integers(n_classes))
-            menu, _ = mcmc._column_menu(col_old, target, succ[:, 0], totals, prior)
-            col_new = menu[rng.integers(len(menu))]
+            menu, log_w = mcmc._column_menu(col_old[None], np.array([target]), succ[:, 0][None],
+                                            totals, prior)
+            col_new = menu[0, rng.integers(np.isfinite(log_w[0]).sum())]
             theta_new = mcmc._rj_theta_proposal(col_old, theta_old, col_new, target,
                                                 succ[:, 0], totals, rng)
             short = log_density_all_ones(theta_new, v) - log_density_all_ones(theta_old, v)

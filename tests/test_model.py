@@ -158,6 +158,15 @@ class TestTypes:
         rows = first.read_text().splitlines()[1:]
         assert set(",".join(rows).split(",")) == {"0", "1"}
 
+    @pytest.mark.parametrize("shape", [(0, 3), (1, 1), (7, 1), (200, 5)])
+    def test_dataset_csv_bytes_match_savetxt(self, tmp_path, shape):
+        data = Dataset(np.random.default_rng(sum(shape)).integers(0, 2, size=shape))
+        data.to_csv(tmp_path / "fast.csv")
+        header = ",".join(f"item{j + 1}" for j in range(shape[1]))
+        np.savetxt(tmp_path / "ref.csv", data.x, fmt="%d", delimiter=",", header=header,
+                   comments="")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
     def test_empty_dataset_allowed(self):
         assert Dataset(np.empty((0, 3))).n == 0
 
