@@ -7,7 +7,6 @@ runtime failures with status 1, and all outputs are machine readable.
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -82,13 +81,6 @@ def load_run_config(path):
     return prior, config, paths
 
 
-def _threads(args):
-    if getattr(args, "threads", None):
-        return args.threads
-    env = os.environ.get("ESRLCM_THREADS")
-    return int(env) if env else None
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -104,7 +96,7 @@ def cmd_fit(args):
     out_dir = Path(paths.get("out", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    chains = mcmc.run_chains(data, prior, config, n_threads=_threads(args))
+    chains = mcmc.run_chains(data, prior, config, n_threads=args.threads)
     for k, draws in enumerate(chains):
         draws.to_jsonl(out_dir / f"draws_chain{k}.jsonl")
         if config.store_c_every:
@@ -117,7 +109,7 @@ def cmd_fit(args):
     summary = {
         "pi_mean": pi_bar.tolist(),
         "theta_mean": theta_bar.tolist(),
-        "mode_restrictions": [mode.column(j).tolist() for j in range(mode.n_items)],
+        "mode_restrictions": mode.labels.T.tolist(),
         "v_mean": float(pooled.v.mean()),
         "chains": [draws.stats for draws in chains],
     }
@@ -228,10 +220,10 @@ def cmd_metrics(args):
         "sensitivity": sens,
         "specificity": spec,
         "oos_loglik": None,
-        "per_item_mode_columns": [mode.column(j).tolist() for j in range(mode.n_items)],
+        "per_item_mode_columns": mode.labels.T.tolist(),
     }
     if holdout is not None:
-        payload["oos_loglik"] = evaluation.predictive_loglik(draws, holdout, mode=args.mode)
+        payload["oos_loglik"] = evaluation.predictive_loglik(draws, holdout, args.mode, perms)
     out = json.dumps(payload, indent=2)
     if args.out:
         Path(args.out).write_text(out)
@@ -305,6 +297,8 @@ def build_parser():
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "threads", None) is not None and args.threads < 1:
+        parser.error(f"--threads must be a positive integer, got {args.threads}")
     try:
         return args.func(args)
     except (ConfigError, FileNotFoundError, KeyError, ValueError) as err:

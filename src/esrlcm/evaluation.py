@@ -39,13 +39,13 @@ def align_classes(reference, target) -> np.ndarray:
 
 
 def predictive_loglik(draws: PosteriorDraws, holdout: Dataset,
-                      mode: str = "predictive_mean") -> float:
+                      mode: str = "predictive_mean", perms=None) -> float:
     """Average out-of-sample log likelihood per observation.
 
     ``predictive_mean`` scores each observation by the log of the average
     mixture density over retained draws; ``plug_in`` first aligns the draws
     to the highest log-joint draw and scores with the posterior-mean
-    parameters.
+    parameters. ``perms`` are as in :func:`posterior_mean_parameters`.
     """
     if draws.n_draws == 0:
         raise ValueError("draws must be nonempty")
@@ -56,7 +56,7 @@ def predictive_loglik(draws: PosteriorDraws, holdout: Dataset,
             running = logp if running is None else np.logaddexp(running, logp)
         return float((running - np.log(draws.n_draws)).mean())
     if mode == "plug_in":
-        pi_bar, theta_bar = posterior_mean_parameters(draws)
+        pi_bar, theta_bar = posterior_mean_parameters(draws, perms)
         return float(_mixture_obs_loglik(holdout.x, pi_bar, theta_bar).mean())
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -90,15 +90,12 @@ def mode_restrictions(draws: PosteriorDraws, perms=None) -> BaseClassMatrix:
     """
     if perms is None:
         perms = _aligned_permutations(draws)
-    n_items = len(draws.base_columns[0])
+    aligned = np.take_along_axis(draws.base_columns, np.asarray(perms)[:, None, :], axis=2)
     columns = []
-    for j in range(n_items):
-        tallies = {}
-        for d, perm in enumerate(perms):
-            col = canonicalize(draws.base_columns[d][j][perm])
-            tallies[tuple(col.tolist())] = tallies.get(tuple(col.tolist()), 0) + 1
-        best = min(tallies.items(), key=lambda kv: (-kv[1], max(kv[0]), kv[0]))
-        columns.append(np.asarray(best[0], dtype=np.int64))
+    for draws_j in aligned.transpose(1, 0, 2):
+        rows, counts = np.unique([canonicalize(col) for col in draws_j], axis=0, return_counts=True)
+        # np.unique sorts rows lexicographically and lexsort is stable
+        columns.append(rows[np.lexsort((rows.max(axis=1), -counts))[0]])
     return BaseClassMatrix(np.column_stack(columns))
 
 

@@ -10,6 +10,7 @@ Chains are reproducible given (seed, chain index).
 """
 
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -27,6 +28,7 @@ from .model import (
     base_vector_log_prior,
     canonicalize,
     full_log_joint,
+    pad_theta_prime,
     theta_matrix,
 )
 from .repelled_beta import RepelledBetaParams, SamplingError
@@ -69,28 +71,32 @@ class McmcConfig:
 
 @dataclass
 class PosteriorDraws:
-    """Retained draws of one chain plus sampler diagnostics."""
+    """Retained draws of one chain plus sampler diagnostics.
+
+    With D draws, J items and C classes, ``base_columns`` is (D, J, C) int64,
+    so ``base_columns[d][j]`` is item j's canonical column in draw d, and
+    ``theta_prime`` is (D, J, C) float64, each draw laid out like
+    ``ModelState.theta_prime``.
+    """
 
     iters: np.ndarray
     log_joint: np.ndarray
     v: np.ndarray
     pi: np.ndarray
-    base_columns: list
-    theta_prime: list
+    base_columns: np.ndarray
+    theta_prime: np.ndarray
     memberships: dict = field(default_factory=dict)
     stats: dict = field(default_factory=dict)
 
     @property
     def n_draws(self) -> int:
-        return len(self.base_columns)
-
-    def base_matrix(self, d: int) -> BaseClassMatrix:
-        return BaseClassMatrix(np.column_stack(self.base_columns[d]))
+        return len(self.iters)
 
     def theta_matrix(self, d: int) -> np.ndarray:
         return theta_matrix(self.base_columns[d], self.theta_prime[d])
 
     def to_jsonl(self, path) -> None:
+        n_sets = self.base_columns.max(axis=2)
         with open(path, "w") as fh:
             for d in range(self.n_draws):
                 rec = {
@@ -98,37 +104,30 @@ class PosteriorDraws:
                     "log_joint": float(self.log_joint[d]),
                     "v": float(self.v[d]),
                     "pi": self.pi[d].tolist(),
-                    "B": [col.tolist() for col in self.base_columns[d]],
-                    "theta_prime": [tp.tolist() for tp in self.theta_prime[d]],
+                    "B": self.base_columns[d].tolist(),
+                    "theta_prime": [tp[:n].tolist()
+                                    for tp, n in zip(self.theta_prime[d], n_sets[d])],
                 }
                 fh.write(json.dumps(rec) + "\n")
 
     @classmethod
     def from_jsonl(cls, path) -> "PosteriorDraws":
-        iters, log_joint, v, pi, base_columns, theta_prime = [], [], [], [], [], []
         with open(path) as fh:
-            for line in fh:
-                rec = json.loads(line)
-                iters.append(rec["iter"])
-                log_joint.append(rec["log_joint"])
-                v.append(rec["v"])
-                pi.append(rec["pi"])
-                cols = [np.asarray(c, dtype=np.int64) for c in rec["B"]]
-                tps = [np.asarray(t, dtype=np.float64) for t in rec["theta_prime"]]
-                for col, tp in zip(cols, tps):
-                    if not np.array_equal(col, canonicalize(col)):
-                        raise ValueError("stored base column is not canonical")
-                    if tp.size != col.max():
-                        raise ValueError("stored theta' length does not match its column")
-                base_columns.append(cols)
-                theta_prime.append(tps)
+            recs = [json.loads(line) for line in fh]
+        if not recs:
+            raise ValueError(f"draws file {path} holds no draws")
+        base_columns = np.array([rec["B"] for rec in recs], dtype=np.int64)
+        for col in np.unique(base_columns.reshape(-1, base_columns.shape[-1]), axis=0):
+            if not np.array_equal(col, canonicalize(col)):
+                raise ValueError(f"stored base column {col.tolist()} is not canonical")
         return cls(
-            iters=np.asarray(iters, dtype=np.int64),
-            log_joint=np.asarray(log_joint, dtype=np.float64),
-            v=np.asarray(v, dtype=np.float64),
-            pi=np.asarray(pi, dtype=np.float64),
+            iters=np.array([rec["iter"] for rec in recs], dtype=np.int64),
+            log_joint=np.array([rec["log_joint"] for rec in recs], dtype=np.float64),
+            v=np.array([rec["v"] for rec in recs], dtype=np.float64),
+            pi=np.array([rec["pi"] for rec in recs], dtype=np.float64),
             base_columns=base_columns,
-            theta_prime=theta_prime,
+            theta_prime=np.array([pad_theta_prime(cols, rec["theta_prime"])
+                                  for cols, rec in zip(base_columns, recs)]),
         )
 
     def write_memberships(self, path) -> None:
@@ -212,10 +211,9 @@ def _draw_theta_v0(items, columns, state, succ_items, totals, rng):
     """
     s, f = _set_counts(columns, succ_items, totals)
     used = np.arange(columns.shape[1]) < columns.max(axis=1)[:, None]
-    draws = _clip_unit(rng.beta(1.0 + s[used], 1.0 + f[used]))
-    ends = np.cumsum(used.sum(axis=1)).tolist()
-    for j, start, end in zip(items.tolist(), [0] + ends[:-1], ends):
-        state.theta_prime[j] = draws[start:end]
+    block = np.full(columns.shape, np.nan)
+    block[used] = _clip_unit(rng.beta(1.0 + s[used], 1.0 + f[used]))
+    state.theta_prime[items] = block
 
 
 def gibbs_update_base_class_v0(items, state, data, prior, rng, counts=None):
@@ -271,7 +269,7 @@ def rj_update_base_class(j, state, data, prior, rng, counts=None):
     succ, totals = counts if counts is not None else _class_count_cache(state, data)
     succ_j = succ[:, j]
     col_old = state.base.column(j)
-    theta_old = state.theta_prime[j]
+    theta_old = state.theta_prime[j, :col_old.max()]
     target = int(rng.integers(state.base.n_classes))
     menu, log_w = _column_menu(col_old[None, :], np.array([target]), succ_j[None, :],
                                totals, prior)
@@ -283,7 +281,8 @@ def rj_update_base_class(j, state, data, prior, rng, counts=None):
     accepted = np.log(rng.random()) < log_acc
     if accepted:
         state.base.labels[:, j] = col_new
-        state.theta_prime[j] = theta_new
+        state.theta_prime[j] = np.nan
+        state.theta_prime[j, :theta_new.size] = theta_new
     return state, bool(accepted)
 
 
@@ -299,7 +298,7 @@ def _v_conditional_terms(state):
         n_sets = state.base.n_base(j)
         if n_sets >= 2:
             sizes.append(n_sets)
-            gaps = np.diff(np.sort(state.theta_prime[j]))
+            gaps = np.diff(np.sort(state.theta_prime[j, :n_sets]))
             d2_data -= float(np.log(np.clip(gaps, 1e-300, None)).sum())
     return np.asarray(sizes, dtype=np.float64), d2_data
 
@@ -422,15 +421,15 @@ def gibbs_update_theta(j, state, data, prior, rng, counts=None,
     fell_back = False
     try:
         draw, attempts = repelled_beta.sample(params, rng, max_attempts, return_attempts=True)
-        state.theta_prime[j] = _clip_unit(draw)
+        state.theta_prime[j, :n_sets] = _clip_unit(draw)
     except SamplingError:
         fell_back = True
         attempts = max_attempts
         proposal = _clip_unit(rng.beta(params.alpha[:, 0], params.alpha[:, 1]))
         log_acc = (repelled_beta.log_gap_term(proposal, state.v)
-                   - repelled_beta.log_gap_term(state.theta_prime[j], state.v))
+                   - repelled_beta.log_gap_term(state.theta_prime[j, :n_sets], state.v))
         if np.log(rng.random()) < log_acc:
-            state.theta_prime[j] = proposal
+            state.theta_prime[j, :n_sets] = proposal
     return state, attempts, fell_back
 
 
@@ -469,7 +468,7 @@ def _initial_state(data, prior, rng):
         pi=rng.dirichlet(prior.alpha_c),
         memberships=rng.integers(0, n_classes, size=data.n),
         base=base,
-        theta_prime=[_clip_unit(rng.random(n_classes)) for _ in range(data.n_items)],
+        theta_prime=_clip_unit(rng.random((data.n_items, n_classes))),
         v=min(0.1, prior.max_v / 2.0) if prior.v_mode == V_FREE else 0.0,
     )
     return state
@@ -505,13 +504,11 @@ def run_chain(data: Dataset, prior: PriorConfig, config: McmcConfig,
     n_items = data.n_items
     items = np.arange(n_items)
 
-    iters, log_joint, vs, pis = [], [], [], []
-    base_columns, theta_prime, memberships = [], [], {}
+    kept, memberships = [], {}  # one tuple per retained draw, in PosteriorDraws field order
     rj_accept = rj_total = v_accept = v_total = 0
     theta_attempts_total = 0
     theta_attempts_max = 0
     theta_mh_fallbacks = 0
-    n_retained = 0
 
     total_sweeps = config.n_warmup + config.n_main
     for sweep in range(total_sweeps):
@@ -543,23 +540,13 @@ def run_chain(data: Dataset, prior: PriorConfig, config: McmcConfig,
         # still the current class count when the draw is retained
         main_iter = sweep - config.n_warmup
         if main_iter >= 0 and (main_iter + 1) % config.thin == 0:
-            iters.append(main_iter)
-            log_joint.append(full_log_joint(state, data, prior, counts))
-            vs.append(state.v)
-            pis.append(state.pi.copy())
-            base_columns.append([state.base.column(j).copy() for j in range(n_items)])
-            theta_prime.append([t.copy() for t in state.theta_prime])
-            if config.store_c_every and n_retained % config.store_c_every == 0:
+            if config.store_c_every and len(kept) % config.store_c_every == 0:
                 memberships[main_iter] = state.memberships.copy()
-            n_retained += 1
+            kept.append((main_iter, full_log_joint(state, data, prior, counts), state.v,
+                         state.pi.copy(), state.base.labels.T.copy(), state.theta_prime.copy()))
 
     return PosteriorDraws(
-        iters=np.asarray(iters, dtype=np.int64),
-        log_joint=np.asarray(log_joint, dtype=np.float64),
-        v=np.asarray(vs, dtype=np.float64),
-        pi=np.asarray(pis, dtype=np.float64),
-        base_columns=base_columns,
-        theta_prime=theta_prime,
+        *(np.array(values) for values in zip(*kept)),
         memberships=memberships,
         stats={
             "chain_index": chain_index,
@@ -580,9 +567,9 @@ def concat_draws(chains) -> PosteriorDraws:
         iters=np.concatenate([d.iters for d in chains]),
         log_joint=np.concatenate([d.log_joint for d in chains]),
         v=np.concatenate([d.v for d in chains]),
-        pi=np.concatenate([d.pi for d in chains], axis=0),
-        base_columns=[cols for d in chains for cols in d.base_columns],
-        theta_prime=[tp for d in chains for tp in d.theta_prime],
+        pi=np.concatenate([d.pi for d in chains]),
+        base_columns=np.concatenate([d.base_columns for d in chains]),
+        theta_prime=np.concatenate([d.theta_prime for d in chains]),
         stats={"chains": [d.stats for d in chains]},
     )
 
@@ -595,15 +582,17 @@ def _run_chain_worker(args):
 def run_chains(data, prior, config, n_threads=None):
     """Run ``config.n_chains`` independent chains, in parallel when allowed.
 
-    Chain k is seeded as ``config.seed ^ k``. File output is left to the
+    Chain k is seeded as ``config.seed ^ k``. ``n_threads`` defaults to
+    ``ESRLCM_THREADS``, else the CPU count. File output is left to the
     caller so that all writes happen in one place.
     """
     if config.n_chains == 1:
         return [run_chain(data, prior, config, chain_index=0)]
     if n_threads is None:
-        import os
-
-        n_threads = int(os.environ.get("ESRLCM_THREADS", os.cpu_count() or 1))
+        env = os.environ.get("ESRLCM_THREADS", str(os.cpu_count() or 1))
+        if not env.strip().isdecimal() or int(env) < 1:
+            raise ValueError(f"ESRLCM_THREADS must be a positive integer, got {env!r}")
+        n_threads = int(env)
     n_workers = max(1, min(n_threads, config.n_chains))
     args = [(data, prior, config, k) for k in range(config.n_chains)]
     if n_workers == 1:

@@ -267,31 +267,46 @@ def base_vector_log_prior(columns, prior: PriorConfig):
     return float(out) if columns.ndim == 1 else out
 
 
+def pad_theta_prime(columns, vectors) -> np.ndarray:
+    """Per-item theta' vectors as one (J, C) block, NaN past each item's set
+    count. ``columns`` is (J, C); ``vectors[j]`` needs one value per set of row j."""
+    n_sets = np.asarray(columns).max(axis=1)
+    lengths = [len(t) for t in vectors]
+    if lengths != n_sets.tolist():
+        raise ValueError(f"theta' lengths {lengths} do not match the set counts "
+                         f"{n_sets.tolist()} of the base class columns")
+    block = np.full(np.shape(columns), np.nan)
+    block[np.arange(block.shape[1]) < n_sets[:, None]] = np.concatenate(vectors)
+    return block
+
+
 def theta_matrix(columns, theta_prime) -> np.ndarray:
-    """Per-class response probabilities, classes by items, from each item's
-    canonical column and theta' vector. Unvalidated: lengths must match."""
-    return np.column_stack([tp[col - 1] for col, tp in zip(columns, theta_prime)])
+    """Per-class response probabilities, a C-contiguous classes-by-items
+    matrix, from the (J, C) canonical columns and the (J, C) padded theta'."""
+    return np.ascontiguousarray(np.take_along_axis(theta_prime, columns - 1, axis=1).T)
 
 
 @dataclass
 class ModelState:
     """One MCMC state.
 
-    ``memberships`` are 0-based class indices; ``theta_prime[j]`` holds one
-    response probability per equivalence set of item j. The per-class
-    response matrix is always derived, never stored.
+    ``memberships`` are 0-based class indices. ``theta_prime`` is a (J, C)
+    float array: ``theta_prime[j, k]`` is the response probability of set
+    k + 1 of item j, and entries past item j's set count are NaN. The state
+    owns a copy of the block it is given. The per-class response matrix is
+    always derived, never stored.
     """
 
     pi: np.ndarray
     memberships: np.ndarray
     base: BaseClassMatrix
-    theta_prime: list
+    theta_prime: np.ndarray
     v: float = 0.0
 
     def __post_init__(self):
         self.pi = np.asarray(self.pi, dtype=np.float64)
         self.memberships = np.asarray(self.memberships, dtype=np.int64)
-        self.theta_prime = [np.asarray(t, dtype=np.float64) for t in self.theta_prime]
+        self.theta_prime = np.array(self.theta_prime, dtype=np.float64)
         n_classes = self.base.n_classes
         if self.pi.shape != (n_classes,):
             raise ValueError("pi length must equal the number of classes")
@@ -301,11 +316,10 @@ class ModelState:
             self.memberships.min() < 0 or self.memberships.max() >= n_classes
         ):
             raise ValueError("memberships out of range")
-        if len(self.theta_prime) != self.base.n_items:
-            raise ValueError("theta_prime must have one vector per item")
-        for j, t in enumerate(self.theta_prime):
-            if t.shape != (self.base.n_base(j),):
-                raise ValueError(f"theta_prime[{j}] length does not match its column")
+        past = np.arange(n_classes) >= self.base.n_base_all()[:, None]
+        if not np.array_equal(np.isnan(self.theta_prime), past):  # False on a wrong shape too
+            raise ValueError("theta_prime must be an items x classes block holding one value "
+                             "per set of each item, NaN past them")
         if self.v < 0:
             raise ValueError("v must be nonnegative")
 
@@ -336,11 +350,10 @@ def full_log_joint(state: ModelState, data: Dataset, prior: PriorConfig,
     if data.n != state.memberships.size:
         raise ValueError("memberships length does not match the dataset")
 
-    out = _log_dirichlet_pdf(state.pi, prior.alpha_c)
-    for log_prior, theta_prime in zip(base_vector_log_prior(state.base.labels.T, prior).tolist(),
-                                      state.theta_prime):
-        out += log_prior
-        out += repelled_beta.log_density_all_ones(theta_prime, state.v)
+    per_item = np.column_stack([base_vector_log_prior(state.base.labels.T, prior),
+                                repelled_beta.log_density_all_ones(state.theta_prime, state.v)])
+    # a running sum in item order, the order a per-item loop would add in
+    out = float(np.cumsum(np.append(_log_dirichlet_pdf(state.pi, prior.alpha_c), per_item))[-1])
     if prior.v_mode == V_FREE:
         if not 0.0 < state.v < prior.max_v:
             return -np.inf

@@ -100,13 +100,24 @@ def log_normalizer_all_ones(m: int, v: float) -> float:
     )
 
 
-def log_density_all_ones(rho, v: float) -> float:
+def log_density_all_ones(rho, v: float):
     """Normalized log density for the all-ones shape matrix.
 
-    A sampler hot path: ``rho`` is a float array already inside (0, 1), so
-    only the normalizer and the gap term are left to compute.
+    ``rho`` is one vector, giving one value, or a matrix of rows padded with
+    NaN past their component counts, giving one value per row. A sampler hot
+    path: the components are already inside (0, 1), so only the normalizer
+    and the gap term are left to compute.
     """
-    return log_normalizer_all_ones(rho.size, v) + log_gap_term(rho, v)
+    if rho.ndim == 1:
+        return log_normalizer_all_ones(rho.size, v) + log_gap_term(rho, v)
+    m = rho.shape[1] - np.isnan(rho).sum(axis=1)
+    # log_normalizer_all_ones and log_gap_term, row by row
+    out = gammaln((m - 1) * (v + 1.0) + 2.0) - gammaln(m + 1) - (m - 1) * gammaln(v + 1.0)
+    if v != 0.0:
+        # NaN sorts last, so each row's gaps come first and its NaN gaps after
+        with np.errstate(divide="ignore"):  # coinciding components give -inf
+            out += v * np.nansum(np.log(np.diff(np.sort(rho, axis=1), axis=1)), axis=1)
+    return out
 
 
 def sample(params: RepelledBetaParams, rng, max_attempts: int = 1_000_000,

@@ -14,7 +14,7 @@ from importlib import resources
 
 import numpy as np
 
-from .model import BaseClassMatrix, Dataset, canonicalize, theta_matrix
+from .model import BaseClassMatrix, Dataset, pad_theta_prime, theta_matrix
 
 SUPPORTED_CLASS_COUNTS = (4, 5, 8, 11, 16)
 HOLDOUT_SEED_OFFSET = 2 ** 32
@@ -47,33 +47,31 @@ def gen_theta(column) -> np.ndarray:
     return (2.0 * np.arange(1, n_sets + 1) - 1.0) / (2.0 * n_sets)
 
 
-def _fixture_theta_prime(n_classes: int):
-    """Per-item truth theta', indexed by canonical label.
+def _fixture_theta_prime(n_classes: int) -> np.ndarray:
+    """Truth theta' as a (J, C) block indexed by canonical label, NaN past
+    each item's set count.
 
     The evenly spaced values attach to the fixture's printed labels (printed
     label t gets (2t + 1) / (2B)), then follow each label through
     canonicalization. Where the printed order happens to be first-occurrence
     order this coincides with :func:`gen_theta`.
     """
-    table = _load_fixture_table(n_classes)[:, :n_classes]
-    out = []
-    for j in range(table.shape[0]):
-        raw = table[j]
-        col = canonicalize(raw)
-        n_sets = int(col.max())
-        theta = np.empty(n_sets)
-        for canon, printed in zip(col.tolist(), raw.tolist()):
-            theta[canon - 1] = (2.0 * printed + 1.0) / (2.0 * n_sets)
-        out.append(theta)
-    return out
+    printed = _load_fixture_table(n_classes)[:, :n_classes]
+    columns = fixture_base_matrix(n_classes).labels.T
+    values = (2.0 * printed + 1.0) / (2.0 * columns.max(axis=1)[:, None])
+    theta = np.full(columns.shape, np.nan)
+    # classes sharing a printed label share a canonical one, so repeats agree
+    theta[np.arange(columns.shape[0])[:, None], columns - 1] = values
+    return theta
 
 
 @dataclass
 class SimulationTruth:
-    """Generating parameters of one synthetic dataset."""
+    """Generating parameters of one synthetic dataset. ``theta_prime`` is laid
+    out like ``ModelState.theta_prime``; the truth JSON stores it unpadded."""
 
     base: BaseClassMatrix
-    theta_prime: list
+    theta_prime: np.ndarray
     pi: np.ndarray
     memberships: np.ndarray
     seed: int
@@ -85,8 +83,9 @@ class SimulationTruth:
         rec = {
             "seed": int(self.seed),
             "pi": self.pi.tolist(),
-            "B": [self.base.column(j).tolist() for j in range(self.base.n_items)],
-            "theta_prime": [t.tolist() for t in self.theta_prime],
+            "B": self.base.labels.T.tolist(),
+            "theta_prime": [t[:n].tolist()
+                            for t, n in zip(self.theta_prime, self.base.n_base_all())],
             "c": self.memberships.tolist(),
         }
         with open(path, "w") as fh:
@@ -96,15 +95,10 @@ class SimulationTruth:
     def from_json(cls, path) -> "SimulationTruth":
         with open(path) as fh:
             rec = json.load(fh)
-        base = BaseClassMatrix(np.column_stack(
-            [np.asarray(col, dtype=np.int64) for col in rec["B"]]
-        ))
-        theta_prime = [np.asarray(t, dtype=np.float64) for t in rec["theta_prime"]]
-        if [t.shape for t in theta_prime] != [(n,) for n in base.n_base_all()]:
-            raise ValueError("truth theta' lengths do not match the base class columns")
+        base = BaseClassMatrix(np.array(rec["B"]).T)
         return cls(
             base=base,
-            theta_prime=theta_prime,
+            theta_prime=pad_theta_prime(base.labels.T, rec["theta_prime"]),
             pi=np.asarray(rec["pi"], dtype=np.float64),
             memberships=np.asarray(rec["c"], dtype=np.int64),
             seed=int(rec["seed"]),

@@ -15,6 +15,7 @@ from esrlcm.model import (
     PriorConfig,
     base_vector_log_prior,
     canonicalize,
+    pad_theta_prime,
 )
 from esrlcm.repelled_beta import (
     RepelledBetaParams,
@@ -68,9 +69,9 @@ def random_state(rng, n_classes, n_items, n, v_mode="free", max_v=2.0):
     """A random consistent model state, prior, and dataset."""
     columns = [random_canonical_column(rng, n_classes) for _ in range(n_items)]
     base = BaseClassMatrix(np.column_stack(columns))
-    theta_prime = [
+    theta_prime = pad_theta_prime(base.labels.T, [
         np.sort(rng.uniform(0.05, 0.95, size=base.n_base(j))) for j in range(n_items)
-    ]
+    ])
     pi = rng.dirichlet(np.ones(n_classes))
     state = ModelState(
         pi=pi,

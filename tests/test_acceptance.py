@@ -113,7 +113,7 @@ def test_criterion_4_rj_gibbs_consistency(capsys):
         state = ModelState(
             pi=np.array([0.5, 0.5]), memberships=memberships,
             base=BaseClassMatrix(np.array([[1], [2]])),
-            theta_prime=[np.array([0.4, 0.6])],
+            theta_prime=np.array([[0.4, 0.6]]),
             v=0.0 if kind == "gibbs" else 1e-6,
         )
         merged = 0

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from esrlcm import cli
+from esrlcm import cli, evaluation
+from esrlcm.mcmc import PosteriorDraws
 from esrlcm.model import Dataset
 
 
@@ -143,6 +144,28 @@ class TestFitCommand:
         assert "zeta" in capsys.readouterr().err
         assert not (tmp_path / "out" / "draws_chain0.jsonl").exists()
 
+    @pytest.mark.parametrize("threads", ["0", "-1", "two"])
+    def test_bad_threads_flag_rejected_at_parse(self, toy_run, capsys, threads):
+        tmp_path, _ = toy_run
+        config = write_config(tmp_path / "two.json", tmp_path / "data.csv", tmp_path / "out",
+                              mcmc={"n_chains": 2})
+        with pytest.raises(SystemExit) as err:
+            cli.main(["fit", "--config", str(config), "--threads", threads])
+        assert err.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("env", ["0", "-2", "two", "1.5", ""])
+    def test_bad_thread_variable_rejected(self, toy_run, capsys, monkeypatch, env):
+        tmp_path, _ = toy_run
+        config = write_config(tmp_path / "two.json", tmp_path / "data.csv", tmp_path / "out",
+                              mcmc={"n_chains": 2})
+        monkeypatch.setenv("ESRLCM_THREADS", env)
+        assert cli.main(["fit", "--config", str(config)]) == 1
+        assert "ESRLCM_THREADS must be a positive integer" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "draws_chain0.jsonl").exists()
+        # the flag wins and the variable is then not read
+        assert cli.main(["fit", "--config", str(config), "--threads", "1"]) == 0
+
 
 class TestCheckIdCommand:
     def test_q_matrix_block_diagonal_form(self, tmp_path):
@@ -217,6 +240,36 @@ class TestMetricsCommand:
                               mcmc={"n_warmup": 2, "n_main": 2})
         assert cli.main(["fit", "--config", str(config)]) == 0
         return tmp_path, truth_json, tmp_path / "fit" / "draws_chain0.jsonl"
+
+    def test_plug_in_aligns_each_draw_once(self, small_fit, monkeypatch):
+        tmp_path, truth_json, draws = small_fit
+        holdout = tmp_path / "hold.csv"
+        Dataset(np.zeros((5, 32), dtype=int)).to_csv(holdout)
+        calls = []
+        align = evaluation.align_classes
+        monkeypatch.setattr(evaluation, "align_classes",
+                            lambda *args: calls.append(1) or align(*args))
+        assert cli.main(["metrics", "--truth", str(truth_json), "--draws", str(draws),
+                         "--holdout", str(holdout), "--mode", "plug_in"]) == 0
+        # one per draw onto the reference draw, one of the mean onto the truth
+        assert len(calls) == len(draws.read_text().splitlines()) + 1
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda recs: recs[0]["B"].__setitem__(0, [2, 1, 1, 1]),
+         "column [2, 1, 1, 1] is not canonical"),
+        (lambda recs: recs[1]["theta_prime"][3].append(0.5), "do not match the set counts"),
+        (lambda recs: recs.clear(), "holds no draws"),
+    ])
+    def test_malformed_draws_file_rejected(self, small_fit, capsys, corrupt, message):
+        _, truth_json, draws = small_fit
+        recs = [json.loads(line) for line in draws.read_text().splitlines()]
+        corrupt(recs)
+        draws.write_text("".join(json.dumps(rec) + "\n" for rec in recs))
+        with pytest.raises(ValueError) as err:
+            PosteriorDraws.from_jsonl(draws)
+        assert message in str(err.value)
+        assert cli.main(["metrics", "--truth", str(truth_json), "--draws", str(draws)]) == 1
+        assert message in capsys.readouterr().err
 
     def test_holdout_with_other_item_count_rejected(self, small_fit, capsys):
         tmp_path, truth_json, draws = small_fit

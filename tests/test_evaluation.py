@@ -5,7 +5,7 @@ import pytest
 
 from esrlcm import evaluation as ev
 from esrlcm.mcmc import McmcConfig, PosteriorDraws
-from esrlcm.model import BaseClassMatrix, Dataset, PriorConfig
+from esrlcm.model import BaseClassMatrix, Dataset, PriorConfig, pad_theta_prime
 
 
 def draws_from_states(states):
@@ -15,8 +15,8 @@ def draws_from_states(states):
         log_joint=np.array([s[4] for s in states], dtype=float),
         v=np.array([s[3] for s in states], dtype=float),
         pi=np.array([s[0] for s in states], dtype=float),
-        base_columns=[[np.asarray(c) for c in s[1]] for s in states],
-        theta_prime=[[np.asarray(t, dtype=float) for t in s[2]] for s in states],
+        base_columns=np.array([s[1] for s in states]),
+        theta_prime=np.array([pad_theta_prime(s[1], s[2]) for s in states]),
     )
 
 

@@ -25,6 +25,7 @@ from esrlcm.model import (
     all_partition_columns,
     base_vector_log_prior,
     full_log_joint,
+    pad_theta_prime,
 )
 from esrlcm.repelled_beta import log_density_all_ones
 
@@ -47,7 +48,7 @@ def make_state(columns, theta_prime, memberships, pi=None, v=0.0):
         pi=pi,
         memberships=np.asarray(memberships, dtype=np.int64),
         base=base,
-        theta_prime=[np.asarray(t, dtype=float) for t in theta_prime],
+        theta_prime=pad_theta_prime(base.labels.T, theta_prime),
         v=v,
     )
 
@@ -156,7 +157,8 @@ class TestBaseClassGibbsV0:
             for j in range(3):
                 key = tuple(state.base.column(j).tolist())
                 seen[j][key] = seen[j].get(key, 0) + 1
-                theta_sums[j][key] = theta_sums[j].get(key, 0.0) + state.theta_prime[j]
+                theta_sums[j][key] = (theta_sums[j].get(key, 0.0)
+                                      + state.theta_prime[j, :state.base.n_base(j)])
         for j in range(3):
             weights = {}
             for col in all_partition_columns(3):
@@ -240,7 +242,7 @@ class TestReversibleJump:
             rj_update_base_class(0, state, data, prior, rng)
             gibbs_update_theta(0, state, data, prior, rng)
             if state.base.n_base(0) == 2:
-                two_set_draws.append(np.sort(state.theta_prime[0]))
+                two_set_draws.append(np.sort(state.theta_prime[0, :2]))
         two_set_draws = np.asarray(two_set_draws)
         assert two_set_draws.shape[0] > 5_000
         expected = [expected_rho(2, 1.0, k) for k in (1, 2)]
@@ -284,7 +286,7 @@ class TestReversibleJumpRatio:
         prior = PriorConfig(alpha_c=np.ones(4), zeta=np.array([0.4, 0.3, 0.3, 0.0]))
         draws = run_chain(data, prior, McmcConfig(n_main=20, n_warmup=20, seed=1))
         assert np.all(np.isfinite(draws.log_joint))
-        assert max(col.max() for cols in draws.base_columns for col in cols) < 4
+        assert draws.base_columns.max() < 4
         assert draws.stats["rj_accept_rate"] > 0
 
 
@@ -486,10 +488,11 @@ class TestRunChain:
         draws = run_chain(data, prior, McmcConfig(n_main=10, n_warmup=3, thin=2, seed=1))
         assert draws.n_draws == 5
         assert draws.pi.shape == (5, 2)
+        assert draws.base_columns.shape == draws.theta_prime.shape == (5, 2, 2)
         assert len(draws.base_columns[0]) == 2
-        for d in range(5):
-            for col, tp in zip(draws.base_columns[d], draws.theta_prime[d]):
-                assert tp.size == col.max()
+        # one theta' per set of each item, NaN past its set count
+        past = np.arange(2) >= draws.base_columns.max(axis=2)[..., None]
+        assert np.array_equal(np.isnan(draws.theta_prime), past)
 
     def test_same_seed_same_draws(self):
         data, prior = self.small_inputs()
@@ -521,7 +524,7 @@ class TestRunChain:
             state = ModelState(
                 pi=draws.pi[d],
                 memberships=c,
-                base=draws.base_matrix(d),
+                base=BaseClassMatrix(draws.base_columns[d].T),
                 theta_prime=draws.theta_prime[d],
                 v=draws.v[d],
             )
@@ -537,7 +540,8 @@ class TestRunChain:
         assert len(draws.memberships) == draws.n_draws
         for it, c in draws.memberships.items():
             d = int(np.flatnonzero(draws.iters == it)[0])
-            state = ModelState(pi=draws.pi[d], memberships=c, base=draws.base_matrix(d),
+            state = ModelState(pi=draws.pi[d], memberships=c,
+                               base=BaseClassMatrix(draws.base_columns[d].T),
                                theta_prime=draws.theta_prime[d], v=draws.v[d])
             assert full_log_joint(state, data, prior) == draws.log_joint[d]
 
@@ -566,18 +570,22 @@ class TestRunChain:
         assert np.all(draws.v == 0.0)
 
     def test_jsonl_roundtrip(self, tmp_path):
-        data, prior = self.small_inputs()
-        draws = run_chain(data, prior, McmcConfig(n_main=8, seed=4))
-        path = tmp_path / "draws.jsonl"
-        draws.to_jsonl(path)
-        again = PosteriorDraws.from_jsonl(path)
-        assert np.array_equal(again.log_joint, draws.log_joint)
-        assert np.array_equal(again.pi, draws.pi)
-        for d in range(draws.n_draws):
-            for a, b in zip(again.base_columns[d], draws.base_columns[d]):
-                assert np.array_equal(a, b)
-            for a, b in zip(again.theta_prime[d], draws.theta_prime[d]):
-                assert np.array_equal(a, b)
+        # a free-v C = 4 chain whose set counts vary: reading pads theta'
+        # with NaN and writing slices it off, so the bytes come back unchanged
+        rng = np.random.default_rng(4)
+        data = Dataset(rng.integers(0, 2, size=(60, 5)))
+        prior = PriorConfig.default(4, lam=0.5, v_mode="free")
+        draws = run_chain(data, prior, McmcConfig(n_main=30, n_warmup=10, seed=4))
+        n_sets = draws.base_columns.max(axis=2)
+        assert n_sets.min() < n_sets.max()
+        first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+        draws.to_jsonl(first)
+        again = PosteriorDraws.from_jsonl(first)
+        again.to_jsonl(second)
+        assert first.read_bytes() == second.read_bytes()
+        assert "NaN" not in first.read_text()
+        assert np.array_equal(again.base_columns, draws.base_columns)
+        assert np.array_equal(again.theta_prime, draws.theta_prime, equal_nan=True)
 
     def test_run_chains_multiple(self):
         data, prior = self.small_inputs()

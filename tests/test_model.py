@@ -184,14 +184,22 @@ class TestTypes:
 
     def test_model_state_validates_theta_lengths(self):
         base = BaseClassMatrix(np.array([[1], [2]]))
-        with pytest.raises(ValueError):
-            ModelState(
-                pi=np.array([0.5, 0.5]),
-                memberships=np.array([0]),
-                base=base,
-                theta_prime=[np.array([0.5])],
-                v=0.0,
-            )
+        # theta' is a J x C block with one value per set and NaN past them:
+        # reject a wrong shape, a NaN where the column has a set, and a value
+        # past the column's set count
+        for theta_prime in ([[0.5]], [[0.5, np.nan]]):
+            with pytest.raises(ValueError):
+                ModelState(
+                    pi=np.array([0.5, 0.5]),
+                    memberships=np.array([0]),
+                    base=base,
+                    theta_prime=np.array(theta_prime),
+                    v=0.0,
+                )
+        with pytest.raises(ValueError, match="NaN past them"):
+            ModelState(pi=np.array([0.5, 0.5]), memberships=np.array([0]),
+                       base=BaseClassMatrix(np.array([[1], [1]])),
+                       theta_prime=np.array([[0.5, 0.6]]))
 
 
 class TestFullLogJoint:
@@ -200,7 +208,7 @@ class TestFullLogJoint:
             pi=np.array([1.0]),
             memberships=np.array([0]),
             base=BaseClassMatrix(np.array([[1]])),
-            theta_prime=[np.array([0.7])],
+            theta_prime=np.array([[0.7]]),
             v=0.0,
         )
         data = Dataset(np.array([[1]]))
