@@ -504,7 +504,7 @@ def run_chain(data: Dataset, prior: PriorConfig, config: McmcConfig,
     n_items = data.n_items
     items = np.arange(n_items)
 
-    kept, memberships = [], {}  # one tuple per retained draw, in PosteriorDraws field order
+    kept, memberships = [], {}  # one tuple per retained draw
     rj_accept = rj_total = v_accept = v_total = 0
     theta_attempts_total = 0
     theta_attempts_max = 0
@@ -545,8 +545,12 @@ def run_chain(data: Dataset, prior: PriorConfig, config: McmcConfig,
             kept.append((main_iter, full_log_joint(state, data, prior, counts), state.v,
                          state.pi.copy(), state.base.labels.T.copy(), state.theta_prime.copy()))
 
+    iters, log_joint, vs, pis, base_columns, theta_prime = zip(*kept)
     return PosteriorDraws(
-        *(np.array(values) for values in zip(*kept)),
+        iters=np.array(iters, dtype=np.int64), log_joint=np.array(log_joint, dtype=np.float64),
+        v=np.array(vs, dtype=np.float64), pi=np.array(pis, dtype=np.float64),
+        base_columns=np.array(base_columns, dtype=np.int64),
+        theta_prime=np.array(theta_prime, dtype=np.float64),
         memberships=memberships,
         stats={
             "chain_index": chain_index,

@@ -271,6 +271,9 @@ def pad_theta_prime(columns, vectors) -> np.ndarray:
     """Per-item theta' vectors as one (J, C) block, NaN past each item's set
     count. ``columns`` is (J, C); ``vectors[j]`` needs one value per set of row j."""
     n_sets = np.asarray(columns).max(axis=1)
+    for j, t in enumerate(vectors):
+        if np.ndim(t) != 1:
+            raise ValueError(f"theta' of item {j} must be a list of values, got {t!r}")
     lengths = [len(t) for t in vectors]
     if lengths != n_sets.tolist():
         raise ValueError(f"theta' lengths {lengths} do not match the set counts "

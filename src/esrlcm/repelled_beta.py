@@ -72,32 +72,33 @@ def log_density_unnormalized(params: RepelledBetaParams, rho) -> float:
     return out
 
 
-def log_gap_term(rho, v: float) -> float:
+def log_gap_term(rho, v: float):
     """The repulsion term v * sum(log gaps) of the sorted components.
 
-    Zero when v = 0 or there is a single component, -inf when v > 0 and two
-    components coincide. Unvalidated: callers pass a 1-d float array.
+    ``rho`` is one vector, giving one value, or a matrix of rows padded with
+    NaN past their component counts, giving one value per row. Zero when
+    v = 0 or there is a single component, -inf when v > 0 and two components
+    coincide. Unvalidated: callers pass components inside (0, 1).
     """
-    if rho.size < 2 or v == 0.0:
+    if v == 0.0:
         return 0.0
-    gaps = np.diff(np.sort(rho))
-    if np.any(gaps <= 0.0):
-        return -np.inf
-    return v * float(np.log(gaps).sum())
+    # NaN sorts last, so a padded row's NaN gaps follow its real ones; real
+    # gaps are below one, so fmin with 0 keeps their logs and zeroes each NaN
+    with np.errstate(divide="ignore"):  # coinciding components give -inf
+        return v * np.fmin(np.log(np.diff(np.sort(rho), axis=-1)), 0.0).sum(axis=-1)
 
 
-def log_normalizer_all_ones(m: int, v: float) -> float:
+def log_normalizer_all_ones(m, v: float):
     """Log normalizing constant for the all-ones shape matrix.
 
-    The constant is Gamma((M-1)(v+1)+2) / (M! Gamma(v+1)^(M-1)).
+    The constant is Gamma((M-1)(v+1)+2) / (M! Gamma(v+1)^(M-1)). ``m`` is one
+    component count, giving one value, or an array of them, giving an array.
     """
-    if m < 1:
+    if np.asarray(m).min() < 1:
         raise ValueError("m must be >= 1")
     if v < 0:
         raise ValueError("v must be >= 0")
-    return float(
-        gammaln((m - 1) * (v + 1.0) + 2.0) - gammaln(m + 1) - (m - 1) * gammaln(v + 1.0)
-    )
+    return gammaln((m - 1) * (v + 1.0) + 2.0) - gammaln(m + 1) - (m - 1) * gammaln(v + 1.0)
 
 
 def log_density_all_ones(rho, v: float):
@@ -108,16 +109,8 @@ def log_density_all_ones(rho, v: float):
     path: the components are already inside (0, 1), so only the normalizer
     and the gap term are left to compute.
     """
-    if rho.ndim == 1:
-        return log_normalizer_all_ones(rho.size, v) + log_gap_term(rho, v)
-    m = rho.shape[1] - np.isnan(rho).sum(axis=1)
-    # log_normalizer_all_ones and log_gap_term, row by row
-    out = gammaln((m - 1) * (v + 1.0) + 2.0) - gammaln(m + 1) - (m - 1) * gammaln(v + 1.0)
-    if v != 0.0:
-        # NaN sorts last, so each row's gaps come first and its NaN gaps after
-        with np.errstate(divide="ignore"):  # coinciding components give -inf
-            out += v * np.nansum(np.log(np.diff(np.sort(rho, axis=1), axis=1)), axis=1)
-    return out
+    return (log_normalizer_all_ones(rho.shape[-1] - np.isnan(rho).sum(axis=-1), v)
+            + log_gap_term(rho, v))
 
 
 def sample(params: RepelledBetaParams, rng, max_attempts: int = 1_000_000,

@@ -258,6 +258,8 @@ class TestMetricsCommand:
         (lambda recs: recs[0]["B"].__setitem__(0, [2, 1, 1, 1]),
          "column [2, 1, 1, 1] is not canonical"),
         (lambda recs: recs[1]["theta_prime"][3].append(0.5), "do not match the set counts"),
+        (lambda recs: recs[1]["theta_prime"].__setitem__(2, 0.5),
+         "theta' of item 2 must be a list of values"),
         (lambda recs: recs.clear(), "holds no draws"),
     ])
     def test_malformed_draws_file_rejected(self, small_fit, capsys, corrupt, message):

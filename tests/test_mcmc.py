@@ -584,6 +584,10 @@ class TestRunChain:
         again.to_jsonl(second)
         assert first.read_bytes() == second.read_bytes()
         assert "NaN" not in first.read_text()
+        assert np.array_equal(again.iters, draws.iters)
+        assert np.array_equal(again.log_joint, draws.log_joint)
+        assert np.array_equal(again.v, draws.v)
+        assert np.array_equal(again.pi, draws.pi)
         assert np.array_equal(again.base_columns, draws.base_columns)
         assert np.array_equal(again.theta_prime, draws.theta_prime, equal_nan=True)
 
