@@ -12,12 +12,37 @@ from .mcmc import PosteriorDraws, run_chain
 from .model import BaseClassMatrix, Dataset, canonicalize
 
 
+# Output elements (rows x draws x classes) of one holdout block: 2 MB of float64.
+BLOCK_ELEMENTS = 2 ** 18
+
+
 def _mixture_obs_loglik(x, pi, theta):
-    """Per-observation log of the mixture density under one parameter set."""
-    loglik = kernels.class_loglik(x, np.log(theta), np.log1p(-theta))
-    logp = loglik + np.log(pi)[None, :]
-    shift = logp.max(axis=1, keepdims=True)
-    return np.log(np.exp(logp - shift).sum(axis=1)) + shift[:, 0]
+    """Mean over the rows of ``x`` of the log of the draw-averaged mixture density.
+
+    ``pi`` is (D, C) and ``theta`` (D, C, J). A row's density is
+    (1/D) sum_d sum_c pi[d, c] p(x | theta[d, c]), so its log is one
+    log-sum-exp over all D * C class columns minus log D. Rows are scored in
+    blocks of at most ``BLOCK_ELEMENTS`` outputs, one matmul per block, so the
+    temporaries do not grow with the number of rows.
+    """
+    n_obs = x.shape[0]
+    if n_obs == 0:
+        raise ValueError("the holdout has no observations")
+    n_draws, n_classes, n_items = theta.shape
+    theta = theta.reshape(n_draws * n_classes, n_items)
+    log_theta, log_one_minus_theta = np.log(theta), np.log1p(-theta)
+    log_pi = np.log(pi).ravel()
+    rows = max(1, BLOCK_ELEMENTS // log_pi.size)
+    total = 0.0
+    for start in range(0, n_obs, rows):
+        logp = kernels.class_loglik(x[start:start + rows], log_theta, log_one_minus_theta)
+        logp += log_pi
+        shift = logp.max(axis=1)
+        logp -= shift[:, None]
+        np.exp(logp, out=logp)
+        total += float((np.log(logp.sum(axis=1)) + shift).sum())
+        del logp  # so the next block's array does not coexist with this one
+    return total / n_obs - float(np.log(n_draws))
 
 
 def align_classes(reference, target) -> np.ndarray:
@@ -45,19 +70,16 @@ def predictive_loglik(draws: PosteriorDraws, holdout: Dataset,
     ``predictive_mean`` scores each observation by the log of the average
     mixture density over retained draws; ``plug_in`` first aligns the draws
     to the highest log-joint draw and scores with the posterior-mean
-    parameters. ``perms`` are as in :func:`posterior_mean_parameters`.
+    parameters. ``perms`` are as in :func:`posterior_mean_parameters`. A
+    holdout with no observations raises ``ValueError``.
     """
     if draws.n_draws == 0:
         raise ValueError("draws must be nonempty")
     if mode == "predictive_mean":
-        running = None
-        for d in range(draws.n_draws):
-            logp = _mixture_obs_loglik(holdout.x, draws.pi[d], draws.theta_matrix(d))
-            running = logp if running is None else np.logaddexp(running, logp)
-        return float((running - np.log(draws.n_draws)).mean())
+        return _mixture_obs_loglik(holdout.x, draws.pi, draws.theta_matrices())
     if mode == "plug_in":
         pi_bar, theta_bar = posterior_mean_parameters(draws, perms)
-        return float(_mixture_obs_loglik(holdout.x, pi_bar, theta_bar).mean())
+        return _mixture_obs_loglik(holdout.x, pi_bar[None], theta_bar[None])
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -65,8 +87,9 @@ def _aligned_permutations(draws: PosteriorDraws):
     """Permutation per draw onto the highest log-joint draw's labeling."""
     if draws.n_draws == 0:
         raise ValueError("draws must be nonempty")
-    ref = draws.theta_matrix(int(np.argmax(draws.log_joint)))
-    return [align_classes(ref, draws.theta_matrix(d)) for d in range(draws.n_draws)]
+    thetas = draws.theta_matrices()
+    ref = thetas[int(np.argmax(draws.log_joint))]
+    return [align_classes(ref, theta) for theta in thetas]
 
 
 def posterior_mean_parameters(draws: PosteriorDraws, perms=None):
@@ -77,8 +100,9 @@ def posterior_mean_parameters(draws: PosteriorDraws, perms=None):
     """
     if perms is None:
         perms = _aligned_permutations(draws)
-    pi = np.mean([draws.pi[d][perm] for d, perm in enumerate(perms)], axis=0)
-    theta = np.mean([draws.theta_matrix(d)[perm] for d, perm in enumerate(perms)], axis=0)
+    perms = np.asarray(perms)
+    pi = np.take_along_axis(draws.pi, perms, axis=1).mean(axis=0)
+    theta = np.take_along_axis(draws.theta_matrices(), perms[:, :, None], axis=1).mean(axis=0)
     return pi, theta
 
 
@@ -92,8 +116,8 @@ def mode_restrictions(draws: PosteriorDraws, perms=None) -> BaseClassMatrix:
         perms = _aligned_permutations(draws)
     aligned = np.take_along_axis(draws.base_columns, np.asarray(perms)[:, None, :], axis=2)
     columns = []
-    for draws_j in aligned.transpose(1, 0, 2):
-        rows, counts = np.unique([canonicalize(col) for col in draws_j], axis=0, return_counts=True)
+    for draws_j in canonicalize(aligned).transpose(1, 0, 2):
+        rows, counts = np.unique(draws_j, axis=0, return_counts=True)
         # np.unique sorts rows lexicographically and lexsort is stable
         columns.append(rows[np.lexsort((rows.max(axis=1), -counts))[0]])
     return BaseClassMatrix(np.column_stack(columns))

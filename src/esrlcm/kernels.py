@@ -14,9 +14,16 @@ def class_loglik(x, log_theta, log_one_minus_theta):
     """Per-observation, per-class Bernoulli log likelihood matrix (n x C).
 
     One matmul: x log(theta) + (1 - x) log(1 - theta) regrouped as
-    x (log(theta) - log(1 - theta)) + sum_j log(1 - theta).
+    x (log(theta) - log(1 - theta)) + sum_j log(1 - theta). Both parameter
+    blocks are made C-contiguous first, so the result has the same bits
+    whatever the memory layout of the arguments. The sum is added in place,
+    so the result is the only n x C temporary.
     """
-    return x @ (log_theta - log_one_minus_theta).T + log_one_minus_theta.sum(axis=1)
+    log_theta = np.ascontiguousarray(log_theta)
+    log_one_minus_theta = np.ascontiguousarray(log_one_minus_theta)
+    out = x @ (log_theta - log_one_minus_theta).T
+    out += log_one_minus_theta.sum(axis=1)
+    return out
 
 
 def categorical_rows(logp, u):

@@ -92,8 +92,9 @@ class PosteriorDraws:
     def n_draws(self) -> int:
         return len(self.iters)
 
-    def theta_matrix(self, d: int) -> np.ndarray:
-        return theta_matrix(self.base_columns[d], self.theta_prime[d])
+    def theta_matrices(self) -> np.ndarray:
+        """Every draw's per-class response matrix, one C-contiguous (D, C, J) array."""
+        return theta_matrix(self.base_columns, self.theta_prime)
 
     def to_jsonl(self, path) -> None:
         n_sets = self.base_columns.max(axis=2)
@@ -117,9 +118,10 @@ class PosteriorDraws:
         if not recs:
             raise ValueError(f"draws file {path} holds no draws")
         base_columns = np.array([rec["B"] for rec in recs], dtype=np.int64)
-        for col in np.unique(base_columns.reshape(-1, base_columns.shape[-1]), axis=0):
-            if not np.array_equal(col, canonicalize(col)):
-                raise ValueError(f"stored base column {col.tolist()} is not canonical")
+        cols = np.unique(base_columns.reshape(-1, base_columns.shape[-1]), axis=0)
+        bad = (cols != canonicalize(cols)).any(axis=1)
+        if bad.any():
+            raise ValueError(f"stored base column {cols[bad][0].tolist()} is not canonical")
         return cls(
             iters=np.array([rec["iter"] for rec in recs], dtype=np.int64),
             log_joint=np.array([rec["log_joint"] for rec in recs], dtype=np.float64),
@@ -178,9 +180,7 @@ def _column_menu(columns, targets, succ, totals, prior):
     order = np.argsort(~valid, axis=1, kind="stable")
     raw = np.repeat(columns[:, None, :], labels.size, axis=1)
     raw[rows, :, targets] = labels[order]
-    # canonical relabeling: each entry takes the rank of its label's first occurrence
-    first = (raw[..., :, None] == raw[..., None, :]).argmax(axis=-1)
-    menu = np.take_along_axis(np.cumsum(first == np.arange(n_classes), axis=-1), first, axis=-1)
+    menu = canonicalize(raw)
     s, f = _set_counts(menu, succ[:, None, :], totals)
     log_w = base_vector_log_prior(menu, prior) + betaln(1.0 + s, 1.0 + f).sum(axis=-1)
     log_w[~np.take_along_axis(valid, order, axis=1)] = -np.inf

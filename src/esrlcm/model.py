@@ -22,23 +22,21 @@ V_FREE = "free"
 # partitions and counting
 # ---------------------------------------------------------------------------
 
-def canonicalize(raw_column) -> np.ndarray:
-    """Relabel a column of partition labels into canonical form.
+def canonicalize(raw_columns) -> np.ndarray:
+    """Relabel columns of partition labels into canonical form.
 
-    The first entry becomes 1 and each previously unseen label receives the
-    next unused integer, so any two labelings of the same partition map to
-    the same vector.
+    Takes one column or a (..., C) block of them, one column per last-axis
+    row. In each column the first entry becomes 1 and each previously unseen
+    label receives the next unused integer, so any two labelings of the same
+    partition map to the same vector.
     """
-    raw = np.asarray(raw_column)
-    if raw.ndim != 1 or raw.size == 0:
-        raise ValueError("column must be a nonempty 1-d vector of labels")
-    seen = {}
-    out = np.empty(raw.size, dtype=np.int64)
-    for i, label in enumerate(raw.tolist()):
-        if label not in seen:
-            seen[label] = len(seen) + 1
-        out[i] = seen[label]
-    return out
+    raw = np.asarray(raw_columns)
+    if raw.ndim == 0 or raw.shape[-1] == 0:
+        raise ValueError("a column must be a nonempty vector of labels")
+    # each entry takes the rank of its label's first occurrence
+    first = (raw[..., :, None] == raw[..., None, :]).argmax(axis=-1)
+    opened = np.cumsum(first == np.arange(raw.shape[-1]), axis=-1, dtype=np.int64)
+    return np.take_along_axis(opened, first, axis=-1)
 
 
 def is_canonical(column) -> bool:
@@ -153,17 +151,15 @@ class BaseClassMatrix:
         labels = np.asarray(self.labels, dtype=np.int64)
         if labels.ndim != 2 or labels.shape[0] < 1 or labels.shape[1] < 1:
             raise ValueError(f"labels must be a C x J matrix, got shape {labels.shape}")
-        for j in range(labels.shape[1]):
-            if not is_canonical(labels[:, j]):
-                raise ValueError(f"column {j} is not in canonical form: {labels[:, j]}")
+        bad = np.flatnonzero((labels != canonicalize(labels.T).T).any(axis=0))
+        if bad.size:
+            raise ValueError(f"column {bad[0]} is not in canonical form: {labels[:, bad[0]]}")
         self.labels = labels
 
     @classmethod
     def from_raw(cls, raw) -> "BaseClassMatrix":
         """Build from arbitrary labels, canonicalizing every column."""
-        raw = np.atleast_2d(np.asarray(raw))
-        cols = [canonicalize(raw[:, j]) for j in range(raw.shape[1])]
-        return cls(np.column_stack(cols))
+        return cls(canonicalize(np.atleast_2d(np.asarray(raw)).T).T)
 
     @property
     def n_classes(self) -> int:
@@ -285,8 +281,10 @@ def pad_theta_prime(columns, vectors) -> np.ndarray:
 
 def theta_matrix(columns, theta_prime) -> np.ndarray:
     """Per-class response probabilities, a C-contiguous classes-by-items
-    matrix, from the (J, C) canonical columns and the (J, C) padded theta'."""
-    return np.ascontiguousarray(np.take_along_axis(theta_prime, columns - 1, axis=1).T)
+    matrix, from the (J, C) canonical columns and the (J, C) padded theta'.
+    A (..., J, C) stack of both gives the (..., C, J) stack of matrices."""
+    theta = np.take_along_axis(theta_prime, columns - 1, axis=-1)
+    return np.ascontiguousarray(theta.swapaxes(-1, -2))
 
 
 @dataclass

@@ -6,6 +6,7 @@ from scipy.special import betaln, gammaln
 from scipy.stats import beta as sp_beta
 from scipy.stats import dirichlet as sp_dirichlet
 
+from esrlcm import kernels
 from esrlcm.identifiability import _is_column_merge
 from esrlcm.mcmc import _pick_categorical
 from esrlcm.model import (
@@ -120,6 +121,21 @@ def oracle_full_log_joint(state, data, prior):
         for j in range(data.n_items):
             out += np.log(theta[c, j]) if data.x[i, j] == 1 else np.log(1 - theta[c, j])
     return float(out)
+
+
+def predictive_loglik_per_draw(draws, holdout) -> float:
+    """Posterior-mean predictive log likelihood, one draw at a time.
+
+    Each draw's per-row mixture log density is a log-sum-exp over its
+    classes; the draws are combined with a running ``logaddexp``.
+    """
+    running = None
+    for pi, theta in zip(draws.pi, draws.theta_matrices()):
+        logp = kernels.class_loglik(holdout.x, np.log(theta), np.log1p(-theta)) + np.log(pi)
+        shift = logp.max(axis=1, keepdims=True)
+        logp = np.log(np.exp(logp - shift).sum(axis=1)) + shift[:, 0]
+        running = logp if running is None else np.logaddexp(running, logp)
+    return float((running - np.log(draws.n_draws)).mean())
 
 
 def _count_partitions_with_blocks(n, k):

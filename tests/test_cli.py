@@ -282,6 +282,16 @@ class TestMetricsCommand:
         err = capsys.readouterr().err
         assert "holdout has 31 items" in err and "draws have 32 items" in err
 
+    @pytest.mark.parametrize("mode", ["predictive_mean", "plug_in"])
+    def test_empty_holdout_rejected(self, small_fit, capsys, mode):
+        tmp_path, truth_json, draws = small_fit
+        holdout, out = tmp_path / "empty.csv", tmp_path / "metrics.json"
+        Dataset(np.zeros((0, 32), dtype=int)).to_csv(holdout)
+        assert cli.main(["metrics", "--truth", str(truth_json), "--draws", str(draws),
+                         "--holdout", str(holdout), "--mode", mode, "--out", str(out)]) == 1
+        assert "error: the holdout has no observations" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_truth_with_other_class_count_rejected(self, small_fit, capsys):
         tmp_path, _, draws = small_fit
         truth5 = tmp_path / "truth5.json"

@@ -5,7 +5,9 @@ import pytest
 
 from esrlcm import evaluation as ev
 from esrlcm.mcmc import McmcConfig, PosteriorDraws
-from esrlcm.model import BaseClassMatrix, Dataset, PriorConfig, pad_theta_prime
+from esrlcm.model import BaseClassMatrix, Dataset, PriorConfig, canonicalize, pad_theta_prime
+
+from helpers import predictive_loglik_per_draw
 
 
 def draws_from_states(states):
@@ -18,6 +20,17 @@ def draws_from_states(states):
         base_columns=np.array([s[1] for s in states]),
         theta_prime=np.array([pad_theta_prime(s[1], s[2]) for s in states]),
     )
+
+
+def random_draws(rng, n_draws, n_sets, n_classes=5):
+    """Random draws with item j's columns split into ``n_sets[j]`` sets."""
+    states = []
+    for _ in range(n_draws):
+        cols = [canonicalize(np.append(np.arange(1, k + 1), rng.integers(1, k + 1, n_classes - k)))
+                for k in n_sets]
+        theta = [rng.uniform(0.05, 0.95, k) for k in n_sets]
+        states.append((rng.dirichlet(np.ones(n_classes)), cols, theta, 0.0, float(rng.normal())))
+    return draws_from_states(states)
 
 
 class TestPredictiveLoglik:
@@ -69,6 +82,30 @@ class TestPredictiveLoglik:
         draws = draws_from_states([])
         with pytest.raises(ValueError):
             ev.predictive_loglik(draws, Dataset(np.array([[1]])))
+
+    @pytest.mark.parametrize("mode", ["predictive_mean", "plug_in"])
+    def test_empty_holdout_rejected(self, mode):
+        draws = random_draws(np.random.default_rng(5), 3, [1, 2, 3])
+        with np.errstate(all="raise"), pytest.raises(ValueError, match="no observations"):
+            ev.predictive_loglik(draws, Dataset(np.empty((0, 3))), mode)
+
+    @pytest.mark.parametrize("block_elements", [ev.BLOCK_ELEMENTS, 7 * 5 * 4, 1])
+    def test_matches_per_draw_oracle_across_blocks(self, monkeypatch, block_elements):
+        # 7 draws x 5 classes = 35 class columns: 140 outputs make blocks of
+        # 4 rows, which 37 rows do not fill evenly; 1 gives one row per block
+        rng = np.random.default_rng(6)
+        draws = random_draws(rng, 7, [1, 5, 2, 3, 1, 4])
+        holdout = Dataset(rng.integers(0, 2, size=(37, 6)))
+        monkeypatch.setattr(ev, "BLOCK_ELEMENTS", block_elements)
+        assert ev.predictive_loglik(draws, holdout) == pytest.approx(
+            predictive_loglik_per_draw(draws, holdout), rel=1e-12)
+
+    def test_plug_in_equals_predictive_mean_on_one_draw(self):
+        rng = np.random.default_rng(7)
+        draws = random_draws(rng, 1, [2, 5, 1, 3])
+        holdout = Dataset(rng.integers(0, 2, size=(23, 4)))
+        assert ev.predictive_loglik(draws, holdout, "plug_in") == pytest.approx(
+            ev.predictive_loglik(draws, holdout, "predictive_mean"), rel=1e-12)
 
 
 class TestAlignClasses:

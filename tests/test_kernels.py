@@ -38,6 +38,15 @@ class TestBackendEquivalence:
         ])
         assert np.allclose(got, ref, rtol=0.0, atol=1e-10)
 
+    def test_class_loglik_bits_do_not_depend_on_parameter_layout(self):
+        x, theta, _, _, _ = random_inputs(5, n=300, n_classes=9, n_items=37)
+        x = x.astype(np.float64)
+        f_theta = theta.T.copy().T  # a transposed view: same values, F order
+        assert f_theta.flags.f_contiguous and not f_theta.flags.c_contiguous
+        got = kernels.class_loglik(x, np.log(f_theta), np.log1p(-f_theta))
+        ref = kernels.class_loglik(x, np.log(theta), np.log1p(-theta))
+        assert np.array_equal(got, ref)
+
     def test_categorical_rows_bit_identical(self):
         _, _, _, logp, u = random_inputs(1)
         got = kernels.categorical_rows(logp, u)

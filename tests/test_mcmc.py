@@ -529,7 +529,7 @@ class TestRunChain:
                 v=draws.v[d],
             )
             assert full_log_joint(state, data, prior) == pytest.approx(draws.log_joint[d])
-            assert np.array_equal(draws.theta_matrix(d), state.theta_matrix())
+            assert np.array_equal(draws.theta_matrices()[d], state.theta_matrix())
 
     @pytest.mark.parametrize("v_mode", ["free", "fixed_zero"])
     def test_retained_log_joint_equals_a_fresh_joint_exactly(self, v_mode):

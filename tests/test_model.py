@@ -46,6 +46,23 @@ class TestCanonicalize:
         relabel = dict(zip(labels, shuffled))
         assert np.array_equal(canonicalize(raw), canonicalize([relabel[x] for x in raw]))
 
+    @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=4),
+           st.integers(min_value=1, max_value=3), st.randoms(use_true_random=False))
+    def test_block_equals_row_by_row(self, n_classes, n_rows, depth, rnd):
+        block = np.array([[rnd.randint(-2, 9) for _ in range(n_classes)]
+                          for _ in range(n_rows * depth)]).reshape(depth, n_rows, n_classes)
+        got = canonicalize(block)
+        assert got.shape == block.shape and got.dtype == np.int64
+        for idx in np.ndindex(depth, n_rows):
+            ranks = {}  # first-occurrence ranking, one label at a time
+            expected = [ranks.setdefault(label, len(ranks) + 1) for label in block[idx].tolist()]
+            assert got[idx].tolist() == canonicalize(block[idx]).tolist() == expected
+
+    def test_empty_column_rejected(self):
+        for raw in ([], np.empty((3, 0))):
+            with pytest.raises(ValueError, match="nonempty"):
+                canonicalize(raw)
+
 
 class TestCounting:
     def test_stirling_brute_force(self):
