@@ -31,12 +31,14 @@ def categorical_rows(logp, u):
 
     Row i is normalized by max-subtraction and the draw consumes ``u[i]``:
     it picks the first category whose cumulative weight reaches
-    ``u[i]`` times the row total. The work runs on a contiguous C x n copy,
-    so each reduction walks whole rows; the arithmetic is the row-wise one.
+    ``u[i]`` times the row total. The work runs in place on one contiguous
+    C x n copy, so each reduction walks whole rows and ``logp`` is left as
+    it was; the arithmetic is the row-wise one.
     """
-    logp = np.ascontiguousarray(logp.T)
-    p = np.exp(logp - logp.max(axis=0))
-    cum = np.cumsum(p, axis=0)
+    cum = np.array(logp.T, order="C")
+    cum -= cum.max(axis=0)
+    np.exp(cum, out=cum)
+    np.cumsum(cum, axis=0, out=cum)
     return (cum < u * cum[-1]).sum(axis=0).astype(np.int64)
 
 

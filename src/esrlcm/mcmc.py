@@ -128,8 +128,7 @@ class PosteriorDraws:
             v=np.array([rec["v"] for rec in recs], dtype=np.float64),
             pi=np.array([rec["pi"] for rec in recs], dtype=np.float64),
             base_columns=base_columns,
-            theta_prime=np.array([pad_theta_prime(cols, rec["theta_prime"])
-                                  for cols, rec in zip(base_columns, recs)]),
+            theta_prime=pad_theta_prime(base_columns, [rec["theta_prime"] for rec in recs]),
         )
 
     def write_memberships(self, path) -> None:
@@ -159,39 +158,49 @@ def _set_counts(columns, succ, totals):
 
 
 def _column_menu(columns, targets, succ, totals, prior):
-    """Candidate columns and their log weights when, in each row of the
+    """Candidate labels and their log weights when, in each row of the
     (J, C) block ``columns``, class ``targets[i]`` may change its label.
 
     An item's menu is: join each equivalence set present among its other
     classes (ascending label), or open a fresh set (last); its current
-    column is always in it. Rows are canonical and padded to C + 1 per item
-    with weight -inf after the valid ones. A row's weight is its partition
-    prior times its likelihood with theta' integrated out under independent
-    uniform priors (v = 0). ``succ`` is (J, C), one row per item.
+    column is always in it. Both outputs are (J, C + 1): the label the
+    target takes, and the candidate's log weight, -inf on the padding after
+    the valid ones. :func:`_relabel` makes chosen candidates canonical. A
+    weight is the partition prior times the likelihood with theta'
+    integrated out under independent uniform priors (v = 0). The other
+    classes' sets are counted once; a candidate changes only the set the
+    target joins. ``succ`` is (J, C), one row per item.
     """
     n_items, n_classes = columns.shape
     rows = np.arange(n_items)
     labels = np.arange(1, n_classes + 2)
     others = columns.copy()
     others[rows, targets] = 0
-    fresh = columns.max(axis=1)[:, None] + 1
-    valid = (others[:, :, None] == labels).any(axis=1) | (labels == fresh)
-    # valid rows first, in label order; padding after them
+    member = (others[:, :, None] == labels).astype(np.float64)  # item, class, label
+    s = np.einsum("jc,jcl->jl", succ, member)
+    f = totals @ member - s
+    present = member.any(axis=1)
+    valid = present | (labels == columns.max(axis=1)[:, None] + 1)
+    # row k of the staircase is a canonical column with k + 1 sets
+    by_n_sets = base_vector_log_prior(np.minimum.outer(labels[:-1], labels[:-1]), prior)
+    n_sets = present.sum(axis=1)[:, None] + ~present  # a fresh set adds one
+    sets = betaln(1.0 + s, 1.0 + f)
+    s_t = succ[rows, targets][:, None]
+    f_t = totals[targets][:, None] - s_t
+    log_w = (by_n_sets[n_sets - 1] + (sets.sum(axis=1)[:, None] - sets)
+             + betaln(1.0 + s + s_t, 1.0 + f + f_t))
+    log_w[~valid] = -np.inf
+    # valid labels first, in label order; padding after them
     order = np.argsort(~valid, axis=1, kind="stable")
-    raw = np.repeat(columns[:, None, :], labels.size, axis=1)
-    raw[rows, :, targets] = labels[order]
-    menu = canonicalize(raw)
-    s, f = _set_counts(menu, succ[:, None, :], totals)
-    log_w = base_vector_log_prior(menu, prior) + betaln(1.0 + s, 1.0 + f).sum(axis=-1)
-    log_w[~np.take_along_axis(valid, order, axis=1)] = -np.inf
-    return menu, log_w
+    return labels[order], np.take_along_axis(log_w, order, axis=1)
 
 
-def _pick_categorical(log_weights, rng) -> int:
-    log_weights = np.asarray(log_weights, dtype=np.float64)
-    p = np.exp(log_weights - log_weights.max())
-    cum = np.cumsum(p)
-    return int(np.searchsorted(cum, rng.random() * cum[-1], side="right").clip(0, p.size - 1))
+def _relabel(columns, targets, new_labels):
+    """Canonical columns after class ``targets[i]`` of row i of the (J, C)
+    block ``columns`` takes the label ``new_labels[i]``."""
+    moved = columns.copy()
+    moved[np.arange(len(moved)), targets] = new_labels
+    return canonicalize(moved)
 
 
 def _class_count_cache(state, data):
@@ -231,8 +240,10 @@ def gibbs_update_base_class_v0(items, state, data, prior, rng, counts=None):
     items = np.atleast_1d(items)
     succ_items = succ[:, items].T
     targets = rng.integers(state.base.n_classes, size=items.size)
-    menu, log_w = _column_menu(state.base.labels[:, items].T, targets, succ_items, totals, prior)
-    columns = menu[np.arange(items.size), kernels.categorical_rows(log_w, rng.random(items.size))]
+    columns = state.base.labels[:, items].T
+    labels, log_w = _column_menu(columns, targets, succ_items, totals, prior)
+    picks = kernels.categorical_rows(log_w, rng.random(items.size))
+    columns = _relabel(columns, targets, labels[np.arange(items.size), picks])
     state.base.labels[:, items] = columns.T
     _draw_theta_v0(items, columns, state, succ_items, totals, rng)
     return state
@@ -271,9 +282,10 @@ def rj_update_base_class(j, state, data, prior, rng, counts=None):
     col_old = state.base.column(j)
     theta_old = state.theta_prime[j, :col_old.max()]
     target = int(rng.integers(state.base.n_classes))
-    menu, log_w = _column_menu(col_old[None, :], np.array([target]), succ_j[None, :],
-                               totals, prior)
-    col_new = menu[0, _pick_categorical(log_w[0], rng)]
+    labels, log_w = _column_menu(col_old[None, :], np.array([target]), succ_j[None, :],
+                                 totals, prior)
+    pick = kernels.categorical_rows(log_w, rng.random(1))
+    col_new = _relabel(col_old[None, :], [target], labels[0, pick])[0]
     theta_new = _rj_theta_proposal(col_old, theta_old, col_new, target, succ_j, totals, rng)
 
     log_acc = (repelled_beta.log_density_all_ones(theta_new, state.v)
@@ -447,8 +459,8 @@ def _update_all_memberships(state, data, rng):
     # batched draw equals per-observation Gibbs.
     theta = state.theta_matrix()
     loglik = kernels.class_loglik(data.x, np.log(theta), np.log1p(-theta))
-    logp = loglik + np.log(state.pi)[None, :]
-    state.memberships = kernels.categorical_rows(logp, rng.random(data.n))
+    loglik += np.log(state.pi)
+    state.memberships = kernels.categorical_rows(loglik, rng.random(data.n))
     return state
 
 

@@ -8,6 +8,7 @@ occurrence, starting at 1) so equal partitions always compare equal.
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 from scipy.special import gammaln
@@ -123,12 +124,11 @@ class Dataset:
     @classmethod
     def from_csv(cls, path) -> "Dataset":
         with open(path) as fh:
-            header = fh.readline().strip()
-        n_items = len(header.split(","))
-        x = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.int64, ndmin=2)
-        if x.size == 0:
-            x = x.reshape(0, n_items)
-        return cls(x)
+            n_items = len(fh.readline().strip().split(","))
+            has_rows = any(map(str.strip, fh))  # stops at the first row
+        if not has_rows:  # loadtxt would warn that the input has no data
+            return cls(np.empty((0, n_items), dtype=np.int64))
+        return cls(np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.int64, ndmin=2))
 
     def to_csv(self, path) -> None:
         # x is 0/1, so each row is one digit per item, joined by commas
@@ -264,18 +264,25 @@ def base_vector_log_prior(columns, prior: PriorConfig):
 
 
 def pad_theta_prime(columns, vectors) -> np.ndarray:
-    """Per-item theta' vectors as one (J, C) block, NaN past each item's set
-    count. ``columns`` is (J, C); ``vectors[j]`` needs one value per set of row j."""
-    n_sets = np.asarray(columns).max(axis=1)
-    for j, t in enumerate(vectors):
-        if np.ndim(t) != 1:
-            raise ValueError(f"theta' of item {j} must be a list of values, got {t!r}")
-    lengths = [len(t) for t in vectors]
-    if lengths != n_sets.tolist():
-        raise ValueError(f"theta' lengths {lengths} do not match the set counts "
-                         f"{n_sets.tolist()} of the base class columns")
-    block = np.full(np.shape(columns), np.nan)
-    block[np.arange(block.shape[1]) < n_sets[:, None]] = np.concatenate(vectors)
+    """Per-item theta' vectors as one block shaped like ``columns``, NaN past
+    each item's set count. ``columns`` is (J, C) and ``vectors[j]`` needs one
+    value per set of row j; for a (D, J, C) stack, ``vectors[d]`` holds the J
+    vectors of draw d. Every value is copied in one pass."""
+    columns = np.asarray(columns)
+    n_sets = columns.max(axis=-1)
+    draws = vectors if columns.ndim == 3 else [vectors]
+    for draw_sets, draw in zip(n_sets.reshape(-1, columns.shape[-2]), draws):
+        for j, t in enumerate(draw):
+            # a list of floats is a vector; np.ndim, which copies, decides the rest
+            if not (type(t) is list and all(type(x) is float for x in t)) and np.ndim(t) != 1:
+                raise ValueError(f"theta' of item {j} must be a list of values, got {t!r}")
+        lengths = list(map(len, draw))
+        if lengths != draw_sets.tolist():
+            raise ValueError(f"theta' lengths {lengths} do not match the set counts "
+                             f"{draw_sets.tolist()} of the base class columns")
+    block = np.full(columns.shape, np.nan)
+    block[np.arange(columns.shape[-1]) < n_sets[..., None]] = np.fromiter(
+        chain.from_iterable(chain.from_iterable(draws)), dtype=np.float64)
     return block
 
 

@@ -8,7 +8,6 @@ from scipy.stats import dirichlet as sp_dirichlet
 
 from esrlcm import kernels
 from esrlcm.identifiability import _is_column_merge
-from esrlcm.mcmc import _pick_categorical
 from esrlcm.model import (
     BaseClassMatrix,
     Dataset,
@@ -167,7 +166,7 @@ def gibbs_update_c(i, state, data, rng):
     x_i = data.x[i].astype(np.float64)
     loglik = x_i @ np.log(theta).T + (1.0 - x_i) @ np.log1p(-theta).T
     logp = np.log(state.pi) + loglik
-    state.memberships[i] = _pick_categorical(logp, rng)
+    state.memberships[i] = kernels.categorical_rows(logp[None, :], rng.random(1))[0]
     return state
 
 

@@ -53,6 +53,14 @@ def make_state(columns, theta_prime, memberships, pi=None, v=0.0):
     )
 
 
+def menu_columns(columns, targets, labels):
+    """The canonical candidate columns, (J, C + 1, C), of a menu's labels."""
+    n_items, n_rows = labels.shape
+    moved = mcmc._relabel(np.repeat(columns, n_rows, axis=0), np.repeat(targets, n_rows),
+                          labels.ravel())
+    return moved.reshape(n_items, n_rows, -1)
+
+
 def partition_distribution(chain_columns, n_classes):
     counts = {}
     for col in chain_columns:
@@ -89,14 +97,17 @@ class TestBaseClassGibbsV0:
         succ_j = np.array([1.0, 0.0])
         totals = np.array([1.0, 1.0])
         prior = PriorConfig.default(2, lam=1.0, v_mode="fixed_zero")
-        menu, log_w = mcmc._column_menu(column[None], np.array([1]), succ_j[None], totals, prior)
+        labels, log_w = mcmc._column_menu(column[None], np.array([1]), succ_j[None], totals,
+                                          prior)
+        menu = menu_columns(column[None], np.array([1]), labels)
         weights = {tuple(row.tolist()): np.exp(w)
                    for row, w in zip(menu[0], log_w[0]) if w > -np.inf}
         assert weights[(1, 1)] / weights[(1, 2)] == pytest.approx(2 / 3)
 
     def test_menu_matches_loop_form(self):
         # per item of a block: same canonical rows in the same order, same
-        # weights, then padding with weight -inf that no draw can pick
+        # weights, then padding with weight -inf that no draw can pick; the
+        # pick at fixed uniforms is the row the loop's weights select
         rng = np.random.default_rng(11)
         for trial in range(400):
             n_classes = int(rng.integers(1, 9))
@@ -107,12 +118,20 @@ class TestBaseClassGibbsV0:
             if trial % 2:
                 prior = PriorConfig.default(n_classes, lam=rng.uniform(0.2, 1.0))
             else:
-                prior = PriorConfig(alpha_c=np.ones(n_classes),
-                                    zeta=rng.dirichlet(np.ones(n_classes)))
+                zeta = rng.dirichlet(np.ones(n_classes))
+                if trial % 4 == 0:
+                    # set counts no current column has may get no mass, as
+                    # a chain's state always keeps some
+                    unused = np.ones(n_classes, dtype=bool)
+                    unused[columns.max(axis=1) - 1] = False
+                    zeta[unused & (rng.random(n_classes) < 0.7)] = 0.0
+                prior = PriorConfig(alpha_c=np.ones(n_classes), zeta=zeta / zeta.sum())
             targets = rng.integers(n_classes, size=n_items)
-            menu, log_w = mcmc._column_menu(columns, targets, succ, totals, prior)
-            assert menu.shape == (n_items, n_classes + 1, n_classes)
-            n_valid = []
+            labels, log_w = mcmc._column_menu(columns, targets, succ, totals, prior)
+            assert log_w.shape == (n_items, n_classes + 1)
+            assert not np.isnan(log_w).any()
+            menu = menu_columns(columns, targets, labels)
+            ref_ws = []
             for i in range(n_items):
                 rows, ref_w = column_menu_loop(columns[i], int(targets[i]), succ[i], totals,
                                                prior)
@@ -120,10 +139,12 @@ class TestBaseClassGibbsV0:
                 assert np.array_equal(menu[i, :k], np.array(rows))
                 assert np.allclose(log_w[i, :k], ref_w, rtol=1e-12, atol=1e-12)
                 assert np.all(log_w[i, k:] == -np.inf)
-                n_valid.append(k)
+                ref_ws.append(ref_w)
             for u in (0.0, 0.5, np.nextafter(1.0, 0.0)):
                 picks = kernels.categorical_rows(log_w, np.full(n_items, u))
-                assert np.all(picks < n_valid)
+                expected = [kernels.categorical_rows(w[None, :], np.array([u]))[0]
+                            for w in ref_ws]
+                assert picks.tolist() == expected
 
     def test_prior_only_chain_recovers_partition_prior(self):
         rng = np.random.default_rng(0)
@@ -268,9 +289,10 @@ class TestReversibleJumpRatio:
             col_old = random_canonical_column(rng, n_classes)
             theta_old = rng.uniform(0.01, 0.99, size=col_old.max())
             target = int(rng.integers(n_classes))
-            menu, log_w = mcmc._column_menu(col_old[None], np.array([target]), succ[:, 0][None],
-                                            totals, prior)
-            col_new = menu[0, rng.integers(np.isfinite(log_w[0]).sum())]
+            labels, log_w = mcmc._column_menu(col_old[None], np.array([target]),
+                                              succ[:, 0][None], totals, prior)
+            pick = rng.integers(np.isfinite(log_w[0]).sum())
+            col_new = mcmc._relabel(col_old[None], [target], labels[0, [pick]])[0]
             theta_new = mcmc._rj_theta_proposal(col_old, theta_old, col_new, target,
                                                 succ[:, 0], totals, rng)
             short = log_density_all_ones(theta_new, v) - log_density_all_ones(theta_old, v)
