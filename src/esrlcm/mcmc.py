@@ -1,6 +1,6 @@
 """Posterior sampler: conjugate Gibbs sweeps, collapsed base class moves at
-v = 0, reversible jump base class moves at v > 0, and an independence
-Metropolis step on the repulsion exponent v.
+v = 0, reversible jump base class moves at v > 0, and a slice update of the
+repulsion exponent v.
 
 Each sweep updates, in order: all memberships, the class weights, then the
 base class columns and theta'. At v = 0 every item's column and theta' move
@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betaln, gammaln
+from scipy.special import betaln
 
 from . import kernels, repelled_beta
 from .model import (
@@ -302,109 +302,56 @@ def rj_update_base_class(j, state, data, prior, rng, counts=None):
 # v updates
 # ---------------------------------------------------------------------------
 
-def _v_conditional_terms(state):
-    """Set sizes and the summed negative log gaps entering the v conditional."""
-    sizes = []
-    d2_data = 0.0
-    for j in range(state.base.n_items):
-        n_sets = state.base.n_base(j)
-        if n_sets >= 2:
-            sizes.append(n_sets)
-            gaps = np.diff(np.sort(state.theta_prime[j, :n_sets]))
-            d2_data -= float(np.log(np.clip(gaps, 1e-300, None)).sum())
-    return np.asarray(sizes, dtype=np.float64), d2_data
+def _v_log_conditional(state, prior):
+    """The log full conditional of v, up to a constant, as a function of v.
 
+    It is v's prior times every item's normalized repelled beta density of
+    theta', the v terms of :func:`model.full_log_joint`, built once from the
+    (J, C) theta' block. Gaps are floored at 1e-300, so it stays finite on
+    (0, max_v) even where two components coincide.
+    """
+    ordered = np.sort(state.theta_prime, axis=1)  # NaN padding sorts last
+    log_gaps = np.nansum(np.log(np.clip(np.diff(ordered, axis=1), 1e-300, None)))
+    n_sets = state.base.labels.max(axis=0)
 
-def _v_log_conditional(sizes, d2_data, prior):
     def logpost(v):
-        out = prior.d1 * np.log(v) + (prior.d2 - d2_data) * v
-        if sizes.size:
-            out += float(np.sum(gammaln((sizes - 1.0) * (v + 1.0) + 2.0)
-                                - (sizes - 1.0) * gammaln(v + 1.0)))
-        return out
+        return (prior.d1 * np.log(v) + (prior.d2 + log_gaps) * v
+                + repelled_beta.log_normalizer_all_ones(n_sets, v).sum())
 
     return logpost
 
 
-def _golden_max(f, lo, hi, tol):
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - inv_phi * (b - a)
-    x2 = a + inv_phi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + inv_phi * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - inv_phi * (b - a)
-            f1 = f(x1)
-    return (a + b) / 2.0
-
-
-def map_v(state: ModelState, prior: PriorConfig, tol: float = 1e-4) -> float:
-    """Mode of the full conditional of v on (0, max_v].
-
-    A coarse grid brackets the maximum and golden-section search refines it
-    to the absolute tolerance. Items with a single equivalence set drop out
-    of the conditional.
-    """
-    sizes, d2_data = _v_conditional_terms(state)
-    logpost = _v_log_conditional(sizes, d2_data, prior)
-    grid = np.linspace(tol, prior.max_v, 129)
-    values = [logpost(v) for v in grid]
-    k = int(np.argmax(values))
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, grid.size - 1)]
-    best = _golden_max(logpost, lo, hi, tol)
-    if logpost(prior.max_v) >= logpost(best):
-        return float(prior.max_v)
-    return float(best)
-
-
-def triangular_density(a: float, b: float, c: float, x: float) -> float:
-    """Density of the triangular distribution on [a, c] with mode b.
-
-    Zero outside [a, c]; the peak value 2/(c-a) at b makes the area one.
-    """
-    if not a < b < c:
-        raise ValueError("need a < b < c")
-    if x < a or x > c:
-        return 0.0
-    if x <= b:
-        return 2.0 * (x - a) / ((c - a) * (b - a))
-    return 2.0 * (c - x) / ((c - a) * (c - b))
-
-
-def sample_triangular(a: float, b: float, c: float, rng) -> float:
-    u = rng.random()
-    split = (b - a) / (c - a)
-    if u < split:
-        return a + np.sqrt(u * (c - a) * (b - a))
-    return c - np.sqrt((1.0 - u) * (c - a) * (c - b))
-
-
 def metropolis_update_v(state, prior, rng):
-    """Independence Metropolis step on v with a triangular proposal at the
-    conditional mode."""
-    sizes, d2_data = _v_conditional_terms(state)
-    logpost = _v_log_conditional(sizes, d2_data, prior)
-    eps = prior.max_v * 1e-9
-    mode = float(np.clip(map_v(state, prior), eps, prior.max_v - eps))
-    proposal = sample_triangular(0.0, mode, prior.max_v, rng)
-    if not 0.0 < proposal < prior.max_v:
-        return state, False
-    log_acc = (
-        logpost(proposal) - logpost(state.v)
-        + np.log(triangular_density(0.0, mode, prior.max_v, state.v))
-        - np.log(triangular_density(0.0, mode, prior.max_v, proposal))
-    )
-    accepted = np.log(rng.random()) < log_acc
-    if accepted:
-        state.v = float(proposal)
-    return state, bool(accepted)
+    """One shrinkage slice update of v on (0, max_v) (Neal 2003, *Slice
+    sampling*, Ann. Statist. 31(3)).
+
+    The slice level is the log conditional at the current v minus an Exp(1)
+    draw. The first interval is the whole support, so no stepping-out is
+    needed, and each rejected point shrinks it toward the current v, which
+    always lies in the slice. The update always ends on a point of the
+    slice, so it has no acceptance rate to report.
+
+    Returns ``(state, n_evals)``, the number of conditional evaluations. The
+    name and the two-tuple are kept because ``perfbench/tracing.py`` wraps
+    this binding by name and reads ``result[1]``.
+    """
+    logpost = _v_log_conditional(state, prior)
+    level = logpost(state.v) - rng.standard_exponential()
+    lo, hi = 0.0, prior.max_v
+    n_evals = 1
+    while True:
+        x = rng.uniform(lo, hi)
+        # lo and hi are 0, max_v or rejected points: a draw on either is
+        # rejected unevaluated, so log(0) is never taken
+        if lo < x < hi:
+            n_evals += 1
+            if logpost(x) >= level:
+                state.v = float(x)
+                return state, n_evals
+        if x < state.v:
+            lo = x
+        else:
+            hi = x
 
 
 # ---------------------------------------------------------------------------
@@ -507,8 +454,10 @@ def run_chain(data: Dataset, prior: PriorConfig, config: McmcConfig,
 
     Sweep order: memberships, pi, then at v = 0 one batched collapsed move
     of every item's column and theta', and at free v per item (reversible
-    jump move, theta' Gibbs) followed by v. Warmup sweeps are discarded and
-    every ``thin``-th main sweep is retained.
+    jump move, theta' Gibbs) followed by one slice update of v. Warmup
+    sweeps are discarded and every ``thin``-th main sweep is retained.
+    ``stats["v_evals_per_update"]`` is the mean number of v conditional
+    evaluations per slice update (None at v = 0).
     """
     _check_start_reachable(prior, config)
     rng = np.random.default_rng(config.seed ^ chain_index)
@@ -517,7 +466,7 @@ def run_chain(data: Dataset, prior: PriorConfig, config: McmcConfig,
     items = np.arange(n_items)
 
     kept, memberships = [], {}  # one tuple per retained draw
-    rj_accept = rj_total = v_accept = v_total = 0
+    rj_accept = rj_total = v_evals = v_total = 0
     theta_attempts_total = 0
     theta_attempts_max = 0
     theta_mh_fallbacks = 0
@@ -544,9 +493,9 @@ def run_chain(data: Dataset, prior: PriorConfig, config: McmcConfig,
                 theta_attempts_total += attempts
                 theta_attempts_max = max(theta_attempts_max, attempts)
                 theta_mh_fallbacks += fell_back
-            _, acc = metropolis_update_v(state, prior, rng)
+            _, n_evals = metropolis_update_v(state, prior, rng)
             v_total += 1
-            v_accept += acc
+            v_evals += n_evals
 
         # memberships change only at the top of the sweep, so ``counts`` is
         # still the current class count when the draw is retained
@@ -567,7 +516,7 @@ def run_chain(data: Dataset, prior: PriorConfig, config: McmcConfig,
         stats={
             "chain_index": chain_index,
             "rj_accept_rate": rj_accept / rj_total if rj_total else None,
-            "v_accept_rate": v_accept / v_total if v_total else None,
+            "v_evals_per_update": v_evals / v_total if v_total else None,
             "theta_attempts_total": theta_attempts_total,
             "theta_attempts_max": theta_attempts_max,
             "theta_mh_fallbacks": theta_mh_fallbacks,

@@ -144,12 +144,13 @@ def sample(params: RepelledBetaParams, rng, max_attempts: int = 1_000_000,
     while attempts < max_attempts:
         k = min(batch, max_attempts - attempts)
         props = propose(k)
-        log_acc = params.v * np.sum(np.log(np.diff(np.sort(props, axis=1), axis=1)), axis=1)
+        ordered = np.sort(props, axis=1)
+        log_acc = params.v * np.sum(np.log(ordered[:, 1:] - ordered[:, :-1]), axis=1)
         accepted = np.log(rng.random(k)) < log_acc
-        hit = np.flatnonzero(accepted)
-        if hit.size:
-            attempts += int(hit[0]) + 1
-            draw = props[hit[0]]
+        hit = int(accepted.argmax())  # the first acceptance, or 0 when none
+        if accepted[hit]:
+            attempts += hit + 1
+            draw = props[hit]
             return (draw, attempts) if return_attempts else draw
         attempts += k
         batch = min(batch * 4, 65536)

@@ -10,12 +10,9 @@ from esrlcm.mcmc import (
     gibbs_update_base_class_v0,
     gibbs_update_pi,
     gibbs_update_theta,
-    map_v,
     metropolis_update_v,
     rj_update_base_class,
     run_chain,
-    sample_triangular,
-    triangular_density,
 )
 from esrlcm.model import (
     BaseClassMatrix,
@@ -35,6 +32,7 @@ from helpers import (
     expected_rho,
     gibbs_update_c,
     random_canonical_column,
+    random_state,
     rj_log_acceptance_terms,
 )
 
@@ -312,69 +310,6 @@ class TestReversibleJumpRatio:
         assert draws.stats["rj_accept_rate"] > 0
 
 
-class TestMapV:
-    def test_all_single_set_items_push_to_boundary(self):
-        state = make_state([[1, 1, 1]], [[0.5]], [], v=1.0)
-        prior = PriorConfig.default(3, lam=0.5, v_mode="free")
-        assert map_v(state, prior) == pytest.approx(2.0)
-
-    def grid_oracle(self, state, prior):
-        from esrlcm.mcmc import _v_conditional_terms, _v_log_conditional
-
-        sizes, d2 = _v_conditional_terms(state)
-        logpost = _v_log_conditional(sizes, d2, prior)
-        grid = np.arange(1e-4, prior.max_v + 1e-4, 1e-4)
-        return grid[np.argmax([logpost(v) for v in grid])]
-
-    def test_wide_gap_boundary_case(self):
-        state = make_state([[1, 1, 2]], [[0.25, 0.75]], [], v=1.0)
-        prior = PriorConfig.default(3, lam=0.5, v_mode="free")
-        assert map_v(state, prior) == pytest.approx(self.grid_oracle(state, prior), abs=2e-4)
-        assert map_v(state, prior) == pytest.approx(2.0)
-
-    def test_tiny_gap_pulls_map_down(self):
-        state = make_state([[1, 1, 2]], [[0.5, 0.5 + 1e-6]], [], v=1.0)
-        prior = PriorConfig.default(3, lam=0.5, v_mode="free")
-        got = map_v(state, prior)
-        assert got == pytest.approx(self.grid_oracle(state, prior), abs=2e-4)
-        assert got < 0.2
-
-    def test_interior_mode_matches_grid(self):
-        state = make_state([[1, 2, 3]], [[0.2, 0.25, 0.9]], [], v=1.0)
-        prior = PriorConfig.default(3, lam=0.5, v_mode="free")
-        assert map_v(state, prior) == pytest.approx(self.grid_oracle(state, prior), abs=2e-4)
-
-
-class TestTriangular:
-    def test_peak_height(self):
-        assert triangular_density(0, 1, 2, 1.0) == pytest.approx(1.0)
-
-    def test_endpoint(self):
-        assert triangular_density(0, 1, 2, 0.0) == 0.0
-
-    def test_descending_interpolation(self):
-        assert triangular_density(0, 0.5, 2, 1.25) == pytest.approx(0.5)
-
-    def test_outside_support_is_zero(self):
-        assert triangular_density(0, 1, 2, 2.5) == 0.0
-
-    def test_integrates_to_one(self):
-        val, _ = integrate.quad(lambda x: triangular_density(0.0, 0.7, 2.0, x), 0, 2)
-        assert val == pytest.approx(1.0)
-
-    def test_sampler_matches_density(self):
-        rng = np.random.default_rng(5)
-        draws = np.array([sample_triangular(0.0, 0.7, 2.0, rng) for _ in range(50_000)])
-
-        def cdf(x):
-            x = np.asarray(x)
-            up = x ** 2 / (2.0 * 0.7)
-            down = 1.0 - (2.0 - x) ** 2 / (2.0 * 1.3)
-            return np.where(x < 0.7, up, down)
-
-        assert stats.kstest(draws, cdf).pvalue > 0.01
-
-
 class TestMetropolisV:
     def test_long_run_matches_quadrature_normalized_conditional(self):
         rng = np.random.default_rng(9)
@@ -402,6 +337,52 @@ class TestMetropolisV:
         for _ in range(500):
             metropolis_update_v(state, prior, rng)
             assert 0.0 < state.v < prior.max_v
+
+    def test_v_update_terminates_on_tied_theta(self):
+        # the gap floor keeps the conditional finite where two sets coincide
+        rng = np.random.default_rng(4)
+        prior = PriorConfig.default(2, lam=0.5, v_mode="free")
+        state = make_state([[1, 2]], [[0.5, 0.5]], [], v=1.0)
+        for _ in range(100):
+            _, n_evals = metropolis_update_v(state, prior, rng)
+            assert n_evals >= 2
+            assert 0.0 < state.v < prior.max_v
+
+        class FixedFirstPoint:
+            # a stream whose first point and Exp(1) draw are given
+            def __init__(self, first, exponential):
+                self.first, self.exponential = first, exponential
+
+            def standard_exponential(self):
+                return self.exponential
+
+            def uniform(self, lo, hi):
+                x = rng.uniform(lo, hi) if self.first is None else self.first
+                self.first = None
+                return x
+
+        # the interval's lower end, exactly 0, is rejected unevaluated, so
+        # there is no log(0) warning (an error in this suite)
+        metropolis_update_v(state, prior, FixedFirstPoint(0.0, 1.0))
+        assert 0.0 < state.v < prior.max_v
+        # at a zero Exp(1) draw the current v is still inside the slice
+        v = state.v
+        _, n_evals = metropolis_update_v(state, prior, FixedFirstPoint(v, 0.0))
+        assert (state.v, n_evals) == (v, 2)
+
+    def test_v_conditional_matches_joint(self):
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            state, data, prior = random_state(rng, int(rng.integers(1, 9)),
+                                              int(rng.integers(1, 6)), int(rng.integers(0, 30)))
+            logpost = mcmc._v_log_conditional(state, prior)
+            v1, v2 = rng.uniform(0.0, prior.max_v, size=2)
+            joints = []
+            for v in (v1, v2):
+                state.v = v
+                joints.append(full_log_joint(state, data, prior))
+            assert logpost(v1) - logpost(v2) == pytest.approx(joints[0] - joints[1],
+                                                              rel=1e-10, abs=1e-10)
 
 
 class TestThetaGibbs:
@@ -515,6 +496,14 @@ class TestRunChain:
         # one theta' per set of each item, NaN past its set count
         past = np.arange(2) >= draws.base_columns.max(axis=2)[..., None]
         assert np.array_equal(np.isnan(draws.theta_prime), past)
+
+    def test_v_evals_per_update_stat(self):
+        data, prior = self.small_inputs()
+        draws = run_chain(data, prior, McmcConfig(n_main=10, n_warmup=3, seed=1))
+        assert draws.stats["v_evals_per_update"] >= 1
+        data, prior = self.small_inputs("fixed_zero")
+        draws = run_chain(data, prior, McmcConfig(n_main=10, n_warmup=3, seed=1))
+        assert draws.stats["v_evals_per_update"] is None
 
     def test_same_seed_same_draws(self):
         data, prior = self.small_inputs()
