@@ -5,7 +5,6 @@ import hashlib
 from dataclasses import replace
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import kernels
 from .mcmc import PosteriorDraws, run_chain
@@ -56,6 +55,10 @@ def align_classes(reference, target) -> np.ndarray:
     target = np.asarray(target, dtype=np.float64)
     if reference.shape != target.shape:
         raise ValueError("reference and target must have identical shapes")
+    # scipy.optimize costs about 0.35 s to import on top of scipy.special;
+    # only commands that align classes (fit, metrics) should pay it
+    from scipy.optimize import linear_sum_assignment
+
     cost = ((reference[:, None, :] - target[None, :, :]) ** 2).sum(axis=2)
     rows, cols = linear_sum_assignment(cost)
     perm = np.empty(reference.shape[0], dtype=np.int64)

@@ -16,7 +16,6 @@ Dirichlet distribution, and the family is conjugate for Bernoulli responses.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 
 class SamplingError(RuntimeError):
@@ -98,6 +97,9 @@ def log_normalizer_all_ones(m, v: float):
         raise ValueError("m must be >= 1")
     if v < 0:
         raise ValueError("v must be >= 0")
+    # imported here: scipy.special costs about 0.28 s, which simulate never needs
+    from scipy.special import gammaln
+
     return gammaln((m - 1) * (v + 1.0) + 2.0) - gammaln(m + 1) - (m - 1) * gammaln(v + 1.0)
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -319,3 +323,40 @@ class TestCvCommand:
         assert len(table["results"]) == 2
         for row in table["results"]:
             assert np.isfinite(row["mean_predictive_loglik"])
+
+
+# Run in a fresh interpreter: which scipy modules each command loads.
+STARTUP_SCRIPT = """
+import sys
+
+import esrlcm
+from esrlcm import cli
+
+tmp = sys.argv[1]
+assert cli.main(["simulate", "--classes", "4", "--n", "60", "--seed", "1",
+                 "--out", f"{tmp}/data.csv"]) == 0
+assert cli.main(["check-id", "--matrix", f"{tmp}/q.csv", "--q-matrix",
+                 "--verify-trials", "3", "--out", f"{tmp}/id.json"]) == 0
+scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not scipy, f"{len(scipy)} scipy modules loaded: {scipy[:3]} ..."
+assert cli.main(["cv", "--config", f"{tmp}/run.json", "--k", "2",
+                 "--out", f"{tmp}/cv.json"]) == 0
+assert "scipy.optimize" not in sys.modules
+assert cli.main(["fit", "--config", f"{tmp}/run.json"]) == 0
+assert "scipy.optimize" in sys.modules
+"""
+
+
+class TestStartup:
+    def test_scipy_loads_only_where_used(self, tmp_path):
+        """import, simulate and check-id load no scipy; cv loads no
+        scipy.optimize; fit loads it to align classes."""
+        q = np.vstack([np.eye(2, dtype=int), np.eye(2, dtype=int), [[1, 1]]])
+        np.savetxt(tmp_path / "q.csv", q, fmt="%d", delimiter=",")
+        write_config(tmp_path / "run.json", tmp_path / "data.csv", tmp_path / "out",
+                     mcmc={"n_warmup": 5, "n_main": 5, "seed": 3})
+        src = Path(cli.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-c", STARTUP_SCRIPT, str(tmp_path)],
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr

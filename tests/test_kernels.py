@@ -48,13 +48,19 @@ class TestBackendEquivalence:
         assert np.array_equal(got, ref)
 
     def test_categorical_rows_bit_identical(self):
-        _, _, _, logp, u = random_inputs(1)
-        got = kernels.categorical_rows(logp, u)
-        ref = []
-        for row, u_i in zip(logp, u):
-            cum = np.cumsum(np.exp(row - row.max()))
-            ref.append(next(c for c in range(row.size) if cum[c] >= u_i * cum[-1]))
-        assert np.array_equal(got, ref)
+        for n_classes in range(1, 18):
+            _, _, _, logp, u = random_inputs(n_classes, n_classes=n_classes)
+            rng = np.random.default_rng(n_classes)
+            # -inf entries, but never a whole row of them
+            logp[rng.random(logp.shape) < 0.3] = -np.inf
+            logp[np.arange(len(logp)), rng.integers(0, n_classes, len(logp))] = 0.0
+            u[:30] = np.repeat([0.0, 0.5, 1.0 - 2.0**-53], 10)
+            got = kernels.categorical_rows(logp, u)
+            ref = []
+            for row, u_i in zip(logp, u):
+                cum = np.cumsum(np.exp(row - row.max()))
+                ref.append(next(c for c in range(row.size) if cum[c] >= u_i * cum[-1]))
+            assert got.dtype == np.int64 and np.array_equal(got, ref), n_classes
 
     def test_class_counts_match(self):
         x, _, memberships, _, _ = random_inputs(2)

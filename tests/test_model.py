@@ -149,9 +149,10 @@ class TestThetaFromBase:
 
 
 class TestTypes:
-    def test_dataset_rejects_nonbinary(self):
-        with pytest.raises(ValueError):
-            Dataset(np.array([[0, 2]]))
+    @pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan])
+    def test_dataset_rejects_nonbinary(self, bad):
+        with pytest.raises(ValueError, match="0 or 1"):
+            Dataset(np.array([[0, 1], [1, bad]]))
 
     def test_dataset_csv_roundtrip(self, tmp_path):
         data = Dataset(np.array([[0, 1, 1], [1, 0, 0]]))
