@@ -304,9 +304,6 @@ def main(argv=None) -> int:
     except (ConfigError, FileNotFoundError, KeyError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except mcmc.SamplingError as err:
-        print(f"sampler failure: {err}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -1,12 +1,12 @@
 """Posterior sampler: conjugate Gibbs sweeps, collapsed base class moves at
-v = 0, reversible jump base class moves at v > 0, and a slice update of the
-repulsion exponent v.
+v = 0, reversible jump base class moves at v > 0, and shrinkage slice
+updates of theta' and the repulsion exponent v.
 
 Each sweep updates, in order: all memberships, the class weights, then the
 base class columns and theta'. At v = 0 every item's column and theta' move
 in one batched collapsed step; with v free each item takes a reversible
-jump move followed by a repelled beta redraw of theta', and v comes last.
-Chains are reproducible given (seed, chain index).
+jump move, then theta' and v take slice updates. Chains are reproducible
+given (seed, chain index).
 """
 
 import json
@@ -30,11 +30,6 @@ from .model import (
     pad_theta_prime,
     theta_matrix,
 )
-from .repelled_beta import RepelledBetaParams, SamplingError
-
-# Rejection proposals per exact theta' draw before the Metropolis fallback.
-THETA_MAX_ATTEMPTS = 50_000
-
 
 @dataclass
 class McmcConfig:
@@ -302,8 +297,39 @@ def rj_update_base_class(j, state, data, prior, rng, counts=None):
 
 
 # ---------------------------------------------------------------------------
-# v updates
+# slice updates of theta' and v
 # ---------------------------------------------------------------------------
+
+def _shrinkage_slice(logf, x0, lo, hi, rng):
+    """One shrinkage slice update of each entry of ``x0`` on (lo, hi) (Neal
+    2003, *Slice sampling*, Ann. Statist. 31(3)); ``logf(x, rows)`` is the
+    log target of the entries ``rows`` at the points ``x``.
+
+    An entry's level is its log target at ``x0`` minus an Exp(1) draw. Its
+    first interval is the whole support, and each rejected point shrinks it
+    toward ``x0``, which is always in the slice. A point equal to an
+    interval end is rejected unevaluated, so ``logf`` never sees lo or hi.
+    Returns the new points and the number of evaluations, levels included.
+    """
+    x = np.array(x0, dtype=np.float64)
+    lo, hi = np.full(x.shape, float(lo)), np.full(x.shape, float(hi))
+    rows = np.arange(x.size)
+    level = logf(x, rows) - rng.standard_exponential(x.size)
+    n_evals = x.size
+    while rows.size:
+        point = rng.uniform(lo[rows], hi[rows])
+        inside = (lo[rows] < point) & (point < hi[rows])
+        hit = np.zeros(rows.size, dtype=bool)
+        if inside.any():
+            hit[inside] = logf(point[inside], rows[inside]) >= level[rows[inside]]
+            n_evals += int(inside.sum())
+        x[rows[hit]] = point[hit]
+        rows, point = rows[~hit], point[~hit]
+        below = point < x[rows]
+        lo[rows[below]] = point[below]
+        hi[rows[~below]] = point[~below]
+    return x, n_evals
+
 
 def _v_log_conditional(state, prior):
     """The log full conditional of v, up to a constant, as a function of v.
@@ -325,75 +351,60 @@ def _v_log_conditional(state, prior):
 
 
 def metropolis_update_v(state, prior, rng):
-    """One shrinkage slice update of v on (0, max_v) (Neal 2003, *Slice
-    sampling*, Ann. Statist. 31(3)).
-
-    The slice level is the log conditional at the current v minus an Exp(1)
-    draw. The first interval is the whole support, so no stepping-out is
-    needed, and each rejected point shrinks it toward the current v, which
-    always lies in the slice. The update always ends on a point of the
-    slice, so it has no acceptance rate to report.
+    """One shrinkage slice update of v on (0, max_v), by :func:`_shrinkage_slice`.
 
     Returns ``(state, n_evals)``, the number of conditional evaluations. The
     name and the two-tuple are kept because ``perfbench/tracing.py`` wraps
     this binding by name and reads ``result[1]``.
     """
     logpost = _v_log_conditional(state, prior)
-    level = logpost(state.v) - rng.standard_exponential()
-    lo, hi = 0.0, prior.max_v
-    n_evals = 1
-    while True:
-        x = rng.uniform(lo, hi)
-        # lo and hi are 0, max_v or rejected points: a draw on either is
-        # rejected unevaluated, so log(0) is never taken
-        if lo < x < hi:
-            n_evals += 1
-            if logpost(x) >= level:
-                state.v = float(x)
-                return state, n_evals
-        if x < state.v:
-            lo = x
-        else:
-            hi = x
+    v, n_evals = _shrinkage_slice(lambda x, rows: logpost(x), [state.v], 0.0, prior.max_v, rng)
+    state.v = float(v[0])
+    return state, n_evals
+
+
+def _theta_log_conditional(block, k, s, f, v):
+    """The log conditional of set k of each row of the NaN-padded theta'
+    block, as a :func:`_shrinkage_slice` target: the beta kernel of the
+    set's counts ``s, f`` plus the row's gap term with set k at x."""
+    def logf(x, rows):
+        rho = block[rows]
+        rho[:, k] = x
+        return (s[rows] * np.log(x) + f[rows] * np.log1p(-x)
+                + repelled_beta.log_gap_term(rho, v))
+
+    return logf
+
+
+def gibbs_update_theta(items, state, data, prior, rng, counts=None):
+    """Slice update of the repelled beta theta' of one item or an index
+    array of items: given the columns and v the items are independent, so
+    set k of every item that has one moves in one :func:`_shrinkage_slice`
+    call on (0, 1), for each k in turn.
+
+    Returns ``(state, n_evals, False)``. The name and the three-tuple are
+    kept because ``perfbench/tracing.py`` wraps this binding by name and
+    reads ``result[1]`` and ``result[2]``.
+    """
+    succ, totals = counts if counts is not None else _class_count_cache(state, data)
+    items = np.atleast_1d(items)
+    columns = state.base.labels[:, items].T
+    s, f = _set_counts(columns, succ[:, items].T, totals)
+    n_sets = columns.max(axis=1)
+    n_evals = 0
+    for k in range(n_sets.max()):
+        has = n_sets > k
+        group = items[has]
+        logf = _theta_log_conditional(state.theta_prime[group], k, s[has, k], f[has, k], state.v)
+        state.theta_prime[group, k], evals = _shrinkage_slice(
+            logf, state.theta_prime[group, k], 0.0, 1.0, rng)
+        n_evals += evals
+    return state, n_evals, False
 
 
 # ---------------------------------------------------------------------------
 # conjugate updates
 # ---------------------------------------------------------------------------
-
-def gibbs_update_theta(j, state, data, prior, rng, counts=None,
-                       max_attempts=THETA_MAX_ATTEMPTS):
-    """Redraw theta' for item j from its repelled beta full conditional.
-
-    The exact rejection draw is attempted first. When its budget of
-    ``max_attempts`` proposals runs out (large repulsion with several
-    near-identical sets), one independence Metropolis step with the same
-    conjugate beta proposal is taken instead: the proposal density cancels
-    the beta factors of the target, so the acceptance ratio is the gap-term
-    ratio and the full conditional stays exactly invariant.
-
-    Returns ``(state, attempts, fell_back)``.
-    """
-    succ, totals = counts if counts is not None else _class_count_cache(state, data)
-    column = state.base.column(j)
-    s_b, f_b = _set_counts(column, succ[:, j], totals)
-    n_sets = column.max()
-    params = RepelledBetaParams(np.column_stack([1.0 + s_b[:n_sets], 1.0 + f_b[:n_sets]]),
-                                state.v)
-    fell_back = False
-    try:
-        draw, attempts = repelled_beta.sample(params, rng, max_attempts, return_attempts=True)
-        state.theta_prime[j, :n_sets] = _clip_unit(draw)
-    except SamplingError:
-        fell_back = True
-        attempts = max_attempts
-        proposal = _clip_unit(rng.beta(params.alpha[:, 0], params.alpha[:, 1]))
-        log_acc = (repelled_beta.log_gap_term(proposal, state.v)
-                   - repelled_beta.log_gap_term(state.theta_prime[j, :n_sets], state.v))
-        if np.log(rng.random()) < log_acc:
-            state.theta_prime[j, :n_sets] = proposal
-    return state, attempts, fell_back
-
 
 def gibbs_update_pi(state, prior, rng):
     """Redraw the class weights from their Dirichlet full conditional."""
@@ -423,9 +434,6 @@ def _initial_state(data, prior, rng):
     base = BaseClassMatrix(
         np.tile(np.arange(1, n_classes + 1)[:, None], (1, data.n_items))
     )
-    # v starts small: the over-dispersed start has near-identical response
-    # probabilities per item, and a large initial v would deadlock the first
-    # theta rejection sweep before the first v update can adapt.
     state = ModelState(
         pi=rng.dirichlet(prior.alpha_c),
         memberships=rng.integers(0, n_classes, size=data.n),
@@ -456,11 +464,13 @@ def run_chain(data: Dataset, prior: PriorConfig, config: McmcConfig,
     """Run one chain and return the retained draws.
 
     Sweep order: memberships, pi, then at v = 0 one batched collapsed move
-    of every item's column and theta', and at free v per item (reversible
-    jump move, theta' Gibbs) followed by one slice update of v. Warmup
-    sweeps are discarded and every ``thin``-th main sweep is retained.
-    ``stats["v_evals_per_update"]`` is the mean number of v conditional
-    evaluations per slice update (None at v = 0).
+    of every item's column and theta', and at free v one reversible jump
+    move per item, one batched slice update of every item's theta' and one
+    slice update of v. Warmup sweeps are discarded and every ``thin``-th
+    main sweep is retained. ``stats["theta_evals_per_update"]`` and
+    ``stats["v_evals_per_update"]`` are the mean numbers of log-density
+    evaluations per slice update of one theta' component and of v, levels
+    included (None at v = 0).
     """
     _check_start_reachable(prior, config)
     rng = np.random.default_rng(config.seed ^ chain_index)
@@ -469,10 +479,7 @@ def run_chain(data: Dataset, prior: PriorConfig, config: McmcConfig,
     items = np.arange(n_items)
 
     kept, memberships = [], {}  # one tuple per retained draw
-    rj_accept = rj_total = v_evals = v_total = 0
-    theta_attempts_total = 0
-    theta_attempts_max = 0
-    theta_mh_fallbacks = 0
+    rj_accept = rj_total = theta_evals = theta_total = v_evals = v_total = 0
 
     total_sweeps = config.n_warmup + config.n_main
     for sweep in range(total_sweeps):
@@ -486,16 +493,14 @@ def run_chain(data: Dataset, prior: PriorConfig, config: McmcConfig,
             else:
                 gibbs_update_base_class_v0(items, state, data, prior, rng, counts=counts)
         else:
-            for j in range(n_items):
-                if not config.unrestricted:
+            if not config.unrestricted:
+                for j in range(n_items):
                     _, acc = rj_update_base_class(j, state, data, prior, rng, counts=counts)
                     rj_total += 1
                     rj_accept += acc
-                _, attempts, fell_back = gibbs_update_theta(j, state, data, prior, rng,
-                                                            counts=counts)
-                theta_attempts_total += attempts
-                theta_attempts_max = max(theta_attempts_max, attempts)
-                theta_mh_fallbacks += fell_back
+            _, n_evals, _ = gibbs_update_theta(items, state, data, prior, rng, counts=counts)
+            theta_total += int(state.base.labels.max(axis=0).sum())
+            theta_evals += n_evals
             _, n_evals = metropolis_update_v(state, prior, rng)
             v_total += 1
             v_evals += n_evals
@@ -519,10 +524,8 @@ def run_chain(data: Dataset, prior: PriorConfig, config: McmcConfig,
         stats={
             "chain_index": chain_index,
             "rj_accept_rate": rj_accept / rj_total if rj_total else None,
+            "theta_evals_per_update": theta_evals / theta_total if theta_total else None,
             "v_evals_per_update": v_evals / v_total if v_total else None,
-            "theta_attempts_total": theta_attempts_total,
-            "theta_attempts_max": theta_attempts_max,
-            "theta_mh_fallbacks": theta_mh_fallbacks,
         },
     )
 

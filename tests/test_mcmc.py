@@ -3,7 +3,7 @@ import pytest
 from scipy import integrate, stats
 from scipy.special import beta as beta_fn
 
-from esrlcm import kernels, mcmc
+from esrlcm import kernels, mcmc, repelled_beta
 from esrlcm.mcmc import (
     McmcConfig,
     PosteriorDraws,
@@ -24,7 +24,7 @@ from esrlcm.model import (
     full_log_joint,
     pad_theta_prime,
 )
-from esrlcm.repelled_beta import log_density_all_ones
+from esrlcm.repelled_beta import RepelledBetaParams, log_density_all_ones
 
 from helpers import (
     collapsed_item_loglik_v0,
@@ -353,11 +353,11 @@ class TestMetropolisV:
             def __init__(self, first, exponential):
                 self.first, self.exponential = first, exponential
 
-            def standard_exponential(self):
-                return self.exponential
+            def standard_exponential(self, size):
+                return np.full(size, self.exponential)
 
             def uniform(self, lo, hi):
-                x = rng.uniform(lo, hi) if self.first is None else self.first
+                x = rng.uniform(lo, hi) if self.first is None else np.full(lo.shape, self.first)
                 self.first = None
                 return x
 
@@ -410,23 +410,57 @@ class TestThetaGibbs:
             draws.append(state.theta_prime[0][0])
         assert stats.kstest(np.asarray(draws), stats.beta(4, 2).cdf).pvalue > 0.01
 
-    def test_mh_fallback_targets_the_same_conditional(self):
-        # force the fallback on every step and compare against the exact
-        # order statistic expectations of the two-set prior case
-        rng = np.random.default_rng(25)
-        prior = PriorConfig.default(2, lam=1.0, v_mode="free")
-        data = Dataset(np.empty((0, 1), dtype=int))
-        state = make_state([[1, 2]], [[0.4, 0.6]], [], v=1.0)
-        draws = []
-        fallbacks = 0
-        for _ in range(40_000):
-            _, _, fell_back = gibbs_update_theta(0, state, data, prior, rng, max_attempts=1)
-            fallbacks += fell_back
-            draws.append(np.sort(state.theta_prime[0]))
-        assert fallbacks > 20_000
-        means = np.asarray(draws).mean(axis=0)
-        assert np.allclose(means, [expected_rho(2, 1.0, 1), expected_rho(2, 1.0, 2)],
-                           atol=0.01)
+    @pytest.mark.parametrize("v", [0.5, 2.0])
+    @pytest.mark.parametrize("with_data", [False, True])
+    @pytest.mark.parametrize("n_sets", [2, 3])
+    def test_one_batched_step_keeps_the_exact_conditional(self, n_sets, with_data, v):
+        # one slice step from exact repelled beta draws must leave every
+        # order statistic distributed as fresh exact draws
+        rng = np.random.default_rng(100 * n_sets + 10 * with_data + int(v))
+        n_items = 20_000
+        succ = np.array([1.0, 3.0, 5.0][:n_sets]) if with_data else np.zeros(n_sets)
+        totals = np.full(n_sets, 6.0 if with_data else 0.0)
+        params = RepelledBetaParams(np.column_stack([1.0 + succ, 1.0 + totals - succ]), v)
+
+        def exact():
+            return np.array([repelled_beta.sample(params, rng) for _ in range(n_items)])
+
+        state = make_state(np.tile(np.arange(1, n_sets + 1), (n_items, 1)), exact(), [], v=v)
+        counts = (np.tile(succ[:, None], (1, n_items)), totals)
+        _, n_evals, fell_back = gibbs_update_theta(np.arange(n_items), state, None, None, rng,
+                                                   counts=counts)
+        assert n_evals >= 2 * n_sets * n_items and not fell_back
+        moved, fresh = np.sort(state.theta_prime, axis=1), np.sort(exact(), axis=1)
+        for k in range(n_sets):
+            assert stats.ks_2samp(moved[:, k], fresh[:, k]).pvalue > 0.01
+            se = np.hypot(moved[:, k].std(), fresh[:, k].std()) / np.sqrt(n_items)
+            assert abs(moved[:, k].mean() - fresh[:, k].mean()) < 4 * se
+
+    def test_points_on_interval_ends_are_not_evaluated(self):
+        # a first point exactly at 0 and a second exactly at 1 are rejected
+        # unevaluated, so there is no log(0) warning (an error in this suite)
+        rng = np.random.default_rng(26)
+
+        class EndsFirst:
+            def __init__(self):
+                self.ends = ["lo", "hi"]
+
+            def standard_exponential(self, size):
+                return rng.standard_exponential(size)
+
+            def uniform(self, lo, hi):
+                if self.ends:
+                    return lo if self.ends.pop(0) == "lo" else hi
+                return rng.uniform(lo, hi)
+
+        data = Dataset(np.array([[1, 0], [0, 1], [1, 1]]))
+        prior = PriorConfig.default(3, lam=1.0, v_mode="free")
+        state = make_state([[1, 2, 3], [1, 2, 2]], [[0.2, 0.5, 0.8], [0.3, 0.6]], [0, 1, 2],
+                           v=1.0)
+        gibbs_update_theta(np.arange(2), state, data, prior, EndsFirst())
+        used = ~np.isnan(state.theta_prime)
+        assert np.array_equal(used, [[True] * 3, [True, True, False]])
+        assert np.all((state.theta_prime[used] > 0) & (state.theta_prime[used] < 1))
 
     def test_success_orientation(self):
         # successes must land in the first shape slot: posterior mean above 1/2
@@ -504,6 +538,14 @@ class TestRunChain:
         data, prior = self.small_inputs("fixed_zero")
         draws = run_chain(data, prior, McmcConfig(n_main=10, n_warmup=3, seed=1))
         assert draws.stats["v_evals_per_update"] is None
+
+    def test_theta_evals_per_update_stat(self):
+        data, prior = self.small_inputs()
+        draws = run_chain(data, prior, McmcConfig(n_main=10, n_warmup=3, seed=1))
+        assert draws.stats["theta_evals_per_update"] >= 1
+        data, prior = self.small_inputs("fixed_zero")
+        draws = run_chain(data, prior, McmcConfig(n_main=10, n_warmup=3, seed=1))
+        assert draws.stats["theta_evals_per_update"] is None
 
     def test_same_seed_same_draws(self):
         data, prior = self.small_inputs()
