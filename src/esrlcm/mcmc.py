@@ -3,10 +3,11 @@ v = 0, reversible jump base class moves at v > 0, and shrinkage slice
 updates of theta' and the repulsion exponent v.
 
 Each sweep updates, in order: all memberships, the class weights, then the
-base class columns and theta'. At v = 0 every item's column and theta' move
-in one batched collapsed step; with v free each item takes a reversible
-jump move, then theta' and v take slice updates. Chains are reproducible
-given (seed, chain index).
+base class columns and theta'. Both base moves take every item in one
+batched step: at v = 0 a collapsed move draws theta' conjugately; with v free
+a reversible jump move, which returns its number of accepted items, is
+followed by slice updates of theta' and v. Chains are reproducible given
+(seed, chain index).
 """
 
 import json
@@ -223,77 +224,77 @@ def _draw_theta_v0(items, columns, state, succ_items, totals, rng):
     state.theta_prime[items] = block
 
 
-def gibbs_update_base_class_v0(items, state, data, prior, rng, counts=None):
-    """Collapsed Gibbs move on the partitions of one item or an index array
-    of items, valid at v = 0.
-
-    Per item, a uniformly chosen class has its label resampled from the
-    exact full conditional over the candidate menu, with theta' integrated
-    out; theta' is then redrawn conjugately because the number of sets may
-    have changed. Given the memberships the items are independent (the
-    partition prior and the v = 0 prior factor over items), so all of them
-    move in one array step.
-    """
-    succ, totals = counts if counts is not None else _class_count_cache(state, data)
-    items = np.atleast_1d(items)
-    succ_items = succ[:, items].T
+def _propose_columns(items, state, succ_items, totals, prior, rng):
+    """The proposal both base moves share: in each item's row of the (J, C)
+    block, a uniformly chosen class takes a label drawn from the collapsed
+    v = 0 conditional over its menu. Returns the targets and the old and
+    new canonical columns."""
     targets = rng.integers(state.base.n_classes, size=items.size)
     columns = state.base.labels[:, items].T
     labels, log_w = _column_menu(columns, targets, succ_items, totals, prior)
     picks = kernels.categorical_rows(log_w, rng.random(items.size))
-    columns = _relabel(columns, targets, labels[np.arange(items.size), picks])
+    return targets, columns, _relabel(columns, targets, labels[np.arange(items.size), picks])
+
+
+def gibbs_update_base_class_v0(items, state, data, prior, rng, counts=None):
+    """Collapsed Gibbs move on the partitions of one item or an index array
+    of items, valid at v = 0.
+
+    Per item, :func:`_propose_columns` draws the exact full conditional with
+    theta' integrated out, then theta' is redrawn conjugately. The items are
+    independent given the memberships: both priors factor over items.
+    """
+    succ, totals = counts if counts is not None else _class_count_cache(state, data)
+    items = np.atleast_1d(items)
+    succ_items = succ[:, items].T
+    _, _, columns = _propose_columns(items, state, succ_items, totals, prior, rng)
     state.base.labels[:, items] = columns.T
     _draw_theta_v0(items, columns, state, succ_items, totals, rng)
     return state
 
 
-def _rj_theta_proposal(col_old, theta_old, col_new, target, succ_j, totals, rng):
-    """theta' for the proposed column of a reversible jump move.
-
-    The destination set of the moved class and what remains of its source
-    set are drawn from their conjugate betas, in label order; every other
-    set keeps its members and its value.
-    """
-    theta_new = np.empty(col_new.max())
-    theta_new[col_new - 1] = theta_old[col_old - 1]
-    rest = col_old == col_old[target]
-    rest[target] = False
-    refresh = np.unique(np.append(col_new[rest], col_new[target])) - 1
-    s_new, f_new = _set_counts(col_new, succ_j, totals)
-    theta_new[refresh] = _clip_unit(rng.beta(1.0 + s_new[refresh], 1.0 + f_new[refresh]))
+def _rj_theta_proposal(col_old, theta_old, col_new, targets, succ_items, totals, rng):
+    """NaN-padded theta' of the proposed (J, C) columns: every set carries
+    its value to its new label, and each row's destination set of the moved
+    class and what remains of its source are redrawn from their conjugate
+    betas, row by row in label order, in one ``rng.beta`` call."""
+    rows = np.arange(len(col_old))[:, None]
+    theta_new = np.full(col_old.shape, np.nan)
+    theta_new[rows, col_new - 1] = theta_old[rows, col_old - 1]
+    moved = col_old == col_old[rows, targets[:, None]]  # source set, target included
+    refresh = np.zeros(col_old.shape, dtype=bool)
+    refresh[np.nonzero(moved)[0], col_new[moved] - 1] = True
+    s, f = _set_counts(col_new, succ_items, totals)
+    theta_new[refresh] = _clip_unit(rng.beta(1.0 + s[refresh], 1.0 + f[refresh]))
     return theta_new
 
 
-def rj_update_base_class(j, state, data, prior, rng, counts=None):
-    """Reversible jump move on one item's partition and theta', for v > 0.
+def rj_update_base_class(items, state, data, prior, rng, counts=None):
+    """Reversible jump move on the partitions and theta' of one item or an
+    index array of items, for v > 0.
 
-    The column proposal is the collapsed v = 0 conditional over the menu and
-    theta' comes from :func:`_rj_theta_proposal`. In Green's acceptance
-    ratio the column weights, the partition priors, the likelihood and the
-    beta proposal densities of the refreshed sets cancel: a refreshed set's
-    beta density turns its likelihood into its collapsed term, and the
-    untouched sets are equal on both sides. What is left is the ratio of
-    the normalized repelled beta densities of the new and old theta'.
+    Columns come from :func:`_propose_columns`, theta' from
+    :func:`_rj_theta_proposal`. In Green's acceptance ratio the column
+    weights, partition priors, likelihood and beta proposal densities of the
+    refreshed sets cancel, leaving the ratio of the normalized repelled beta
+    densities of the new and old theta'. Given the memberships and v the
+    items are independent, so each row is its own MH move with its own
+    uniform. Returns ``(state, n_accepted)``; the name and the two-tuple are
+    kept because ``perfbench/tracing.py`` wraps this binding by name and
+    reads ``result[1]``.
     """
     succ, totals = counts if counts is not None else _class_count_cache(state, data)
-    succ_j = succ[:, j]
-    col_old = state.base.column(j)
-    theta_old = state.theta_prime[j, :col_old.max()]
-    target = int(rng.integers(state.base.n_classes))
-    labels, log_w = _column_menu(col_old[None, :], np.array([target]), succ_j[None, :],
-                                 totals, prior)
-    pick = kernels.categorical_rows(log_w, rng.random(1))
-    col_new = _relabel(col_old[None, :], [target], labels[0, pick])[0]
-    theta_new = _rj_theta_proposal(col_old, theta_old, col_new, target, succ_j, totals, rng)
-
+    items = np.atleast_1d(items)
+    succ_items = succ[:, items].T
+    targets, col_old, col_new = _propose_columns(items, state, succ_items, totals, prior, rng)
+    theta_old = state.theta_prime[items]
+    theta_new = _rj_theta_proposal(col_old, theta_old, col_new, targets, succ_items, totals, rng)
     log_acc = (repelled_beta.log_density_all_ones(theta_new, state.v)
                - repelled_beta.log_density_all_ones(theta_old, state.v))
-    accepted = np.log(rng.random()) < log_acc
-    if accepted:
-        state.base.labels[:, j] = col_new
-        state.theta_prime[j] = np.nan
-        state.theta_prime[j, :theta_new.size] = theta_new
-    return state, bool(accepted)
+    accepted = np.log(rng.random(items.size)) < log_acc
+    state.base.labels[:, items[accepted]] = col_new[accepted].T
+    state.theta_prime[items[accepted]] = theta_new[accepted]
+    return state, int(accepted.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -464,10 +465,11 @@ def run_chain(data: Dataset, prior: PriorConfig, config: McmcConfig,
     """Run one chain and return the retained draws.
 
     Sweep order: memberships, pi, then at v = 0 one batched collapsed move
-    of every item's column and theta', and at free v one reversible jump
-    move per item, one batched slice update of every item's theta' and one
-    slice update of v. Warmup sweeps are discarded and every ``thin``-th
-    main sweep is retained. ``stats["theta_evals_per_update"]`` and
+    of every item's column and theta', and at free v one batched reversible
+    jump move, one batched slice update of theta' and one slice update of v.
+    Warmup sweeps are discarded and every ``thin``-th main sweep is
+    retained. ``stats["rj_accept_rate"]`` is accepted moves over items times
+    free-v sweeps; ``stats["theta_evals_per_update"]`` and
     ``stats["v_evals_per_update"]`` are the mean numbers of log-density
     evaluations per slice update of one theta' component and of v, levels
     included (None at v = 0).
@@ -475,8 +477,7 @@ def run_chain(data: Dataset, prior: PriorConfig, config: McmcConfig,
     _check_start_reachable(prior, config)
     rng = np.random.default_rng(config.seed ^ chain_index)
     state = _initial_state(data, prior, rng)
-    n_items = data.n_items
-    items = np.arange(n_items)
+    items = np.arange(data.n_items)
 
     kept, memberships = [], {}  # one tuple per retained draw
     rj_accept = rj_total = theta_evals = theta_total = v_evals = v_total = 0
@@ -494,10 +495,9 @@ def run_chain(data: Dataset, prior: PriorConfig, config: McmcConfig,
                 gibbs_update_base_class_v0(items, state, data, prior, rng, counts=counts)
         else:
             if not config.unrestricted:
-                for j in range(n_items):
-                    _, acc = rj_update_base_class(j, state, data, prior, rng, counts=counts)
-                    rj_total += 1
-                    rj_accept += acc
+                _, n_accepted = rj_update_base_class(items, state, data, prior, rng, counts=counts)
+                rj_accept += n_accepted
+                rj_total += items.size
             _, n_evals, _ = gibbs_update_theta(items, state, data, prior, rng, counts=counts)
             theta_total += int(state.base.labels.max(axis=0).sum())
             theta_evals += n_evals

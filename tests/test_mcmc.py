@@ -224,6 +224,54 @@ class TestReversibleJump:
         for col, target in exact_prior(prior, 3).items():
             assert freq.get(col, 0.0) == pytest.approx(target, abs=0.02)
 
+    def test_batched_move_keeps_each_items_prior(self):
+        # one call moves three items whose padded theta' rows differ (3, 2
+        # and 1 sets). Both updates keep the prior, so the state read between
+        # them follows it too: there a move that skipped its acceptance step
+        # would show freshly drawn, unrepelled theta'
+        rng = np.random.default_rng(23)
+        v = 0.5
+        prior = PriorConfig.default(3, lam=0.5, v_mode="free")
+        data = Dataset(np.empty((0, 3), dtype=int))
+        state = make_state([[1, 2, 3], [1, 1, 2], [1, 1, 1]],
+                           [[0.2, 0.5, 0.8], [0.3, 0.7], [0.4]], [], v=v)
+        items = np.arange(3)
+        seen = [[] for _ in items]
+        two_set_draws = [[] for _ in items]
+        for _ in range(30_000):
+            rj_update_base_class(items, state, data, prior, rng)
+            for j in items:
+                seen[j].append(state.base.column(j).tolist())
+                if state.base.n_base(j) == 2:
+                    two_set_draws[j].append(np.sort(state.theta_prime[j, :2]))
+            gibbs_update_theta(items, state, data, prior, rng)
+        expected = [expected_rho(2, v, k) for k in (1, 2)]
+        for j in items:
+            freq = partition_distribution(seen[j], 3)
+            for col, target in exact_prior(prior, 3).items():
+                assert freq.get(col, 0.0) == pytest.approx(target, abs=0.02)
+            assert np.allclose(np.mean(two_set_draws[j], axis=0), expected, atol=0.01)
+
+    def test_batched_rows_move_independently(self):
+        # a uniform shared by all rows leaves each item's own chain exact but
+        # couples the items; under the prior they are independent, so the
+        # number of one-set items is binomial. A strong repulsion makes many
+        # moves reject, which a shared uniform would synchronize
+        rng = np.random.default_rng(5)
+        n_items, v = 100, 5.0
+        prior = PriorConfig.default(3, lam=0.5, v_mode="free")
+        data = Dataset(np.empty((0, n_items), dtype=int))
+        state = make_state([[1, 2, 3]] * n_items, [[0.2, 0.5, 0.8]] * n_items, [], v=v)
+        items = np.arange(n_items)
+        n_one_set = []
+        for sweep in range(4_400):
+            rj_update_base_class(items, state, data, prior, rng)
+            gibbs_update_theta(items, state, data, prior, rng)
+            if sweep >= 400:
+                n_one_set.append(np.sum(state.base.labels.max(axis=0) == 1))
+        p = np.exp(base_vector_log_prior(np.array([1, 1, 1]), prior))
+        assert np.var(n_one_set) / (n_items * p * (1 - p)) == pytest.approx(1.0, abs=0.3)
+
     def test_matches_collapsed_gibbs_at_vanishing_v(self):
         rng = np.random.default_rng(3)
         prior = PriorConfig.default(2, lam=1.0, v_mode="fixed_zero")
@@ -271,32 +319,42 @@ class TestReversibleJump:
 class TestReversibleJumpRatio:
     def test_density_ratio_equals_term_by_term_ratio(self):
         # the partition priors, likelihoods, beta proposals and column
-        # weights cancel, leaving the repelled beta density ratio
+        # weights cancel, leaving each row's repelled beta density ratio
         rng = np.random.default_rng(41)
         for trial in range(300):
             n_classes = int(rng.integers(2, 9))
+            n_items = int(rng.integers(1, 6))
             n = int(rng.integers(0, 61))
-            x = rng.integers(0, 2, size=(n, 1))
+            x = rng.integers(0, 2, size=(n, n_items))
             succ, totals = kernels.class_counts(x, rng.integers(0, n_classes, size=n), n_classes)
+            succ = succ.T
             if trial % 2:
                 prior = PriorConfig.default(n_classes, lam=rng.uniform(0.2, 1.0))
             else:
                 prior = PriorConfig(alpha_c=np.ones(n_classes),
                                     zeta=rng.dirichlet(np.ones(n_classes)))
             v = rng.uniform(0.05, 2.0)
-            col_old = random_canonical_column(rng, n_classes)
-            theta_old = rng.uniform(0.01, 0.99, size=col_old.max())
-            target = int(rng.integers(n_classes))
-            labels, log_w = mcmc._column_menu(col_old[None], np.array([target]),
-                                              succ[:, 0][None], totals, prior)
-            pick = rng.integers(np.isfinite(log_w[0]).sum())
-            col_new = mcmc._relabel(col_old[None], [target], labels[0, [pick]])[0]
-            theta_new = mcmc._rj_theta_proposal(col_old, theta_old, col_new, target,
-                                                succ[:, 0], totals, rng)
+            col_old = np.array([random_canonical_column(rng, n_classes) for _ in range(n_items)])
+            theta_old = pad_theta_prime(col_old, [rng.uniform(0.01, 0.99, size=c.max())
+                                                  for c in col_old])
+            targets = rng.integers(n_classes, size=n_items)
+            labels, log_w = mcmc._column_menu(col_old, targets, succ, totals, prior)
+            picks = rng.integers(np.isfinite(log_w).sum(axis=1))
+            col_new = mcmc._relabel(col_old, targets, labels[np.arange(n_items), picks])
+            theta_new = mcmc._rj_theta_proposal(col_old, theta_old, col_new, targets,
+                                                succ, totals, rng)
             short = log_density_all_ones(theta_new, v) - log_density_all_ones(theta_old, v)
-            full = rj_log_acceptance_terms(col_old, theta_old, col_new, theta_new, target,
-                                           succ[:, 0], totals, prior, v)
-            assert short == pytest.approx(full, rel=1e-10, abs=1e-10)
+            for i in range(n_items):
+                old, new = theta_old[i, :col_old[i].max()], theta_new[i, :col_new[i].max()]
+                full = rj_log_acceptance_terms(col_old[i], old, col_new[i], new,
+                                               int(targets[i]), succ[i], totals, prior, v)
+                assert short[i] == pytest.approx(full, rel=1e-10, abs=1e-10)
+                # a class in neither the moved class's source set nor its
+                # destination keeps its value
+                t = targets[i]
+                kept = (col_old[i] != col_old[i, t]) & (col_new[i] != col_new[i, t])
+                assert np.array_equal(new[col_new[i, kept] - 1], old[col_old[i, kept] - 1])
+                assert np.isnan(theta_new[i, col_new[i].max():]).all()
 
     def test_zeta_without_mass_on_the_start_leaves_it(self):
         # the all-distinct start has zero prior mass here; the chain must
@@ -546,6 +604,18 @@ class TestRunChain:
         data, prior = self.small_inputs("fixed_zero")
         draws = run_chain(data, prior, McmcConfig(n_main=10, n_warmup=3, seed=1))
         assert draws.stats["theta_evals_per_update"] is None
+
+    def test_rj_accept_rate_counts_items_per_sweep(self):
+        # a one-set proposal has density ratio 1, so every move is accepted;
+        # a rate over sweeps instead of item moves would read 3
+        rng = np.random.default_rng(5)
+        data = Dataset(rng.integers(0, 2, size=(30, 3)))
+        prior = PriorConfig.default(1, lam=0.5, v_mode="free")
+        draws = run_chain(data, prior, McmcConfig(n_main=10, n_warmup=3, seed=1))
+        assert draws.stats["rj_accept_rate"] == 1.0
+        prior = PriorConfig.default(4, lam=0.5, v_mode="free")
+        draws = run_chain(data, prior, McmcConfig(n_main=10, n_warmup=3, seed=1))
+        assert 0.0 < draws.stats["rj_accept_rate"] <= 1.0
 
     def test_same_seed_same_draws(self):
         data, prior = self.small_inputs()
