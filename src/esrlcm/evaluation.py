@@ -35,11 +35,11 @@ def _mixture_obs_loglik(x, pi, theta):
     total = 0.0
     for start in range(0, n_obs, rows):
         logp = kernels.class_loglik(x[start:start + rows], log_theta, log_one_minus_theta)
-        logp += log_pi
-        shift = logp.max(axis=1)
-        logp -= shift[:, None]
+        logp += log_pi[:, None]
+        shift = logp.max(axis=0)
+        logp -= shift
         np.exp(logp, out=logp)
-        total += float((np.log(logp.sum(axis=1)) + shift).sum())
+        total += float((np.log(logp.sum(axis=0)) + shift).sum())
         del logp  # so the next block's array does not coexist with this one
     return total / n_obs - float(np.log(n_draws))
 

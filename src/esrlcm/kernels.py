@@ -1,8 +1,11 @@
 """Hot numeric kernels of the sweep, in plain numpy.
 
 ``x`` is the float64, C-contiguous response matrix that ``Dataset`` keeps,
-so each kernel reads it once without a cast. ``categorical_rows`` consumes
-caller-supplied uniforms, so its draws are reproducible given those uniforms.
+so each kernel reads it once without a cast. The kernels are class-major:
+log likelihoods, logits and counts are (C, n) or (C, J) blocks, one row per
+class, so a per-class term is one row add and the membership draw makes no
+transposing copy. ``categorical_rows`` consumes caller-supplied uniforms, so
+its draws are reproducible given those uniforms.
 """
 
 import numpy as np
@@ -11,33 +14,35 @@ ACTIVE_BACKEND = "numpy"
 
 
 def class_loglik(x, log_theta, log_one_minus_theta):
-    """Per-observation, per-class Bernoulli log likelihood matrix (n x C).
+    """Per-class, per-observation Bernoulli log likelihood block (C x n).
 
     One matmul: x log(theta) + (1 - x) log(1 - theta) regrouped as
-    x (log(theta) - log(1 - theta)) + sum_j log(1 - theta). Both parameter
+    (log(theta) - log(1 - theta)) x' + sum_j log(1 - theta). Both parameter
     blocks are made C-contiguous first, so the result has the same bits
-    whatever the memory layout of the arguments. The sum is added in place,
-    so the result is the only n x C temporary.
+    whatever the memory layout of the arguments. The result is C-contiguous
+    and the sum is added in place, one row per class, so the result is the
+    only C x n temporary.
     """
     log_theta = np.ascontiguousarray(log_theta)
     log_one_minus_theta = np.ascontiguousarray(log_one_minus_theta)
-    out = x @ (log_theta - log_one_minus_theta).T
-    out += log_one_minus_theta.sum(axis=1)
+    out = (log_theta - log_one_minus_theta) @ x.T
+    out += log_one_minus_theta.sum(axis=1)[:, None]
     return out
 
 
 def categorical_rows(logp, u):
-    """Sample one category per row of unnormalized log probabilities.
+    """Sample one category per column of a (K, n) block of unnormalized log
+    probabilities.
 
-    Row i is normalized by max-subtraction and the draw consumes ``u[i]``:
-    it picks the first category whose cumulative weight reaches
-    ``u[i]`` times the row total. The work runs in place on one contiguous
-    C x n copy, so ``logp`` is left as it was. The running sums and the pick
-    count advance one whole row of n at a time, faster than numpy's axis-0
-    ``cumsum`` and ``sum``; the additions and their order are the row-wise
-    ones.
+    Column i is normalized by max-subtraction and the draw consumes ``u[i]``:
+    it picks the first category whose cumulative weight reaches ``u[i]``
+    times the column total. The work runs in place on one C-contiguous copy,
+    so ``logp`` is left as it was; a C-contiguous ``logp`` is copied without
+    a transpose. The running sums and the pick count advance one whole row
+    of n at a time, faster than numpy's axis-0 ``cumsum`` and ``sum``; the
+    additions and their order are the per-observation ones.
     """
-    cum = np.array(logp.T, order="C")
+    cum = np.array(logp, order="C")
     cum -= cum.max(axis=0)
     np.exp(cum, out=cum)
     for c in range(1, len(cum)):

@@ -232,7 +232,7 @@ def _propose_columns(items, state, succ_items, totals, prior, rng):
     targets = rng.integers(state.base.n_classes, size=items.size)
     columns = state.base.labels[:, items].T
     labels, log_w = _column_menu(columns, targets, succ_items, totals, prior)
-    picks = kernels.categorical_rows(log_w, rng.random(items.size))
+    picks = kernels.categorical_rows(log_w.T, rng.random(items.size))
     return targets, columns, _relabel(columns, targets, labels[np.arange(items.size), picks])
 
 
@@ -421,7 +421,7 @@ def _update_all_memberships(state, data, rng):
     # batched draw equals per-observation Gibbs.
     theta = state.theta_matrix()
     loglik = kernels.class_loglik(data.x, np.log(theta), np.log1p(-theta))
-    loglik += np.log(state.pi)
+    loglik += np.log(state.pi)[:, None]
     state.memberships = kernels.categorical_rows(loglik, rng.random(data.n))
     return state
 

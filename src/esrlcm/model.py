@@ -122,6 +122,23 @@ class Dataset:
 
     @classmethod
     def from_csv(cls, path) -> "Dataset":
+        """Read a data CSV.
+
+        A file in the layout ``to_csv`` writes (after the header line, one
+        digit per item, each followed by a comma or, last on its row, a
+        newline) is read as raw bytes: the separators are checked where
+        ``to_csv`` puts them and every other byte is a response. Any other
+        file, such as one with CRLF line ends, no final newline, blank lines,
+        spaces or multi-character fields, is parsed by ``np.loadtxt``. A
+        header-only file gives a (0, J) dataset.
+        """
+        with open(path, "rb") as fh:
+            width = 2 * len(fh.readline().strip().split(b","))
+            body = fh.read()
+        if len(body) % width == 0 and b"\n\n" not in body:
+            rows = np.frombuffer(body, dtype=np.uint8).reshape(-1, width)
+            if (rows[:, 1:-1:2] == ord(",")).all() and (rows[:, -1] == ord("\n")).all():
+                return cls(rows[:, 0::2] - ord("0"))  # the 0/1 check rejects any other byte
         with open(path) as fh:
             n_items = len(fh.readline().strip().split(","))
             has_rows = any(map(str.strip, fh))  # stops at the first row

@@ -130,9 +130,10 @@ def predictive_loglik_per_draw(draws, holdout) -> float:
     """
     running = None
     for pi, theta in zip(draws.pi, draws.theta_matrices()):
-        logp = kernels.class_loglik(holdout.x, np.log(theta), np.log1p(-theta)) + np.log(pi)
-        shift = logp.max(axis=1, keepdims=True)
-        logp = np.log(np.exp(logp - shift).sum(axis=1)) + shift[:, 0]
+        logp = kernels.class_loglik(holdout.x, np.log(theta), np.log1p(-theta))
+        logp += np.log(pi)[:, None]
+        shift = logp.max(axis=0)
+        logp = np.log(np.exp(logp - shift).sum(axis=0)) + shift
         running = logp if running is None else np.logaddexp(running, logp)
     return float((running - np.log(draws.n_draws)).mean())
 
@@ -166,7 +167,7 @@ def gibbs_update_c(i, state, data, rng):
     x_i = data.x[i].astype(np.float64)
     loglik = x_i @ np.log(theta).T + (1.0 - x_i) @ np.log1p(-theta).T
     logp = np.log(state.pi) + loglik
-    state.memberships[i] = kernels.categorical_rows(logp[None, :], rng.random(1))[0]
+    state.memberships[i] = kernels.categorical_rows(logp[:, None], rng.random(1))[0]
     return state
 
 

@@ -296,6 +296,17 @@ class TestMetricsCommand:
         assert "error: the holdout has no observations" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("digit", ["2", "a"])
+    def test_holdout_with_bad_digit_rejected(self, small_fit, capsys, digit):
+        tmp_path, truth_json, draws = small_fit
+        holdout, out = tmp_path / "bad.csv", tmp_path / "metrics.json"
+        Dataset(np.zeros((3, 32), dtype=int)).to_csv(holdout)
+        holdout.write_bytes(holdout.read_bytes()[:-2] + f"{digit}\n".encode())
+        assert cli.main(["metrics", "--truth", str(truth_json), "--draws", str(draws),
+                         "--holdout", str(holdout), "--out", str(out)]) == 1
+        assert "error: all responses must be 0 or 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_truth_with_other_class_count_rejected(self, small_fit, capsys):
         tmp_path, _, draws = small_fit
         truth5 = tmp_path / "truth5.json"

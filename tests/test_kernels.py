@@ -9,7 +9,7 @@ def random_inputs(seed, n=200, n_classes=5, n_items=7):
     x = rng.integers(0, 2, size=(n, n_items)).astype(np.int8)
     theta = rng.uniform(0.05, 0.95, size=(n_classes, n_items))
     memberships = rng.integers(0, n_classes, size=n)
-    logp = rng.normal(size=(n, n_classes))
+    logp = rng.normal(size=(n_classes, n))
     u = rng.random(n)
     return x, theta, memberships, logp, u
 
@@ -22,8 +22,8 @@ class TestBackendEquivalence:
         got = kernels.class_loglik(x, np.log(theta), np.log1p(-theta))
         ref = np.array([
             [sum(np.log(t[j]) if row[j] == 1 else np.log(1.0 - t[j]) for j in range(row.size))
-             for t in theta]
-            for row in x
+             for row in x]
+            for t in theta
         ])
         assert np.allclose(got, ref, atol=1e-10)
 
@@ -33,8 +33,8 @@ class TestBackendEquivalence:
         got = kernels.class_loglik(x, np.log(theta), np.log1p(-theta))
         ref = np.array([
             [sum(np.log(t[j]) if row[j] == 1.0 else np.log(1.0 - t[j]) for j in range(row.size))
-             for t in theta]
-            for row in x
+             for row in x]
+            for t in theta
         ])
         assert np.allclose(got, ref, rtol=0.0, atol=1e-10)
 
@@ -51,16 +51,33 @@ class TestBackendEquivalence:
         for n_classes in range(1, 18):
             _, _, _, logp, u = random_inputs(n_classes, n_classes=n_classes)
             rng = np.random.default_rng(n_classes)
-            # -inf entries, but never a whole row of them
+            # -inf entries, but never a whole column of them
+            n = logp.shape[1]
             logp[rng.random(logp.shape) < 0.3] = -np.inf
-            logp[np.arange(len(logp)), rng.integers(0, n_classes, len(logp))] = 0.0
+            logp[rng.integers(0, n_classes, n), np.arange(n)] = 0.0
             u[:30] = np.repeat([0.0, 0.5, 1.0 - 2.0**-53], 10)
             got = kernels.categorical_rows(logp, u)
             ref = []
-            for row, u_i in zip(logp, u):
-                cum = np.cumsum(np.exp(row - row.max()))
-                ref.append(next(c for c in range(row.size) if cum[c] >= u_i * cum[-1]))
+            for col, u_i in zip(logp.T, u):
+                cum = np.cumsum(np.exp(col - col.max()))
+                ref.append(next(c for c in range(col.size) if cum[c] >= u_i * cum[-1]))
             assert got.dtype == np.int64 and np.array_equal(got, ref), n_classes
+
+    @pytest.mark.parametrize("n", [0, 1, 300])
+    def test_class_loglik_is_class_major_and_c_contiguous(self, n):
+        x, theta, _, _, _ = random_inputs(7, n=n, n_classes=4, n_items=6)
+        got = kernels.class_loglik(x.astype(np.float64), np.log(theta), np.log1p(-theta))
+        assert got.shape == (4, n) and got.flags.c_contiguous
+
+    def test_categorical_rows_leaves_a_strided_view_unchanged(self):
+        _, _, _, logp, u = random_inputs(8, n=500, n_classes=6)
+        view = np.asfortranarray(logp)[:, ::2]  # (K, n) view, neither C- nor F-contiguous
+        assert not view.flags.c_contiguous and not view.flags.f_contiguous
+        before = view.copy()
+        got = kernels.categorical_rows(view, u[:view.shape[1]])
+        assert np.array_equal(view, before)
+        ref = kernels.categorical_rows(np.ascontiguousarray(view), u[:view.shape[1]])
+        assert np.array_equal(got, ref)
 
     def test_class_counts_match(self):
         x, _, memberships, _, _ = random_inputs(2)
@@ -76,7 +93,7 @@ class TestBackendEquivalence:
         succ, totals = kernels.class_counts(x, memberships, 2)
         assert succ.shape == (2, 3) and totals.shape == (2,)
         loglik = kernels.class_loglik(x, np.zeros((2, 3)), np.zeros((2, 3)))
-        assert loglik.shape == (0, 2)
+        assert loglik.shape == (2, 0)
 
 
 class TestSemantics:
@@ -88,7 +105,7 @@ class TestSemantics:
 
     def test_categorical_frequencies(self):
         rng = np.random.default_rng(3)
-        logp = np.tile(np.log([0.2, 0.5, 0.3]), (200_000, 1))
+        logp = np.tile(np.log([0.2, 0.5, 0.3])[:, None], (1, 200_000))
         picks = kernels.categorical_rows(logp, rng.random(200_000))
         freq = np.bincount(picks, minlength=3) / picks.size
         assert np.allclose(freq, [0.2, 0.5, 0.3], atol=0.005)

@@ -139,8 +139,8 @@ class TestBaseClassGibbsV0:
                 assert np.all(log_w[i, k:] == -np.inf)
                 ref_ws.append(ref_w)
             for u in (0.0, 0.5, np.nextafter(1.0, 0.0)):
-                picks = kernels.categorical_rows(log_w, np.full(n_items, u))
-                expected = [kernels.categorical_rows(w[None, :], np.array([u]))[0]
+                picks = kernels.categorical_rows(log_w.T, np.full(n_items, u))
+                expected = [kernels.categorical_rows(w[:, None], np.array([u]))[0]
                             for w in ref_ws]
                 assert picks.tolist() == expected
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -146,6 +147,63 @@ class TestThetaFromBase:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             theta_from_base([0.2], np.array([1, 2, 1]))
+
+
+class TestCsvReader:
+    """``Dataset.from_csv``: ``to_csv``'s byte layout is read from the raw
+    bytes, any other file by ``np.loadtxt``."""
+
+    @pytest.fixture
+    def loadtxt_calls(self, monkeypatch):
+        calls = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(1) or loadtxt(*a, **k))
+        return calls
+
+    @staticmethod
+    def loadtxt_reference(path):
+        return np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.int64, ndmin=2)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 1), (200, 5), (20000, 32)])
+    def test_byte_path_equals_loadtxt(self, tmp_path, shape, loadtxt_calls):
+        path = tmp_path / "d.csv"
+        Dataset(np.random.default_rng(sum(shape)).integers(0, 2, size=shape)).to_csv(path)
+        got = Dataset.from_csv(path)
+        assert loadtxt_calls == []
+        assert got.x.dtype == np.float64 and got.x.flags.c_contiguous
+        assert np.array_equal(got.x, Dataset(self.loadtxt_reference(path)).x)
+
+    @pytest.mark.parametrize("text", [
+        "item1,item2\r\n0,1\r\n1,1\r\n",  # CRLF line ends
+        "item1,item2\n0,1\n1,1",  # no final newline
+        "item1,item2\n0, 1\n1, 1\n",  # space after the comma
+        "item1,item2\n 0,1\n 1,1\n",  # space before the digit
+        "item1,item2\n00,1\n1,01\n",  # multi-character fields
+        "item1\n0\n1\n\n\n",  # blank lines, which a one-item layout could absorb
+    ])
+    def test_other_layouts_fall_back_to_loadtxt(self, tmp_path, text, loadtxt_calls):
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode())
+        got = Dataset.from_csv(path)
+        assert loadtxt_calls == [1]
+        assert np.array_equal(got.x, Dataset(self.loadtxt_reference(path)).x)
+        assert got.n == 2
+
+    @pytest.mark.parametrize("digit", ["2", "a"])
+    def test_bad_digit_rejected(self, tmp_path, digit, loadtxt_calls):
+        path = tmp_path / "d.csv"
+        path.write_bytes(f"item1,item2\n0,1\n1,{digit}\n".encode())
+        with pytest.raises(ValueError, match="0 or 1"):
+            Dataset.from_csv(path)
+        assert loadtxt_calls == []
+
+    def test_header_only_file(self, tmp_path):
+        path = tmp_path / "d.csv"
+        Dataset(np.empty((0, 3))).to_csv(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = Dataset.from_csv(path)
+        assert got.x.shape == (0, 3)
 
 
 class TestTypes:
