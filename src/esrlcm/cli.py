@@ -17,7 +17,8 @@ from .model import Dataset, PriorConfig, V_FREE
 from .repelled_beta import RepelledBetaParams, log_density_unnormalized
 
 PRIOR_KEYS = {"lambda", "zeta", "alpha_c", "d1", "d2", "max_v", "v_mode"}
-MCMC_KEYS = {"n_warmup", "n_main", "n_chains", "seed", "thin", "store_c_every"}
+MCMC_DEFAULTS = {"n_main": 1000, "n_warmup": 1000, "n_chains": 1, "seed": 0, "thin": 1,
+                 "store_c_every": 0}
 TOP_KEYS = {"model", "classes", "prior", "mcmc", "unrestricted", "paths"}
 PATH_KEYS = {"data", "out", "truth"}
 
@@ -32,6 +33,13 @@ def _reject_unknown(mapping, allowed, where):
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+def _json_int(value, key):
+    # a JSON bool is an int to Python, and int() would truncate a float
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, got {json.dumps(value)}")
+    return value
+
+
 def load_run_config(path):
     """Parse and validate a run configuration file."""
     with open(path) as fh:
@@ -39,7 +47,7 @@ def load_run_config(path):
     _reject_unknown(raw, TOP_KEYS, "config")
     if raw.get("model", "esrlcm") != "esrlcm":
         raise ConfigError(f"unsupported model {raw.get('model')!r}")
-    n_classes = int(raw["classes"])
+    n_classes = _json_int(raw["classes"], "classes")
     if n_classes < 1:
         raise ConfigError("classes must be >= 1")
 
@@ -62,17 +70,14 @@ def load_run_config(path):
         raise ConfigError(str(err)) from err
 
     mcmc_raw = dict(raw.get("mcmc", {}))
-    _reject_unknown(mcmc_raw, MCMC_KEYS, "mcmc")
+    _reject_unknown(mcmc_raw, set(MCMC_DEFAULTS), "mcmc")
+    settings = {key: _json_int(mcmc_raw.get(key, default), f"mcmc.{key}")
+                for key, default in MCMC_DEFAULTS.items()}
+    unrestricted = raw.get("unrestricted", False)
+    if not isinstance(unrestricted, bool):
+        raise ConfigError(f"unrestricted must be true or false, got {json.dumps(unrestricted)}")
     try:
-        config = mcmc.McmcConfig(
-            n_main=int(mcmc_raw.get("n_main", 1000)),
-            n_warmup=int(mcmc_raw.get("n_warmup", 1000)),
-            n_chains=int(mcmc_raw.get("n_chains", 1)),
-            seed=int(mcmc_raw.get("seed", 0)),
-            thin=int(mcmc_raw.get("thin", 1)),
-            store_c_every=int(mcmc_raw.get("store_c_every", 0)),
-            unrestricted=bool(raw.get("unrestricted", False)),
-        )
+        config = mcmc.McmcConfig(**settings, unrestricted=unrestricted)
     except ValueError as err:
         raise ConfigError(str(err)) from err
 

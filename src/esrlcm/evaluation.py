@@ -126,14 +126,6 @@ def mode_restrictions(draws: PosteriorDraws, perms=None) -> BaseClassMatrix:
     return BaseClassMatrix(np.column_stack(columns))
 
 
-def restriction_pairs(column) -> np.ndarray:
-    """Boolean vector over unordered class pairs: True when restricted."""
-    column = np.asarray(column)
-    n_classes = column.size
-    idx = np.triu_indices(n_classes, k=1)
-    return column[idx[0]] == column[idx[1]]
-
-
 def restriction_sensitivity_specificity(truth: BaseClassMatrix,
                                         estimate: BaseClassMatrix,
                                         alignment=None):
@@ -150,15 +142,14 @@ def restriction_sensitivity_specificity(truth: BaseClassMatrix,
         alignment = np.arange(truth.n_classes)
     alignment = np.asarray(alignment, dtype=np.int64)
 
-    hits_restricted = total_restricted = 0
-    hits_unrestricted = total_unrestricted = 0
-    for j in range(truth.n_items):
-        true_pairs = restriction_pairs(truth.column(j))
-        est_pairs = restriction_pairs(estimate.column(j)[alignment])
-        total_restricted += int(true_pairs.sum())
-        hits_restricted += int((true_pairs & est_pairs).sum())
-        total_unrestricted += int((~true_pairs).sum())
-        hits_unrestricted += int((~true_pairs & ~est_pairs).sum())
+    i, k = np.triu_indices(truth.n_classes, k=1)
+    estimate_labels = estimate.labels[alignment]
+    true_pairs = truth.labels[i] == truth.labels[k]  # class pair, item
+    est_pairs = estimate_labels[i] == estimate_labels[k]
+    total_restricted = int(true_pairs.sum())
+    total_unrestricted = true_pairs.size - total_restricted
+    hits_restricted = int((true_pairs & est_pairs).sum())
+    hits_unrestricted = int((~true_pairs & ~est_pairs).sum())
     sensitivity = hits_restricted / total_restricted if total_restricted else None
     specificity = hits_unrestricted / total_unrestricted if total_unrestricted else None
     return sensitivity, specificity

@@ -323,15 +323,9 @@ def _separating_merges(base, items, candidates, meter):
     # pad with fully merged columns for items past the separating prefix
     while len(chosen) < len(items):
         j = items[len(chosen)]
-        chosen.append(candidates[j][_fully_merged_index(candidates[j])])
+        # _set_partitions yields the one-group partition first
+        chosen.append(candidates[j][0])
     return chosen
-
-
-def _fully_merged_index(cands):
-    for i, cand in enumerate(cands):
-        if cand.max() == 1:
-            return i
-    return 0
 
 
 def exhaustive_search(base: BaseClassMatrix, m, budget: int = 5_000_000) -> IdentifiabilityReport:
@@ -493,14 +487,6 @@ def q_matrix_to_base(q) -> BaseClassMatrix:
         raise ValueError("at most 5 attributes supported (class count guard)")
     n_classes = 2 ** n_attr
     bits = (np.arange(n_classes)[:, None] >> np.arange(n_attr)[None, :]) & 1
-    columns = []
-    for j in range(n_items):
-        active = np.flatnonzero(q[j])
-        signatures = [tuple(bits[c, active]) for c in range(n_classes)]
-        columns.append(canonicalize(_signature_ids(signatures)))
-    return BaseClassMatrix(np.column_stack(columns))
-
-
-def _signature_ids(signatures):
-    seen = {}
-    return np.array([seen.setdefault(sig, len(seen) + 1) for sig in signatures], dtype=np.int64)
+    # a class's code packs the bits of the attributes the item loads on
+    codes = (bits[None] * q[:, None]) @ (1 << np.arange(n_attr))  # item, class
+    return BaseClassMatrix(canonicalize(codes).T)

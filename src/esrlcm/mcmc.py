@@ -1,13 +1,12 @@
-"""Posterior sampler: conjugate Gibbs sweeps, collapsed base class moves at
-v = 0, reversible jump base class moves at v > 0, and shrinkage slice
-updates of theta' and the repulsion exponent v.
+"""Posterior sampler: conjugate Gibbs sweeps, one reversible jump base class
+move (the collapsed Gibbs move at v = 0), and shrinkage slice updates of
+theta' and the repulsion exponent v.
 
 Each sweep updates, in order: all memberships, the class weights, then the
-base class columns and theta'. Both base moves take every item in one
-batched step: at v = 0 a collapsed move draws theta' conjugately; with v free
-a reversible jump move, which returns its number of accepted items, is
-followed by slice updates of theta' and v. Chains are reproducible given
-(seed, chain index).
+base class columns and theta'. The base move takes every item in one
+batched step and redraws theta' conjugately; with v free it accepts each
+item by its repelled beta density ratio and is followed by slice updates of
+theta' and v. Chains are reproducible given (seed, chain index).
 """
 
 import json
@@ -210,91 +209,77 @@ def _class_count_cache(state, data):
 # base class updates
 # ---------------------------------------------------------------------------
 
-def _draw_theta_v0(items, columns, state, succ_items, totals, rng):
-    """Conjugate theta' of every set of the given items' (J, C) columns at v = 0.
+def _conjugate_theta(columns, succ_items, totals, rng):
+    """NaN-padded theta' of every set of the (J, C) columns, each set drawn
+    from its conjugate beta under a uniform prior.
 
-    Given the columns, the sets' response probabilities are independent
-    betas, so one ``rng.beta`` call draws all of them, item by item in set
-    order. ``succ_items`` is (J, C), one row per item.
+    Given the columns and v = 0 the sets' response probabilities are
+    independent betas, so one ``rng.beta`` call draws all of them, item by
+    item in set order. ``succ_items`` is (J, C), one row per item.
     """
     s, f = _set_counts(columns, succ_items, totals)
     used = np.arange(columns.shape[1]) < columns.max(axis=1)[:, None]
     block = np.full(columns.shape, np.nan)
     block[used] = _clip_unit(rng.beta(1.0 + s[used], 1.0 + f[used]))
-    state.theta_prime[items] = block
+    return block
 
 
 def _propose_columns(items, state, succ_items, totals, prior, rng):
-    """The proposal both base moves share: in each item's row of the (J, C)
-    block, a uniformly chosen class takes a label drawn from the collapsed
-    v = 0 conditional over its menu. Returns the targets and the old and
-    new canonical columns."""
+    """In each item's row of the (J, C) block, a uniformly chosen class
+    takes a label drawn from the collapsed v = 0 conditional over its menu.
+    Returns the new canonical columns."""
     targets = rng.integers(state.base.n_classes, size=items.size)
     columns = state.base.labels[:, items].T
     labels, log_w = _column_menu(columns, targets, succ_items, totals, prior)
     picks = kernels.categorical_rows(log_w.T, rng.random(items.size))
-    return targets, columns, _relabel(columns, targets, labels[np.arange(items.size), picks])
+    return _relabel(columns, targets, labels[np.arange(items.size), picks])
 
 
-def gibbs_update_base_class_v0(items, state, data, prior, rng, counts=None):
-    """Collapsed Gibbs move on the partitions of one item or an index array
-    of items, valid at v = 0.
+def _base_move(items, state, data, prior, rng, counts):
+    """The base move of both v modes on one item or an index array of items.
 
-    Per item, :func:`_propose_columns` draws the exact full conditional with
-    theta' integrated out, then theta' is redrawn conjugately. The items are
-    independent given the memberships: both priors factor over items.
+    Each item's column comes from :func:`_propose_columns` and every set of
+    it takes a fresh theta' from :func:`_conjugate_theta`. In Green's
+    acceptance ratio (Green 1995, Biometrika 82(4)) the column weights,
+    partition priors, likelihoods and beta densities then cancel, leaving
+    the ratio of the normalized repelled beta densities of the new and old
+    theta'. Given the memberships and v the items are independent, so at
+    v > 0 each row accepts with its own uniform. At v = 0 the ratio is
+    identically 1: every row is accepted and no uniform is drawn, which
+    makes this the collapsed Gibbs move. Returns the number accepted.
     """
     succ, totals = counts if counts is not None else _class_count_cache(state, data)
     items = np.atleast_1d(items)
     succ_items = succ[:, items].T
-    _, _, columns = _propose_columns(items, state, succ_items, totals, prior, rng)
+    columns = _propose_columns(items, state, succ_items, totals, prior, rng)
+    theta = _conjugate_theta(columns, succ_items, totals, rng)
+    if state.v > 0:
+        log_acc = (repelled_beta.log_density_all_ones(theta, state.v)
+                   - repelled_beta.log_density_all_ones(state.theta_prime[items], state.v))
+        accepted = np.log(rng.random(items.size)) < log_acc
+        items, columns, theta = items[accepted], columns[accepted], theta[accepted]
     state.base.labels[:, items] = columns.T
-    _draw_theta_v0(items, columns, state, succ_items, totals, rng)
+    state.theta_prime[items] = theta
+    return items.size
+
+
+def gibbs_update_base_class_v0(items, state, data, prior, rng, counts=None):
+    """Collapsed Gibbs move on the partitions and theta' of one item or an
+    index array of items, valid at v = 0: :func:`_base_move`, which accepts
+    every proposal there. Returns ``state``."""
+    _base_move(items, state, data, prior, rng, counts)
     return state
-
-
-def _rj_theta_proposal(col_old, theta_old, col_new, targets, succ_items, totals, rng):
-    """NaN-padded theta' of the proposed (J, C) columns: every set carries
-    its value to its new label, and each row's destination set of the moved
-    class and what remains of its source are redrawn from their conjugate
-    betas, row by row in label order, in one ``rng.beta`` call."""
-    rows = np.arange(len(col_old))[:, None]
-    theta_new = np.full(col_old.shape, np.nan)
-    theta_new[rows, col_new - 1] = theta_old[rows, col_old - 1]
-    moved = col_old == col_old[rows, targets[:, None]]  # source set, target included
-    refresh = np.zeros(col_old.shape, dtype=bool)
-    refresh[np.nonzero(moved)[0], col_new[moved] - 1] = True
-    s, f = _set_counts(col_new, succ_items, totals)
-    theta_new[refresh] = _clip_unit(rng.beta(1.0 + s[refresh], 1.0 + f[refresh]))
-    return theta_new
 
 
 def rj_update_base_class(items, state, data, prior, rng, counts=None):
     """Reversible jump move on the partitions and theta' of one item or an
-    index array of items, for v > 0.
+    index array of items, for v > 0: :func:`_base_move`.
 
-    Columns come from :func:`_propose_columns`, theta' from
-    :func:`_rj_theta_proposal`. In Green's acceptance ratio the column
-    weights, partition priors, likelihood and beta proposal densities of the
-    refreshed sets cancel, leaving the ratio of the normalized repelled beta
-    densities of the new and old theta'. Given the memberships and v the
-    items are independent, so each row is its own MH move with its own
-    uniform. Returns ``(state, n_accepted)``; the name and the two-tuple are
-    kept because ``perfbench/tracing.py`` wraps this binding by name and
-    reads ``result[1]``.
+    Returns ``(state, n_accepted)``. Neither public move calls the other,
+    and the name and the two-tuple are kept, because ``perfbench/tracing.py``
+    wraps both bindings by name and reads ``result[1]`` here.
     """
-    succ, totals = counts if counts is not None else _class_count_cache(state, data)
-    items = np.atleast_1d(items)
-    succ_items = succ[:, items].T
-    targets, col_old, col_new = _propose_columns(items, state, succ_items, totals, prior, rng)
-    theta_old = state.theta_prime[items]
-    theta_new = _rj_theta_proposal(col_old, theta_old, col_new, targets, succ_items, totals, rng)
-    log_acc = (repelled_beta.log_density_all_ones(theta_new, state.v)
-               - repelled_beta.log_density_all_ones(theta_old, state.v))
-    accepted = np.log(rng.random(items.size)) < log_acc
-    state.base.labels[:, items[accepted]] = col_new[accepted].T
-    state.theta_prime[items[accepted]] = theta_new[accepted]
-    return state, int(accepted.sum())
+    return state, _base_move(items, state, data, prior, rng, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +475,8 @@ def run_chain(data: Dataset, prior: PriorConfig, config: McmcConfig,
         gibbs_update_pi(state, prior, rng)
         if prior.v_mode == V_FIXED_ZERO:
             if config.unrestricted:
-                _draw_theta_v0(items, state.base.labels.T, state, counts[0].T, counts[1], rng)
+                state.theta_prime = _conjugate_theta(state.base.labels.T, counts[0].T,
+                                                     counts[1], rng)
             else:
                 gibbs_update_base_class_v0(items, state, data, prior, rng, counts=counts)
         else:

@@ -262,29 +262,21 @@ def column_menu_loop(column, target, succ_j, totals, prior):
     return raw, np.asarray(log_w)
 
 
-def rj_log_acceptance_terms(col_old, theta_old, col_new, theta_new, target,
-                            succ_j, totals, prior, v):
+def rj_log_acceptance_terms(col_old, theta_old, col_new, theta_new, succ_j, totals, prior, v):
     """Reversible jump log acceptance ratio term by term.
 
     Sums the partition prior ratio, the normalized repelled beta ratio, the
-    item likelihood ratio, the beta proposal densities of the sets refreshed
-    by the reverse and the forward move, and the reverse-over-forward column
-    weight ratio. The refreshed sets are the moved class's destination and
-    what remains of its source.
+    item likelihood ratio, the conjugate beta proposal densities of every
+    set of the reverse and the forward move, and the reverse-over-forward
+    column weight ratio.
     """
     def loglik(col, theta):
         t = theta[col - 1]
         return succ_j @ np.log(t) + (totals - succ_j) @ np.log1p(-t)
 
-    def refreshed(col_from, col_to):
-        # labels in col_to of the sets the move from col_from to col_to redraws
-        rest = np.flatnonzero(col_from == col_from[target])
-        return {int(col_to[target])} | {int(col_to[c]) for c in rest if c != target}
-
-    def proposal(col, theta, labels):
+    def proposal(col, theta):
         succ, fail = _set_counts(col, succ_j, totals)
-        return sum(sp_beta.logpdf(theta[k - 1], 1.0 + succ[k - 1], 1.0 + fail[k - 1])
-                   for k in labels)
+        return sp_beta.logpdf(theta, 1.0 + succ, 1.0 + fail).sum()
 
     def log_weight(col):
         succ, fail = _set_counts(col, succ_j, totals)
@@ -294,7 +286,6 @@ def rj_log_acceptance_terms(col_old, theta_old, col_new, theta_new, target,
         base_vector_log_prior(col_new, prior) - base_vector_log_prior(col_old, prior)
         + log_density_all_ones(theta_new, v) - log_density_all_ones(theta_old, v)
         + loglik(col_new, theta_new) - loglik(col_old, theta_old)
-        + proposal(col_old, theta_old, refreshed(col_new, col_old))
-        - proposal(col_new, theta_new, refreshed(col_old, col_new))
+        + proposal(col_old, theta_old) - proposal(col_new, theta_new)
         + log_weight(col_old) - log_weight(col_new)
     )

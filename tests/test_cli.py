@@ -125,6 +125,37 @@ class TestFitCommand:
         bad.write_text(json.dumps(raw))
         assert cli.main(["fit", "--config", str(bad)]) == 1
 
+    @pytest.mark.parametrize("overrides, key", [
+        ({"unrestricted": "false"}, "unrestricted"),
+        ({"unrestricted": 0}, "unrestricted"),
+        ({"classes": 4.7}, "classes"),
+        ({"classes": True}, "classes"),
+        ({"classes": "2"}, "classes"),
+        ({"mcmc": {"n_main": 2.9}}, "mcmc.n_main"),
+        ({"mcmc": {"n_warmup": "5"}}, "mcmc.n_warmup"),
+        ({"mcmc": {"n_chains": True}}, "mcmc.n_chains"),
+        ({"mcmc": {"seed": 7.0}}, "mcmc.seed"),
+        ({"mcmc": {"thin": None}}, "mcmc.thin"),
+        ({"mcmc": {"store_c_every": [1]}}, "mcmc.store_c_every"),
+    ])
+    def test_config_values_of_the_wrong_json_type_rejected(self, toy_run, capsys,
+                                                           overrides, key):
+        tmp_path, _ = toy_run
+        config = write_config(tmp_path / "typed.json", tmp_path / "data.csv", tmp_path / "out",
+                              **overrides)
+        with pytest.raises(cli.ConfigError, match=key):
+            cli.load_run_config(config)
+        assert cli.main(["fit", "--config", str(config)]) == 1
+        assert f"error: {key} must be" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "draws_chain0.jsonl").exists()
+
+    def test_json_bool_unrestricted_accepted(self, toy_run):
+        tmp_path, _ = toy_run
+        for flag in (True, False):
+            config = write_config(tmp_path / "flag.json", tmp_path / "data.csv",
+                                  tmp_path / "out", unrestricted=flag)
+            assert cli.load_run_config(config)[1].unrestricted is flag
+
     def test_missing_data_file_fails(self, tmp_path):
         config = write_config(tmp_path / "c.json", tmp_path / "nope.csv", tmp_path / "o")
         assert cli.main(["fit", "--config", str(config)]) == 1

@@ -318,8 +318,9 @@ class TestReversibleJump:
 
 class TestReversibleJumpRatio:
     def test_density_ratio_equals_term_by_term_ratio(self):
-        # the partition priors, likelihoods, beta proposals and column
-        # weights cancel, leaving each row's repelled beta density ratio
+        # the partition priors, likelihoods, conjugate beta proposals of
+        # every set and column weights cancel, leaving each row's repelled
+        # beta density ratio
         rng = np.random.default_rng(41)
         for trial in range(300):
             n_classes = int(rng.integers(2, 9))
@@ -341,20 +342,41 @@ class TestReversibleJumpRatio:
             labels, log_w = mcmc._column_menu(col_old, targets, succ, totals, prior)
             picks = rng.integers(np.isfinite(log_w).sum(axis=1))
             col_new = mcmc._relabel(col_old, targets, labels[np.arange(n_items), picks])
-            theta_new = mcmc._rj_theta_proposal(col_old, theta_old, col_new, targets,
-                                                succ, totals, rng)
+            theta_new = mcmc._conjugate_theta(col_new, succ, totals, rng)
             short = log_density_all_ones(theta_new, v) - log_density_all_ones(theta_old, v)
             for i in range(n_items):
                 old, new = theta_old[i, :col_old[i].max()], theta_new[i, :col_new[i].max()]
                 full = rj_log_acceptance_terms(col_old[i], old, col_new[i], new,
-                                               int(targets[i]), succ[i], totals, prior, v)
+                                               succ[i], totals, prior, v)
                 assert short[i] == pytest.approx(full, rel=1e-10, abs=1e-10)
-                # a class in neither the moved class's source set nor its
-                # destination keeps its value
-                t = targets[i]
-                kept = (col_old[i] != col_old[i, t]) & (col_new[i] != col_new[i, t])
-                assert np.array_equal(new[col_new[i, kept] - 1], old[col_old[i, kept] - 1])
                 assert np.isnan(theta_new[i, col_new[i].max():]).all()
+
+    def test_at_v_zero_equals_the_collapsed_move(self):
+        # at v = 0 the density ratio is identically 1, so the reversible
+        # jump move accepts every row without a uniform: it is the collapsed
+        # Gibbs move, and both are the bare proposal, draw for draw
+        rng = np.random.default_rng(12)
+        n_classes, n_items = 5, 12
+        prior = PriorConfig.default(n_classes, lam=0.5)
+        data = Dataset(rng.integers(0, 2, size=(80, n_items)))
+        columns = [random_canonical_column(rng, n_classes) for _ in range(n_items)]
+        memberships = rng.integers(0, n_classes, size=data.n)
+        succ, totals = kernels.class_counts(data.x, memberships, n_classes)
+        items = np.arange(n_items)
+        states = [make_state(columns, [np.full(c.max(), 0.5) for c in columns], memberships)
+                  for _ in range(3)]
+        rngs = [np.random.default_rng(99) for _ in range(3)]
+        for _ in range(20):
+            gibbs_update_base_class_v0(items, states[0], data, prior, rngs[0])
+            _, n_accepted = rj_update_base_class(items, states[1], data, prior, rngs[1])
+            assert n_accepted == n_items
+            proposed = mcmc._propose_columns(items, states[2], succ.T, totals, prior, rngs[2])
+            states[2].base.labels[:] = proposed.T
+            states[2].theta_prime = mcmc._conjugate_theta(proposed, succ.T, totals, rngs[2])
+        for state, gen in zip(states[1:], rngs[1:]):
+            assert np.array_equal(state.base.labels, states[0].base.labels)
+            assert np.array_equal(state.theta_prime, states[0].theta_prime, equal_nan=True)
+            assert gen.bit_generator.state == rngs[0].bit_generator.state
 
     def test_zeta_without_mass_on_the_start_leaves_it(self):
         # the all-distinct start has zero prior mass here; the chain must
