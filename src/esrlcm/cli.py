@@ -6,6 +6,7 @@ runtime failures with status 1, and all outputs are machine readable.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, identifiability, mcmc, simulation
-from .model import Dataset, PriorConfig, V_FREE
+from .model import BaseClassMatrix, Dataset, PriorConfig, V_FREE
 from .repelled_beta import RepelledBetaParams, log_density_unnormalized
 
 PRIOR_KEYS = {"lambda", "zeta", "alpha_c", "d1", "d2", "max_v", "v_mode"}
@@ -159,8 +160,7 @@ def cmd_cv(args):
     grid = [prior]
     for lam in args.grid_lambda or []:
         if prior.lam is None or lam != prior.lam:
-            grid.append(PriorConfig(alpha_c=prior.alpha_c, lam=lam, d1=prior.d1,
-                                    d2=prior.d2, max_v=prior.max_v, v_mode=prior.v_mode))
+            grid.append(dataclasses.replace(prior, lam=lam, zeta=None))
     rows = evaluation.kfold_cv(data, grid, config, args.k, seed=args.fold_seed)
     table = [
         {
@@ -183,8 +183,6 @@ def cmd_check_id(args):
     if args.q_matrix:
         base = identifiability.q_matrix_to_base(raw)
     else:
-        from .model import BaseClassMatrix
-
         base = BaseClassMatrix.from_raw(raw)
     levels = np.full(base.n_items, args.levels, dtype=np.int64)
     if args.exhaustive:

@@ -2,7 +2,6 @@
 recovery metrics, and K-fold cross-validation."""
 
 import hashlib
-from dataclasses import replace
 
 import numpy as np
 
@@ -169,7 +168,8 @@ def kfold_cv(data: Dataset, prior_grid, config, k: int, seed: int = 0):
 
     Returns one (config, mean out-of-sample log likelihood per observation)
     row per grid entry. Observations are assigned to folds by a stable hash
-    of (seed, index).
+    of (seed, index); fold f's chain runs as chain index f of
+    ``config.seed``, so every fold has its own stream.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -185,8 +185,7 @@ def kfold_cv(data: Dataset, prior_grid, config, k: int, seed: int = 0):
         for fold in range(k):
             train = Dataset(data.x[folds != fold])
             test = Dataset(data.x[folds == fold])
-            fold_config = replace(config, seed=config.seed + fold)
-            draws = run_chain(train, prior, fold_config)
+            draws = run_chain(train, prior, config, chain_index=fold)
             total += predictive_loglik(draws, test) * test.n
         rows.append((prior, total / data.n))
     return rows

@@ -63,14 +63,24 @@ def _is_column_merge(column, merged_column) -> bool:
     return True
 
 
-def _distinct_rows(matrix) -> int:
-    if matrix.shape[1] == 0:
-        return 1 if matrix.shape[0] else 0
-    return len(set(map(tuple, matrix.tolist())))
-
-
 def _rows_unique(matrix) -> bool:
-    return _distinct_rows(matrix) == matrix.shape[0]
+    return len(set(map(tuple, matrix.tolist()))) == matrix.shape[0]
+
+
+def _refine(codes, column) -> tuple:
+    """Row codes after appending ``column`` to the columns ``codes`` encodes.
+
+    Two classes share a code exactly when they agree on every column
+    appended so far, so the number of distinct codes is the number of
+    distinct rows; start from ``(0,) * C`` for no columns.
+    """
+    seen = {}
+    return tuple(seen.setdefault((c, b), len(seen) + 1) for c, b in zip(codes, column.tolist()))
+
+
+def _stack(columns, n_classes) -> np.ndarray:
+    """Columns side by side; a (C, 0) matrix when there are none."""
+    return np.column_stack(columns) if columns else np.empty((n_classes, 0), dtype=np.int64)
 
 
 @dataclass
@@ -95,8 +105,7 @@ def check_conditions(base: BaseClassMatrix, m, partition, merged1, merged2) -> C
     parts = [np.asarray(part, dtype=np.int64) for part in partition]
     if len(parts) != 3:
         raise ValueError("partition must have exactly three parts")
-    joined = np.concatenate(parts) if any(p.size for p in parts) else np.array([], dtype=np.int64)
-    if sorted(joined.tolist()) != list(range(base.n_items)):
+    if sorted(np.concatenate(parts).tolist()) != list(range(base.n_items)):
         raise ValueError("partition must cover all items disjointly")
     merged = [np.asarray(merged1, dtype=np.int64), np.asarray(merged2, dtype=np.int64)]
     for k in (0, 1):
@@ -132,12 +141,12 @@ def check_conditions(base: BaseClassMatrix, m, partition, merged1, merged2) -> C
 # greedy search
 # ---------------------------------------------------------------------------
 
-def _merge_column(column, max_sets, running_matrix):
+def _merge_column(column, max_sets, codes):
     """Merge a column down to at most ``max_sets`` labels.
 
     At each step the pairs with the smallest combined population are the
     candidates; the pair whose merge keeps the most distinct rows in the
-    part's running matrix wins, lowest labels breaking ties.
+    part whose row codes are ``codes`` wins, lowest labels breaking ties.
     """
     col = column.copy()
     while col.max() > max_sets:
@@ -151,7 +160,7 @@ def _merge_column(column, max_sets, running_matrix):
             if total != smallest:
                 continue
             cand = canonicalize(np.where(col == b, a, col))
-            score = _distinct_rows(np.column_stack([running_matrix, cand]))
+            score = len(set(_refine(codes, cand)))
             if best is None or score > best[0]:
                 best = (score, cand)
         col = best[1]
@@ -171,48 +180,28 @@ def _greedy_assign(base, m, third_first):
     """
     n_classes = base.n_classes
     order = sorted(range(base.n_items), key=lambda j: -base.n_base(j))
+    columns = ({}, {}, {})  # per part: item -> the column it contributes
+    codes = [(0,) * n_classes] * 3
 
-    part_items = ([], [], [])
-    part_cols = ([], [], [])
-    distinct = [1, 1, 1]
+    def take(k, j, column):
+        refined = _refine(codes[k], column)
+        if len(set(refined)) <= len(set(codes[k])):
+            return False
+        columns[k][j] = column
+        codes[k] = refined
+        return True
+
     for j in order:
-        if third_first and distinct[2] < n_classes:
-            running = (
-                np.column_stack(part_cols[2]) if part_cols[2]
-                else np.empty((n_classes, 0), dtype=np.int64)
-            )
-            score = _distinct_rows(np.column_stack([running, base.column(j)]))
-            if score > distinct[2]:
-                part_items[2].append(j)
-                part_cols[2].append(base.column(j))
-                distinct[2] = score
-                continue
-        placed = False
-        for k in (0, 1):
-            running = (
-                np.column_stack(part_cols[k]) if part_cols[k]
-                else np.empty((n_classes, 0), dtype=np.int64)
-            )
-            merged_col = _merge_column(base.column(j), m[j], running)
-            score = _distinct_rows(np.column_stack([running, merged_col]))
-            if score > distinct[k]:
-                part_items[k].append(j)
-                part_cols[k].append(merged_col)
-                distinct[k] = score
-                placed = True
-                break
-        if not placed:
-            part_items[2].append(j)
-            part_cols[2].append(base.column(j))
+        if third_first and len(set(codes[2])) < n_classes and take(2, j, base.column(j)):
+            continue
+        if not any(take(k, j, _merge_column(base.column(j), m[j], codes[k])) for k in (0, 1)):
+            # part 3's codes are left as they are: they are read only under
+            # third_first while below C, and then this column just failed to
+            # split any of part 3's rows
+            columns[2][j] = base.column(j)
 
-    tripartition = tuple(tuple(sorted(items)) for items in part_items)
-    merged = []
-    for k in (0, 1):
-        ordering = np.argsort(part_items[k])
-        cols = [part_cols[k][i] for i in ordering]
-        merged.append(
-            np.column_stack(cols) if cols else np.empty((n_classes, 0), dtype=np.int64)
-        )
+    tripartition = tuple(tuple(sorted(part)) for part in columns)
+    merged = [_stack([columns[k][j] for j in sorted(columns[k])], n_classes) for k in (0, 1)]
     return tripartition, merged
 
 
@@ -293,12 +282,6 @@ def _separating_merges(base, items, candidates, meter):
     n_classes = base.n_classes
     memo = {}
 
-    def refine(state, cand):
-        seen = {}
-        return tuple(
-            seen.setdefault((s, b), len(seen) + 1) for s, b in zip(state, cand.tolist())
-        )
-
     def dfs(pos, state):
         if len(set(state)) == n_classes:
             return []
@@ -310,14 +293,14 @@ def _separating_merges(base, items, candidates, meter):
         result = None
         for cand in candidates[items[pos]]:
             meter.spend()
-            tail = dfs(pos + 1, refine(state, cand))
+            tail = dfs(pos + 1, _refine(state, cand))
             if tail is not None:
                 result = [cand] + tail
                 break
         memo[key] = result
         return result
 
-    chosen = dfs(0, (1,) * n_classes)
+    chosen = dfs(0, (0,) * n_classes)
     if chosen is None:
         return None
     # pad with fully merged columns for items past the separating prefix
@@ -377,14 +360,7 @@ def exhaustive_search(base: BaseClassMatrix, m, budget: int = 5_000_000) -> Iden
             merges2 = part12_merges(mask2)
             if merges2 is not None and part3_ok(rest & ~mask2):
                 parts = (items_of(mask1), items_of(mask2), items_of(rest & ~mask2))
-                merged1 = (
-                    np.column_stack(merges1) if merges1
-                    else np.empty((n_classes, 0), dtype=np.int64)
-                )
-                merged2 = (
-                    np.column_stack(merges2) if merges2
-                    else np.empty((n_classes, 0), dtype=np.int64)
-                )
+                merged1, merged2 = _stack(merges1, n_classes), _stack(merges2, n_classes)
                 check = check_conditions(base, m, parts, merged1, merged2)
                 if check.ok:
                     return IdentifiabilityReport(

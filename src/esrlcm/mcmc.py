@@ -6,7 +6,9 @@ Each sweep updates, in order: all memberships, the class weights, then the
 base class columns and theta'. The base move takes every item in one
 batched step and redraws theta' conjugately; with v free it accepts each
 item by its repelled beta density ratio and is followed by slice updates of
-theta' and v. Chains are reproducible given (seed, chain index).
+theta' and v. Chain k draws from child k of ``SeedSequence(seed)``, so
+chains are reproducible given (seed, chain index) and no two (seed, chain
+index) pairs share a stream.
 """
 
 import json
@@ -460,7 +462,7 @@ def run_chain(data: Dataset, prior: PriorConfig, config: McmcConfig,
     included (None at v = 0).
     """
     _check_start_reachable(prior, config)
-    rng = np.random.default_rng(config.seed ^ chain_index)
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(chain_index,)))
     state = _initial_state(data, prior, rng)
     items = np.arange(data.n_items)
 
@@ -539,7 +541,8 @@ def _run_chain_worker(args):
 def run_chains(data, prior, config, n_threads=None):
     """Run ``config.n_chains`` independent chains, in parallel when allowed.
 
-    Chain k is seeded as ``config.seed ^ k``. ``n_threads`` defaults to
+    Chain k draws from child k of ``SeedSequence(config.seed)``, the
+    stream ``SeedSequence.spawn`` would give it. ``n_threads`` defaults to
     ``ESRLCM_THREADS``, else the CPU count. File output is left to the
     caller so that all writes happen in one place.
     """

@@ -73,21 +73,6 @@ def bell(n_classes: int) -> int:
     return sum(_stirling_row(n_classes)[1:])
 
 
-def all_partition_columns(n_classes: int):
-    """All canonical partition columns of ``n_classes`` classes, lexicographic."""
-    columns = []
-
-    def grow(prefix, n_used):
-        if len(prefix) == n_classes:
-            columns.append(np.array(prefix, dtype=np.int64))
-            return
-        for label in range(1, n_used + 2):
-            grow(prefix + [label], max(n_used, label))
-
-    grow([1], 1)
-    return columns
-
-
 # ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------

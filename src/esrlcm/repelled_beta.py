@@ -115,8 +115,7 @@ def log_density_all_ones(rho, v: float):
             + log_gap_term(rho, v))
 
 
-def sample(params: RepelledBetaParams, rng, max_attempts: int = 1_000_000,
-           return_attempts: bool = False):
+def sample(params: RepelledBetaParams, rng, max_attempts: int = 1_000_000):
     """Exact draw by rejection from independent beta proposals.
 
     A proposal is accepted with probability ``prod(gaps)**v``, a valid
@@ -138,8 +137,7 @@ def sample(params: RepelledBetaParams, rng, max_attempts: int = 1_000_000,
         return rng.beta(a1, a2, size=(k, m))
 
     if m == 1 or params.v == 0.0:
-        draw = propose(1)[0]
-        return (draw, 1) if return_attempts else draw
+        return propose(1)[0]
 
     attempts = 0
     batch = 64
@@ -151,9 +149,7 @@ def sample(params: RepelledBetaParams, rng, max_attempts: int = 1_000_000,
         accepted = np.log(rng.random(k)) < log_acc
         hit = int(accepted.argmax())  # the first acceptance, or 0 when none
         if accepted[hit]:
-            attempts += hit + 1
-            draw = props[hit]
-            return (draw, attempts) if return_attempts else draw
+            return props[hit]
         attempts += k
         batch = min(batch * 4, 65536)
     raise SamplingError(

@@ -36,25 +36,14 @@ def fixture_base_matrix(n_classes: int) -> BaseClassMatrix:
     return BaseClassMatrix.from_raw(table.T)
 
 
-def gen_theta(column) -> np.ndarray:
-    """Evenly spaced response probabilities for one canonical column.
-
-    Set b of B receives (2b - 1) / (2B), so the endpoints are 1/(2B) and
-    1 - 1/(2B) inclusive.
-    """
-    column = np.asarray(column)
-    n_sets = int(column.max())
-    return (2.0 * np.arange(1, n_sets + 1) - 1.0) / (2.0 * n_sets)
-
-
 def _fixture_theta_prime(n_classes: int) -> np.ndarray:
     """Truth theta' as a (J, C) block indexed by canonical label, NaN past
     each item's set count.
 
     The evenly spaced values attach to the fixture's printed labels (printed
     label t gets (2t + 1) / (2B)), then follow each label through
-    canonicalization. Where the printed order happens to be first-occurrence
-    order this coincides with :func:`gen_theta`.
+    canonicalization, so an item's B sets take the values (2b - 1) / (2B),
+    b = 1..B, in some order.
     """
     printed = _load_fixture_table(n_classes)[:, :n_classes]
     columns = fixture_base_matrix(n_classes).labels.T

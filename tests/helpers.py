@@ -61,6 +61,21 @@ def iter_set_partitions(items):
         yield [[head]] + sub
 
 
+def all_partition_columns(n_classes: int):
+    """All canonical partition columns of ``n_classes`` classes, lexicographic."""
+    columns = []
+
+    def grow(prefix, n_used):
+        if len(prefix) == n_classes:
+            columns.append(np.array(prefix, dtype=np.int64))
+            return
+        for label in range(1, n_used + 2):
+            grow(prefix + [label], max(n_used, label))
+
+    grow([1], 1)
+    return columns
+
+
 def random_canonical_column(rng, n_classes):
     return canonicalize(rng.integers(1, n_classes + 1, size=n_classes))
 

@@ -23,7 +23,6 @@ from esrlcm.model import (
     Dataset,
     ModelState,
     PriorConfig,
-    all_partition_columns,
     base_vector_log_prior,
     bell,
     full_log_joint,
@@ -31,6 +30,7 @@ from esrlcm.model import (
 )
 
 from helpers import (
+    all_partition_columns,
     expected_rho,
     iter_set_partitions,
     normalizer_all_ones,

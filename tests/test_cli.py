@@ -366,6 +366,33 @@ class TestCvCommand:
         for row in table["results"]:
             assert np.isfinite(row["mean_predictive_loglik"])
 
+    @pytest.mark.parametrize("prior_raw", [
+        {"lambda": 1.0},
+        {"zeta": [0.25, 0.75]},
+    ])
+    def test_grid_priors_keep_the_config_fields(self, tmp_path, monkeypatch, prior_raw):
+        seen = []
+
+        def fake_kfold_cv(data, grid, config, k, seed=0):
+            seen.extend(grid)
+            return [(prior, 0.0) for prior in grid]
+
+        monkeypatch.setattr(evaluation, "kfold_cv", fake_kfold_cv)
+        Dataset(np.zeros((6, 2), dtype=np.int64)).to_csv(tmp_path / "d.csv")
+        prior = {"alpha_c": [2.0, 3.0], "d1": 0.5, "d2": 4.0, "max_v": 1.5,
+                 "v_mode": "fixed_zero", **prior_raw}
+        config = write_config(tmp_path / "c.json", tmp_path / "d.csv", tmp_path / "o")
+        raw = json.loads(config.read_text())
+        raw["prior"] = prior
+        config.write_text(json.dumps(raw))
+        assert cli.main(["cv", "--config", str(config), "--k", "2",
+                         "--grid-lambda", "0.5", "--out", str(tmp_path / "cv.json")]) == 0
+        base, grid_prior = seen
+        assert grid_prior.lam == 0.5 and grid_prior.zeta is None
+        for key in ("d1", "d2", "max_v", "v_mode"):
+            assert getattr(grid_prior, key) == getattr(base, key) == prior[key]
+        assert grid_prior.alpha_c.tolist() == base.alpha_c.tolist() == [2.0, 3.0]
+
 
 # Run in a fresh interpreter: which scipy modules each command loads.
 STARTUP_SCRIPT = """

@@ -214,6 +214,21 @@ class TestKfoldCv:
         assert not np.array_equal(a, ev.fold_assignments(8, 100, 5))
         assert a.min() >= 0 and a.max() < 5
 
+    def test_each_fold_gets_its_own_chain_index(self, monkeypatch):
+        # seeding fold k with seed + k made fold 1 of seed 6 fold 0 of seed 7
+        calls = []
+
+        def fake_run_chain(train, prior, config, chain_index=0):
+            calls.append((config.seed, chain_index))
+
+        monkeypatch.setattr(ev, "run_chain", fake_run_chain)
+        monkeypatch.setattr(ev, "predictive_loglik", lambda draws, test: 0.0)
+        data = Dataset(np.zeros((40, 2), dtype=np.int64))
+        prior = PriorConfig.default(1, lam=1.0, v_mode="fixed_zero")
+        ev.kfold_cv(data, [prior], McmcConfig(n_main=5, seed=6), k=4)
+        assert [seed for seed, _ in calls] == [6] * 4
+        assert sorted(index for _, index in calls) == [0, 1, 2, 3]
+
     def test_rejects_small_problems(self):
         data = Dataset(np.array([[1], [0]]))
         prior = PriorConfig.default(1, lam=1.0, v_mode="fixed_zero")

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from esrlcm.identifiability import (
     q_matrix_to_base,
 )
 from esrlcm.model import BaseClassMatrix
+from esrlcm.simulation import fixture_base_matrix
 
 from helpers import is_merged_of, random_canonical_column
 
@@ -249,3 +253,57 @@ class TestItemLevels:
         with pytest.raises(ValueError, match="at least 2"):
             greedy_search(base, [2, 1])
         assert greedy_search(base, [2, 3]) is not None
+
+
+# Recorded search reports: `check-id` output is part of the CLI contract, so
+# a change to the search code must leave every one of them unchanged.
+_TRUE_DIAGNOSTICS = {
+    "level_bounds": [True, True], "merge_relation": [True, True],
+    "pattern_capacity": [True, True], "third_part_rows_unique": True,
+    "unique_rows": [True, True],
+}
+GOLDEN_EXAMPLE_GREEDY = {
+    "diagnostics": _TRUE_DIAGNOSTICS, "status": "Identifiable",
+    "witness": {
+        "merged1": [[1, 1], [2, 1], [2, 2], [1, 2], [3, 2]],
+        "merged2": [[1, 1], [2, 2], [3, 1], [2, 1], [1, 2]],
+        "tripartition": [[1, 2], [0, 3], [4, 5]],
+    },
+}
+GOLDEN_EXAMPLE_EXHAUSTIVE = {
+    "diagnostics": _TRUE_DIAGNOSTICS, "status": "Identifiable",
+    "witness": {
+        "merged1": [[1, 1], [2, 1], [3, 2], [2, 2], [1, 2]],
+        "merged2": [[1, 1], [2, 1], [3, 1], [1, 2], [3, 2]],
+        "tripartition": [[0, 2], [1, 4], [3, 5]],
+    },
+}
+GOLDEN_FIXTURES = {
+    4: ([1, 6], [7, 8],
+        "bfea7954785bfddde0a99fe2160bf7526aefbcbfefbd25e85179229efb6ea418"),
+    5: ([1, 6, 7], [8, 11, 18],
+        "f32cab9765901ebf74a4e6aa25a3973dd377bbdc2b7237435272628c229dcb44"),
+    8: ([2, 7, 11], [14, 19, 24],
+        "3314c6c2af50e37d8a96df68d0155c1416abf2d2816df7fd9a66bb43dd95d8fe"),
+    11: ([2, 7, 11, 14, 19, 24], [9, 18, 21, 22, 26],
+         "0cb042f03b02e452b3d4a9d009818a0806db49c06f9b73ee25fdf30ca8826d17"),
+    16: ([2, 7, 11, 14, 19, 24], [0, 9, 18, 21, 22, 26, 30],
+         "92ab3dd82f22062e200858a56f03d1bc9f9b10c09f1237ab2c0bbee2ab0e4d4c"),
+}
+
+
+class TestGoldenWitnesses:
+    def test_worked_example_reports(self):
+        assert greedy_search(EXAMPLE_B, EXAMPLE_M).to_dict() == GOLDEN_EXAMPLE_GREEDY
+        assert exhaustive_search(EXAMPLE_B, EXAMPLE_M).to_dict() == GOLDEN_EXAMPLE_EXHAUSTIVE
+
+    @pytest.mark.parametrize("n_classes", sorted(GOLDEN_FIXTURES))
+    def test_fixture_greedy_reports(self, n_classes):
+        part1, part2, digest = GOLDEN_FIXTURES[n_classes]
+        part3 = sorted(set(range(32)) - set(part1) - set(part2))
+        base = fixture_base_matrix(n_classes)
+        report = greedy_search(base, np.full(base.n_items, 2))
+        payload = report.to_dict()
+        assert payload["witness"]["tripartition"] == [part1, part2, part3]
+        text = json.dumps(payload, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -19,7 +19,6 @@ from esrlcm.model import (
     Dataset,
     ModelState,
     PriorConfig,
-    all_partition_columns,
     base_vector_log_prior,
     full_log_joint,
     pad_theta_prime,
@@ -27,6 +26,7 @@ from esrlcm.model import (
 from esrlcm.repelled_beta import RepelledBetaParams, log_density_all_ones
 
 from helpers import (
+    all_partition_columns,
     collapsed_item_loglik_v0,
     column_menu_loop,
     expected_rho,
@@ -653,6 +653,15 @@ class TestRunChain:
         a = run_chain(data, prior, config, chain_index=0)
         b = run_chain(data, prior, config, chain_index=1)
         assert not np.array_equal(a.log_joint, b.log_joint)
+
+    @pytest.mark.parametrize("v_mode", ["free", "fixed_zero"])
+    def test_no_stream_shared_across_seeds(self, v_mode):
+        # seeding chain k with seed XOR k made chain 1 of seed 7 chain 0 of seed 6
+        data, prior = self.small_inputs(v_mode)
+        a = run_chain(data, prior, McmcConfig(n_main=20, seed=7), chain_index=1)
+        b = run_chain(data, prior, McmcConfig(n_main=20, seed=6), chain_index=0)
+        assert not np.array_equal(a.log_joint, b.log_joint)
+        assert not np.array_equal(a.pi, b.pi)
 
     def test_stored_columns_canonical_and_log_joint_consistent(self):
         data, prior = self.small_inputs()

@@ -20,7 +20,7 @@ from esrlcm.model import (
     stirling2,
 )
 
-from helpers import iter_set_partitions, oracle_full_log_joint, random_state, theta_from_base
+from helpers import all_partition_columns, iter_set_partitions, oracle_full_log_joint, random_state, theta_from_base
 
 
 class TestCanonicalize:
@@ -112,7 +112,7 @@ class TestCounting:
 class TestBasePrior:
     def test_uniform_when_lambda_one(self):
         prior = PriorConfig.default(3, lam=1.0)
-        for col in em.all_partition_columns(3):
+        for col in all_partition_columns(3):
             assert base_vector_log_prior(col, prior) == pytest.approx(np.log(1 / 5))
 
     def test_lambda_half(self):
@@ -133,7 +133,7 @@ class TestBasePrior:
         ):
             total = sum(
                 np.exp(base_vector_log_prior(col, prior))
-                for col in em.all_partition_columns(n_classes)
+                for col in all_partition_columns(n_classes)
             )
             assert total == pytest.approx(1.0)
 

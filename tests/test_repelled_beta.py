@@ -122,11 +122,6 @@ class TestSampling:
         with pytest.raises(rb.SamplingError):
             rb.sample(p, rng, max_attempts=50)
 
-    def test_return_attempts(self):
-        rng = np.random.default_rng(1)
-        _, attempts = rb.sample(params(np.ones((3, 2)), 1.0), rng, return_attempts=True)
-        assert attempts >= 1
-
 
 class TestGapsDistribution:
     def test_uniform_order_statistics(self):

@@ -49,26 +49,6 @@ class TestFixtureTables:
         assert counts.min() >= 2
 
 
-class TestGenTheta:
-    def test_single_set(self):
-        assert sim.gen_theta(np.array([1, 1])).tolist() == [0.5]
-
-    def test_two_sets(self):
-        assert sim.gen_theta(np.array([1, 2])).tolist() == [0.25, 0.75]
-
-    def test_four_sets(self):
-        assert np.allclose(sim.gen_theta(np.array([1, 2, 3, 4])),
-                           [0.125, 0.375, 0.625, 0.875])
-
-    def test_increasing_and_symmetric_on_all_fixture_columns(self):
-        for n_classes in sim.SUPPORTED_CLASS_COUNTS:
-            base = sim.fixture_base_matrix(n_classes)
-            for j in range(base.n_items):
-                theta = sim.gen_theta(base.column(j))
-                assert np.all(np.diff(theta) > 0)
-                assert np.allclose(theta + theta[::-1], 1.0)
-
-
 class TestTruthTheta:
     def test_theta_attaches_to_printed_labels(self):
         # item 2 of the five-class table reads 2,3,1,0,3: printed label 0
@@ -84,10 +64,15 @@ class TestTruthTheta:
     def test_truth_values_match_even_spacing(self):
         data, truth = sim.simulate(4, 5, seed=0)
         assert truth.theta_matrix()[0, 2] == pytest.approx(0.25)
-        multisets = [sorted(t[~np.isnan(t)].tolist()) for t in truth.theta_prime]
-        for col, vals in zip(range(32), multisets):
-            expected = sorted(sim.gen_theta(truth.base.column(col)).tolist())
-            assert np.allclose(vals, expected)
+        # every item's B sets take (2b - 1) / (2B), b = 1..B, at every class count
+        for n_classes in sim.SUPPORTED_CLASS_COUNTS:
+            base = sim.fixture_base_matrix(n_classes)
+            theta_prime = sim._fixture_theta_prime(n_classes)
+            for j in range(base.n_items):
+                n_sets = base.n_base(j)
+                expected = (2.0 * np.arange(1, n_sets + 1) - 1.0) / (2.0 * n_sets)
+                assert np.allclose(np.sort(theta_prime[j, :n_sets]), expected)
+                assert np.isnan(theta_prime[j, n_sets:]).all()
 
 
 class TestSimulate:
