@@ -36,18 +36,24 @@ def fixture_base_matrix(n_classes: int) -> BaseClassMatrix:
     return BaseClassMatrix.from_raw(table.T)
 
 
+def _even_spacing(label, n_sets) -> np.ndarray:
+    """Response probability (2t + 1) / (2B) of 0-indexed set label t of B,
+    so sets 0..B-1 run evenly from 1/(2B) to 1 - 1/(2B). Broadcasts."""
+    return (2.0 * np.asarray(label) + 1.0) / (2.0 * np.asarray(n_sets))
+
+
 def _fixture_theta_prime(n_classes: int) -> np.ndarray:
     """Truth theta' as a (J, C) block indexed by canonical label, NaN past
     each item's set count.
 
     The evenly spaced values attach to the fixture's printed labels (printed
-    label t gets (2t + 1) / (2B)), then follow each label through
-    canonicalization, so an item's B sets take the values (2b - 1) / (2B),
+    label t gets (2t + 1) / (2B), see :func:`_even_spacing`), then follow
+    each label through canonicalization, so an item's B sets take the values (2b - 1) / (2B),
     b = 1..B, in some order.
     """
     printed = _load_fixture_table(n_classes)[:, :n_classes]
     columns = fixture_base_matrix(n_classes).labels.T
-    values = (2.0 * printed + 1.0) / (2.0 * columns.max(axis=1)[:, None])
+    values = _even_spacing(printed, columns.max(axis=1)[:, None])
     theta = np.full(columns.shape, np.nan)
     # classes sharing a printed label share a canonical one, so repeats agree
     theta[np.arange(columns.shape[0])[:, None], columns - 1] = values

@@ -49,6 +49,27 @@ class TestFixtureTables:
         assert counts.min() >= 2
 
 
+class TestGenTheta:
+    def test_single_set(self):
+        assert sim._even_spacing(np.arange(1), 1).tolist() == [0.5]
+
+    def test_two_sets(self):
+        assert sim._even_spacing(np.arange(2), 2).tolist() == [0.25, 0.75]
+
+    def test_four_sets(self):
+        assert np.allclose(sim._even_spacing(np.arange(4), 4),
+                           [0.125, 0.375, 0.625, 0.875])
+
+    def test_increasing_and_symmetric_on_all_fixture_columns(self):
+        for n_classes in sim.SUPPORTED_CLASS_COUNTS:
+            base = sim.fixture_base_matrix(n_classes)
+            theta_prime = sim._fixture_theta_prime(n_classes)
+            for j in range(base.n_items):
+                theta = np.sort(theta_prime[j, :base.n_base(j)])
+                assert np.all(np.diff(theta) > 0)
+                assert np.allclose(theta + theta[::-1], 1.0)
+
+
 class TestTruthTheta:
     def test_theta_attaches_to_printed_labels(self):
         # item 2 of the five-class table reads 2,3,1,0,3: printed label 0
