@@ -15,7 +15,6 @@ import numpy as np
 
 from . import evaluation, identifiability, mcmc, simulation
 from .model import BaseClassMatrix, Dataset, PriorConfig, V_FREE
-from .repelled_beta import RepelledBetaParams, log_density_unnormalized
 
 PRIOR_KEYS = {"lambda", "zeta", "alpha_c", "d1", "d2", "max_v", "v_mode"}
 MCMC_DEFAULTS = {"n_main": 1000, "n_warmup": 1000, "n_chains": 1, "seed": 0, "thin": 1,
@@ -95,9 +94,6 @@ def cmd_fit(args):
     prior, config, paths = load_run_config(args.config)
     if args.unrestricted:
         config.unrestricted = True
-    if args.dump_density_grid:
-        _dump_density_grid(prior, args.dump_density_grid)
-        return 0
     data = Dataset.from_csv(paths["data"])
     out_dir = Path(paths.get("out", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -123,18 +119,6 @@ def cmd_fit(args):
         json.dump(summary, fh, indent=2)
     print(f"wrote {len(chains)} chain file(s) and summary.json to {out_dir}")
     return 0
-
-
-def _dump_density_grid(prior, path, resolution=101):
-    """Debug CSV grid of the two-component repelled beta log density."""
-    v = prior.max_v / 2.0 if prior.v_mode == V_FREE else 0.0
-    params = RepelledBetaParams(np.ones((2, 2)), v)
-    grid = np.linspace(1e-3, 1.0 - 1e-3, resolution)
-    with open(path, "w") as fh:
-        fh.write("rho1,rho2,log_density\n")
-        for r1 in grid:
-            for r2 in grid:
-                fh.write(f"{r1},{r2},{log_density_unnormalized(params, [r1, r2])}\n")
 
 
 def cmd_simulate(args):
@@ -251,8 +235,6 @@ def build_parser():
     p_fit.add_argument("--threads", type=int, default=None)
     p_fit.add_argument("--unrestricted", action="store_true",
                        help="pin every item to the all-distinct partition")
-    p_fit.add_argument("--dump-density-grid", metavar="PATH",
-                       help="write a repelled beta density grid CSV and exit")
     p_fit.set_defaults(func=cmd_fit)
 
     p_sim = sub.add_parser("simulate", help="generate a synthetic dataset")

@@ -5,10 +5,11 @@ theta' and the repulsion exponent v.
 Each sweep updates, in order: all memberships, the class weights, then the
 base class columns and theta'. The base move takes every item in one
 batched step and redraws theta' conjugately; with v free it accepts each
-item by its repelled beta density ratio and is followed by slice updates of
-theta' and v. Chain k draws from child k of ``SeedSequence(seed)``, so
-chains are reproducible given (seed, chain index) and no two (seed, chain
-index) pairs share a stream.
+item by its repelled beta density ratio and is followed by one
+hyperrectangle slice update of every item's theta' row (Neal 2003, §5.1)
+and one slice update of v, both by one shrinkage routine. Chain k draws
+from child k of ``SeedSequence(seed)``, so chains are reproducible given
+(seed, chain index) and no two (seed, chain index) pairs share a stream.
 """
 
 import json
@@ -289,33 +290,44 @@ def rj_update_base_class(items, state, data, prior, rng, counts=None):
 # ---------------------------------------------------------------------------
 
 def _shrinkage_slice(logf, x0, lo, hi, rng):
-    """One shrinkage slice update of each entry of ``x0`` on (lo, hi) (Neal
-    2003, *Slice sampling*, Ann. Statist. 31(3)); ``logf(x, rows)`` is the
-    log target of the entries ``rows`` at the points ``x``.
+    """One hyperrectangle slice update of each row of the NaN-padded (rows,
+    dims) block ``x0`` inside the box (lo, hi)^dims (Neal 2003, *Slice
+    sampling*, Ann. Statist. 31(3), §5.1); ``logf(x, rows)`` is the log
+    target of the rows ``rows`` at the points ``x``, one value per row.
 
-    An entry's level is its log target at ``x0`` minus an Exp(1) draw. Its
-    first interval is the whole support, and each rejected point shrinks it
-    toward ``x0``, which is always in the slice. A point equal to an
-    interval end is rejected unevaluated, so ``logf`` never sees lo or hi.
+    A row's level is its log target at ``x0`` minus an Exp(1) draw. Its
+    first box is the whole support, and each rejected point shrinks every
+    coordinate of the box toward ``x0``, which is always in the slice. A
+    point with a coordinate on a box face is rejected unevaluated, so
+    ``logf`` never sees lo or hi. NaN entries are padding: they stay NaN and
+    draw no uniform. The real coordinates draw theirs in row-major order, so
+    a one-coordinate row uses the stream as an interval update would.
     Returns the new points and the number of evaluations, levels included.
     """
     x = np.array(x0, dtype=np.float64)
-    lo, hi = np.full(x.shape, float(lo)), np.full(x.shape, float(hi))
-    rows = np.arange(x.size)
-    level = logf(x, rows) - rng.standard_exponential(x.size)
-    n_evals = x.size
+    rows, real = np.arange(len(x)), ~np.isnan(x)
+    level = logf(x, rows) - rng.standard_exponential(rows.size)
+    n_evals = rows.size
+    box_lo, box_hi = np.full(x.shape, float(lo)), np.full(x.shape, float(hi))
     while rows.size:
-        point = rng.uniform(lo[rows], hi[rows])
-        inside = (lo[rows] < point) & (point < hi[rows])
+        # the arithmetic of rng.uniform(box_lo, box_hi) on the real entries,
+        # without its per-call argument checks; padding stays NaN
+        u = np.full(real.shape, np.nan)
+        u[real] = rng.random(np.count_nonzero(real))
+        point = box_lo + (box_hi - box_lo) * u
+        # NaN compares False, so padding is never on a face
+        inside = ~((point <= box_lo) | (box_hi <= point)).any(axis=1)
         hit = np.zeros(rows.size, dtype=bool)
-        if inside.any():
-            hit[inside] = logf(point[inside], rows[inside]) >= level[rows[inside]]
-            n_evals += int(inside.sum())
+        n_inside = np.count_nonzero(inside)
+        if n_inside:
+            hit[inside] = logf(point[inside], rows[inside]) >= level[inside]
+            n_evals += n_inside
         x[rows[hit]] = point[hit]
-        rows, point = rows[~hit], point[~hit]
+        miss = ~hit
+        rows, level, real, point = rows[miss], level[miss], real[miss], point[miss]
         below = point < x[rows]
-        lo[rows[below]] = point[below]
-        hi[rows[~below]] = point[~below]
+        box_lo = np.where(below, point, box_lo[miss])
+        box_hi = np.where(below, box_hi[miss], point)
     return x, n_evals
 
 
@@ -339,54 +351,44 @@ def _v_log_conditional(state, prior):
 
 
 def metropolis_update_v(state, prior, rng):
-    """One shrinkage slice update of v on (0, max_v), by :func:`_shrinkage_slice`.
+    """One shrinkage slice update of v on (0, max_v), by :func:`_shrinkage_slice`
+    on the one-coordinate block ``[[v]]``.
 
     Returns ``(state, n_evals)``, the number of conditional evaluations. The
     name and the two-tuple are kept because ``perfbench/tracing.py`` wraps
     this binding by name and reads ``result[1]``.
     """
     logpost = _v_log_conditional(state, prior)
-    v, n_evals = _shrinkage_slice(lambda x, rows: logpost(x), [state.v], 0.0, prior.max_v, rng)
-    state.v = float(v[0])
+    v, n_evals = _shrinkage_slice(lambda x, rows: logpost(x[:, 0]), [[state.v]],
+                                  0.0, prior.max_v, rng)
+    state.v = float(v[0, 0])
     return state, n_evals
-
-
-def _theta_log_conditional(block, k, s, f, v):
-    """The log conditional of set k of each row of the NaN-padded theta'
-    block, as a :func:`_shrinkage_slice` target: the beta kernel of the
-    set's counts ``s, f`` plus the row's gap term with set k at x."""
-    def logf(x, rows):
-        rho = block[rows]
-        rho[:, k] = x
-        return (s[rows] * np.log(x) + f[rows] * np.log1p(-x)
-                + repelled_beta.log_gap_term(rho, v))
-
-    return logf
 
 
 def gibbs_update_theta(items, state, data, prior, rng, counts=None):
     """Slice update of the repelled beta theta' of one item or an index
     array of items: given the columns and v the items are independent, so
-    set k of every item that has one moves in one :func:`_shrinkage_slice`
-    call on (0, 1), for each k in turn.
+    each item's NaN-padded theta' row moves in its own box on (0, 1)^m, all
+    rows in one :func:`_shrinkage_slice` call. A row's target is its sets'
+    summed beta kernels plus its repulsion gap term.
 
-    Returns ``(state, n_evals, False)``. The name and the three-tuple are
-    kept because ``perfbench/tracing.py`` wraps this binding by name and
-    reads ``result[1]`` and ``result[2]``.
+    Returns ``(state, n_evals, False)``, ``n_evals`` counting one per row
+    evaluation. The name and the three-tuple are kept because
+    ``perfbench/tracing.py`` wraps this binding by name and reads
+    ``result[1]`` and ``result[2]``.
     """
     succ, totals = counts if counts is not None else _class_count_cache(state, data)
     items = np.atleast_1d(items)
-    columns = state.base.labels[:, items].T
-    s, f = _set_counts(columns, succ[:, items].T, totals)
-    n_sets = columns.max(axis=1)
-    n_evals = 0
-    for k in range(n_sets.max()):
-        has = n_sets > k
-        group = items[has]
-        logf = _theta_log_conditional(state.theta_prime[group], k, s[has, k], f[has, k], state.v)
-        state.theta_prime[group, k], evals = _shrinkage_slice(
-            logf, state.theta_prime[group, k], 0.0, 1.0, rng)
-        n_evals += evals
+    s, f = _set_counts(state.base.labels[:, items].T, succ[:, items].T, totals)
+
+    def logf(x, rows):
+        # every real kernel term is <= 0 and padding gives NaN, so fmin with
+        # 0 keeps the real terms and zeroes the padding
+        return (np.fmin(s[rows] * np.log(x) + f[rows] * np.log1p(-x), 0.0).sum(axis=1)
+                + repelled_beta.log_gap_term(x, state.v))
+
+    state.theta_prime[items], n_evals = _shrinkage_slice(logf, state.theta_prime[items],
+                                                         0.0, 1.0, rng)
     return state, n_evals, False
 
 
@@ -457,8 +459,8 @@ def run_chain(data: Dataset, prior: PriorConfig, config: McmcConfig,
     Warmup sweeps are discarded and every ``thin``-th main sweep is
     retained. ``stats["rj_accept_rate"]`` is accepted moves over items times
     free-v sweeps; ``stats["theta_evals_per_update"]`` and
-    ``stats["v_evals_per_update"]`` are the mean numbers of log-density
-    evaluations per slice update of one theta' component and of v, levels
+    ``stats["v_evals_per_update"]`` are the mean numbers of log-target
+    evaluations per slice update of one item's theta' row and of v, levels
     included (None at v = 0).
     """
     _check_start_reachable(prior, config)
@@ -487,7 +489,7 @@ def run_chain(data: Dataset, prior: PriorConfig, config: McmcConfig,
                 rj_accept += n_accepted
                 rj_total += items.size
             _, n_evals, _ = gibbs_update_theta(items, state, data, prior, rng, counts=counts)
-            theta_total += int(state.base.labels.max(axis=0).sum())
+            theta_total += items.size
             theta_evals += n_evals
             _, n_evals = metropolis_update_v(state, prior, rng)
             v_total += 1

@@ -107,16 +107,6 @@ class TestFitCommand:
         for column in summary["mode_restrictions"]:
             assert sorted(set(column)) == [1, 2]
 
-    def test_density_grid_dump(self, toy_run):
-        tmp_path, config_path = toy_run
-        grid = tmp_path / "grid.csv"
-        code = cli.main(["fit", "--config", str(config_path),
-                         "--dump-density-grid", str(grid)])
-        assert code == 0
-        header, first = grid.read_text().splitlines()[:2]
-        assert header == "rho1,rho2,log_density"
-        assert len(first.split(",")) == 3
-
     def test_unknown_config_keys_rejected(self, tmp_path, toy_run):
         _, config_path = toy_run
         raw = json.loads(config_path.read_text())

@@ -429,25 +429,27 @@ class TestMetropolisV:
             assert 0.0 < state.v < prior.max_v
 
         class FixedFirstPoint:
-            # a stream whose first point and Exp(1) draw are given
+            # a stream whose first unit draw and Exp(1) draw are given; the
+            # first point is lo + (hi - lo) * unit on the interval (0, max_v)
             def __init__(self, first, exponential):
                 self.first, self.exponential = first, exponential
 
             def standard_exponential(self, size):
                 return np.full(size, self.exponential)
 
-            def uniform(self, lo, hi):
-                x = rng.uniform(lo, hi) if self.first is None else np.full(lo.shape, self.first)
+            def random(self, size):
+                u = rng.random(size) if self.first is None else np.full(size, self.first)
                 self.first = None
-                return x
+                return u
 
         # the interval's lower end, exactly 0, is rejected unevaluated, so
         # there is no log(0) warning (an error in this suite)
         metropolis_update_v(state, prior, FixedFirstPoint(0.0, 1.0))
         assert 0.0 < state.v < prior.max_v
         # at a zero Exp(1) draw the current v is still inside the slice
+        # (max_v is 2, so v / max_v * max_v is exactly v)
         v = state.v
-        _, n_evals = metropolis_update_v(state, prior, FixedFirstPoint(v, 0.0))
+        _, n_evals = metropolis_update_v(state, prior, FixedFirstPoint(v / prior.max_v, 0.0))
         assert (state.v, n_evals) == (v, 2)
 
     def test_v_conditional_matches_joint(self):
@@ -509,7 +511,7 @@ class TestThetaGibbs:
         counts = (np.tile(succ[:, None], (1, n_items)), totals)
         _, n_evals, fell_back = gibbs_update_theta(np.arange(n_items), state, None, None, rng,
                                                    counts=counts)
-        assert n_evals >= 2 * n_sets * n_items and not fell_back
+        assert n_evals >= 2 * n_items and not fell_back
         moved, fresh = np.sort(state.theta_prime, axis=1), np.sort(exact(), axis=1)
         for k in range(n_sets):
             assert stats.ks_2samp(moved[:, k], fresh[:, k]).pvalue > 0.01
@@ -528,10 +530,11 @@ class TestThetaGibbs:
             def standard_exponential(self, size):
                 return rng.standard_exponential(size)
 
-            def uniform(self, lo, hi):
+            def random(self, size):
+                # a unit draw of 0 puts a point on the box's lower face, 1 on its upper
                 if self.ends:
-                    return lo if self.ends.pop(0) == "lo" else hi
-                return rng.uniform(lo, hi)
+                    return np.full(size, 0.0 if self.ends.pop(0) == "lo" else 1.0)
+                return rng.random(size)
 
         data = Dataset(np.array([[1, 0], [0, 1], [1, 1]]))
         prior = PriorConfig.default(3, lam=1.0, v_mode="free")
@@ -541,6 +544,23 @@ class TestThetaGibbs:
         used = ~np.isnan(state.theta_prime)
         assert np.array_equal(used, [[True] * 3, [True, True, False]])
         assert np.all((state.theta_prime[used] > 0) & (state.theta_prime[used] < 1))
+
+    def test_padding_draws_no_uniform(self):
+        # NaN columns are padding: a padded block lands on the points of the
+        # bare one-coordinate block and leaves the stream where it does
+        x0 = np.random.default_rng(27).uniform(0.05, 0.95, size=(50, 1))
+        padded = np.hstack([x0, np.full((50, 2), np.nan)])
+
+        def logf(x, rows):  # the Beta(2, 5) kernel of the real coordinate
+            return np.log(x[:, 0]) + 4.0 * np.log1p(-x[:, 0])
+
+        rngs = np.random.default_rng(28), np.random.default_rng(28)
+        bare, n_bare = mcmc._shrinkage_slice(logf, x0, 0.0, 1.0, rngs[0])
+        out, n_out = mcmc._shrinkage_slice(logf, padded, 0.0, 1.0, rngs[1])
+        assert not np.array_equal(bare, x0)
+        assert np.array_equal(out[:, :1], bare) and n_out == n_bare
+        assert np.isnan(out[:, 1:]).all()
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
     def test_success_orientation(self):
         # successes must land in the first shape slot: posterior mean above 1/2
