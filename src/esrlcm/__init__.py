@@ -19,7 +19,7 @@ from .model import (
     stirling2,
 )
 from .mcmc import McmcConfig, PosteriorDraws, run_chain, run_chains
-from .repelled_beta import RepelledBetaParams, SamplingError
+from .repelled_beta import SamplingError
 
 __version__ = "0.1.0"
 
@@ -31,7 +31,6 @@ __all__ = [
     "ModelState",
     "PosteriorDraws",
     "PriorConfig",
-    "RepelledBetaParams",
     "SamplingError",
     "base_vector_log_prior",
     "bell",

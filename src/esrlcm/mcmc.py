@@ -335,12 +335,12 @@ def _v_log_conditional(state, prior):
     """The log full conditional of v, up to a constant, as a function of v.
 
     It is v's prior times every item's normalized repelled beta density of
-    theta', the v terms of :func:`model.full_log_joint`, built once from the
-    (J, C) theta' block. Gaps are floored at 1e-300, so it stays finite on
-    (0, max_v) even where two components coincide.
+    theta', the v terms of :func:`model.full_log_joint`. The gap term is
+    linear in v, so its sum over the (J, C) theta' block is built once, by
+    ``log_gap_term`` at v = 1; where two sets of an item coincide it is -inf
+    at every v > 0, as in the joint.
     """
-    ordered = np.sort(state.theta_prime, axis=1)  # NaN padding sorts last
-    log_gaps = np.nansum(np.log(np.clip(np.diff(ordered, axis=1), 1e-300, None)))
+    log_gaps = repelled_beta.log_gap_term(state.theta_prime, 1.0).sum()
     n_sets = state.base.labels.max(axis=0)
 
     def logpost(v):
@@ -458,7 +458,9 @@ def run_chain(data: Dataset, prior: PriorConfig, config: McmcConfig,
     jump move, one batched slice update of theta' and one slice update of v.
     Warmup sweeps are discarded and every ``thin``-th main sweep is
     retained. ``stats["rj_accept_rate"]`` is accepted moves over items times
-    free-v sweeps; ``stats["theta_evals_per_update"]`` and
+    free-v sweeps; ``stats["column_change_rate"]`` is the share of items
+    whose column the base move changed, over items times sweeps in both v
+    modes (None when unrestricted); ``stats["theta_evals_per_update"]`` and
     ``stats["v_evals_per_update"]`` are the mean numbers of log-target
     evaluations per slice update of one item's theta' row and of v, levels
     included (None at v = 0).
@@ -470,6 +472,7 @@ def run_chain(data: Dataset, prior: PriorConfig, config: McmcConfig,
 
     kept, memberships = [], {}  # one tuple per retained draw
     rj_accept = rj_total = theta_evals = theta_total = v_evals = v_total = 0
+    col_changes = col_total = 0
 
     total_sweeps = config.n_warmup + config.n_main
     for sweep in range(total_sweeps):
@@ -477,17 +480,19 @@ def run_chain(data: Dataset, prior: PriorConfig, config: McmcConfig,
             _update_all_memberships(state, data, rng)
         counts = _class_count_cache(state, data)
         gibbs_update_pi(state, prior, rng)
-        if prior.v_mode == V_FIXED_ZERO:
-            if config.unrestricted:
-                state.theta_prime = _conjugate_theta(state.base.labels.T, counts[0].T,
-                                                     counts[1], rng)
-            else:
+        if not config.unrestricted:
+            before = state.base.labels.copy()
+            if prior.v_mode == V_FIXED_ZERO:
                 gibbs_update_base_class_v0(items, state, data, prior, rng, counts=counts)
-        else:
-            if not config.unrestricted:
+            else:
                 _, n_accepted = rj_update_base_class(items, state, data, prior, rng, counts=counts)
                 rj_accept += n_accepted
                 rj_total += items.size
+            col_changes += int((state.base.labels != before).any(axis=0).sum())
+            col_total += items.size
+        elif prior.v_mode == V_FIXED_ZERO:
+            state.theta_prime = _conjugate_theta(state.base.labels.T, counts[0].T, counts[1], rng)
+        if prior.v_mode == V_FREE:
             _, n_evals, _ = gibbs_update_theta(items, state, data, prior, rng, counts=counts)
             theta_total += items.size
             theta_evals += n_evals
@@ -514,6 +519,7 @@ def run_chain(data: Dataset, prior: PriorConfig, config: McmcConfig,
         stats={
             "chain_index": chain_index,
             "rj_accept_rate": rj_accept / rj_total if rj_total else None,
+            "column_change_rate": col_changes / col_total if col_total else None,
             "theta_evals_per_update": theta_evals / theta_total if theta_total else None,
             "v_evals_per_update": v_evals / v_total if v_total else None,
         },

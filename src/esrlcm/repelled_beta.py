@@ -11,64 +11,17 @@ exponent. At v = 0 the components are independent betas; as v grows the
 components are pushed apart. With all shape parameters equal to one the
 normalizing constant is known in closed form, the sorted gaps follow a
 Dirichlet distribution, and the family is conjugate for Bernoulli responses.
-"""
 
-from dataclasses import dataclass
+:func:`log_gap_term` is the one gap formula: the normalized all-ones
+density, the sampler's v conditional and the rejection sampler all score the
+repulsion through it.
+"""
 
 import numpy as np
 
 
 class SamplingError(RuntimeError):
     """Rejection sampling exhausted its attempt budget."""
-
-
-@dataclass(frozen=True)
-class RepelledBetaParams:
-    """Shape matrix (M x 2, entries > 0) and repulsion exponent v >= 0."""
-
-    alpha: np.ndarray
-    v: float = 0.0
-
-    def __post_init__(self):
-        alpha = np.atleast_2d(np.asarray(self.alpha, dtype=np.float64))
-        if alpha.ndim != 2 or alpha.shape[1] != 2 or alpha.shape[0] < 1:
-            raise ValueError(f"alpha must be an M x 2 matrix with M >= 1, got shape {alpha.shape}")
-        if not np.all(alpha > 0):
-            raise ValueError("all alpha entries must be strictly positive")
-        if not np.isfinite(self.v) or self.v < 0:
-            raise ValueError(f"v must be a finite nonnegative real, got {self.v}")
-        alpha.flags.writeable = False
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "v", float(self.v))
-
-    @property
-    def m(self) -> int:
-        """Number of components."""
-        return self.alpha.shape[0]
-
-
-def _check_rho(params, rho):
-    rho = np.asarray(rho, dtype=np.float64)
-    if rho.shape != (params.m,):
-        raise ValueError(f"rho must have shape ({params.m},), got {rho.shape}")
-    if np.any(rho <= 0.0) or np.any(rho >= 1.0):
-        raise ValueError("rho components must lie strictly inside (0, 1)")
-    return rho
-
-
-def log_density_unnormalized(params: RepelledBetaParams, rho) -> float:
-    """Log of the unnormalized density at ``rho``.
-
-    Returns -inf when v > 0 and two components coincide. The gap term is
-    omitted entirely at v = 0, so ties are harmless there.
-    """
-    rho = _check_rho(params, rho)
-    a1 = params.alpha[:, 0]
-    a2 = params.alpha[:, 1]
-    out = float(np.sum((a1 - 1.0) * np.log(rho) + (a2 - 1.0) * np.log1p(-rho)))
-    if params.v > 0:
-        out += log_gap_term(rho, params.v)
-    return out
 
 
 def log_gap_term(rho, v: float):
@@ -113,28 +66,30 @@ def log_density_all_ones(rho, v: float):
             + log_gap_term(rho, v))
 
 
-def sample(params: RepelledBetaParams, rng, max_attempts: int = 1_000_000):
-    """Exact draw by rejection from independent beta proposals.
+def sample(alpha, rng, max_attempts: int = 1_000_000, v: float = 0.0):
+    """Exact draw for the (M, 2) shapes ``alpha`` and exponent ``v``, by
+    rejection from independent beta proposals.
 
-    A proposal is accepted with probability ``prod(gaps)**v``, a valid
-    acceptance probability because every gap is below one and v >= 0.
-    Raises :class:`SamplingError` once ``max_attempts`` proposals have been
-    rejected; a silently truncated draw would bias the Gibbs chain that
-    consumes it.
+    A proposal is accepted with probability ``exp(log_gap_term(rho, v))``,
+    the product of its gaps to the power v, valid because every gap is
+    below one. Raises :class:`SamplingError` once ``max_attempts`` proposals
+    have been rejected; a silently truncated draw would bias any chain that
+    consumes it. ``v`` comes last because ``perfbench/tracing.py`` reads the
+    third positional argument as the budget. Callers pass positive shapes
+    and v >= 0.
     """
     if max_attempts < 1:
         raise ValueError("max_attempts must be positive")
-    a1 = params.alpha[:, 0]
-    a2 = params.alpha[:, 1]
-    m = params.m
-    uniform_shapes = bool(np.all(params.alpha == 1.0))  # Beta(1,1) draws are uniforms
+    alpha = np.asarray(alpha, dtype=np.float64)
+    m = alpha.shape[0]
+    uniform_shapes = bool(np.all(alpha == 1.0))  # Beta(1,1) draws are uniforms
 
     def propose(k):
         if uniform_shapes:
             return rng.random((k, m))
-        return rng.beta(a1, a2, size=(k, m))
+        return rng.beta(alpha[:, 0], alpha[:, 1], size=(k, m))
 
-    if m == 1 or params.v == 0.0:
+    if m == 1 or v == 0.0:
         return propose(1)[0]
 
     attempts = 0
@@ -142,15 +97,13 @@ def sample(params: RepelledBetaParams, rng, max_attempts: int = 1_000_000):
     while attempts < max_attempts:
         k = min(batch, max_attempts - attempts)
         props = propose(k)
-        ordered = np.sort(props, axis=1)
-        log_acc = params.v * np.sum(np.log(ordered[:, 1:] - ordered[:, :-1]), axis=1)
-        accepted = np.log(rng.random(k)) < log_acc
+        accepted = np.log(rng.random(k)) < log_gap_term(props, v)
         hit = int(accepted.argmax())  # the first acceptance, or 0 when none
         if accepted[hit]:
             return props[hit]
         attempts += k
         batch = min(batch * 4, 65536)
     raise SamplingError(
-        f"no acceptance in {max_attempts} attempts (m={m}, v={params.v}); "
+        f"no acceptance in {max_attempts} attempts (m={m}, v={v}); "
         "the repulsion exponent is too large for rejection sampling at this dimension"
     )

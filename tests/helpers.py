@@ -17,11 +17,7 @@ from esrlcm.model import (
     canonicalize,
     pad_theta_prime,
 )
-from esrlcm.repelled_beta import (
-    RepelledBetaParams,
-    log_density_all_ones,
-    log_normalizer_all_ones,
-)
+from esrlcm.repelled_beta import log_density_all_ones, log_gap_term, log_normalizer_all_ones
 
 
 def quadrature_integral_all_ones(m, v):
@@ -186,17 +182,23 @@ def gibbs_update_c(i, state, data, rng):
     return state
 
 
-def conjugate_posterior(params: RepelledBetaParams, counts) -> RepelledBetaParams:
-    """Posterior after Bernoulli responses: shapes add counts, v unchanged.
-
-    ``counts[k] = (successes, failures)`` observed for component k.
+def conjugate_posterior(alpha, v, counts):
+    """Posterior ``(alpha, v)`` after Bernoulli responses: shapes add counts,
+    v unchanged. ``counts[k] = (successes, failures)`` observed for component k.
     """
-    counts = np.asarray(counts)
-    if counts.shape != (params.m, 2):
-        raise ValueError(f"counts must have shape ({params.m}, 2), got {counts.shape}")
+    alpha, counts = np.asarray(alpha, dtype=np.float64), np.asarray(counts)
+    if counts.shape != alpha.shape:
+        raise ValueError(f"counts must have shape {alpha.shape}, got {counts.shape}")
     if np.any(counts < 0) or not np.all(counts == np.floor(counts)):
         raise ValueError("counts must be nonnegative integers")
-    return RepelledBetaParams(params.alpha + counts.astype(np.float64), params.v)
+    return alpha + counts, v
+
+
+def log_density_unnormalized(alpha, rho, v):
+    """Unnormalized repelled beta log density at ``rho`` for the (M, 2) shapes ``alpha``."""
+    alpha, rho = np.asarray(alpha, dtype=np.float64), np.asarray(rho, dtype=np.float64)
+    beta = np.sum((alpha[:, 0] - 1.0) * np.log(rho) + (alpha[:, 1] - 1.0) * np.log1p(-rho))
+    return float(beta + log_gap_term(rho, v))
 
 
 def sample_sorted_all_ones(m: int, v: float, rng) -> np.ndarray:

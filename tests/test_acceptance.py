@@ -62,11 +62,11 @@ def test_criterion_1_normalizer_quadrature(capsys):
 def test_criterion_2_sampler_moments(capsys):
     start = time.perf_counter()
     rng = np.random.default_rng(2024)
-    params = repelled_beta.RepelledBetaParams(np.ones((3, 2)), 2.0)
+    alpha = np.ones((3, 2))
     n_draws = 200_000
     draws = np.empty((n_draws, 3))
     for i in range(n_draws):
-        draws[i] = repelled_beta.sample(params, rng)
+        draws[i] = repelled_beta.sample(alpha, rng, v=2.0)
     draws.sort(axis=1)
     expected = np.array([expected_rho(3, 2.0, k) for k in (1, 2, 3)])
     se = draws.std(axis=0) / np.sqrt(n_draws)

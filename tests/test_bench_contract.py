@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import esrlcm
-from esrlcm import cli
+from esrlcm import cli, repelled_beta
 from esrlcm.model import Dataset
 
 from test_cli import write_config
@@ -55,3 +55,19 @@ def test_traced_fit_runs_with_every_patch_installed(tmp_path, monkeypatch, v_mod
     else:
         # at v = 0 the base move also draws theta'
         assert "mcmc.theta" not in names
+
+
+def test_traced_sample_keeps_its_positional_contract(tmp_path, monkeypatch):
+    # the tracer's failure hook reads the third positional argument as the
+    # attempt budget, so v must come after it
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    tracer = tracing.Tracer(tmp_path)
+    try:
+        tracing.install(tracer)
+        with pytest.raises(repelled_beta.SamplingError):
+            repelled_beta.sample(np.ones((6, 2)), np.random.default_rng(0), 50, v=40.0)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["sample.proposals"] == 50

@@ -23,7 +23,7 @@ from esrlcm.model import (
     full_log_joint,
     pad_theta_prime,
 )
-from esrlcm.repelled_beta import RepelledBetaParams, log_density_all_ones
+from esrlcm.repelled_beta import log_density_all_ones
 
 from helpers import (
     all_partition_columns,
@@ -419,7 +419,8 @@ class TestMetropolisV:
             assert 0.0 < state.v < prior.max_v
 
     def test_v_update_terminates_on_tied_theta(self):
-        # the gap floor keeps the conditional finite where two sets coincide
+        # where two sets coincide the conditional is -inf at every v, so the
+        # level is -inf and the first evaluated point is in the slice
         rng = np.random.default_rng(4)
         prior = PriorConfig.default(2, lam=0.5, v_mode="free")
         state = make_state([[1, 2]], [[0.5, 0.5]], [], v=1.0)
@@ -465,6 +466,13 @@ class TestMetropolisV:
                 joints.append(full_log_joint(state, data, prior))
             assert logpost(v1) - logpost(v2) == pytest.approx(joints[0] - joints[1],
                                                               rel=1e-10, abs=1e-10)
+        # on a block with two coinciding sets both give -inf, with no gap floor
+        prior = PriorConfig.default(3, lam=0.5, v_mode="free")
+        data = Dataset(np.array([[0, 1], [1, 1]]))
+        state = make_state([[1, 2, 3], [1, 2, 3]], [[0.2, 0.5, 0.5], [0.1, 0.4, 0.8]], [0, 2],
+                           v=1.0)
+        assert mcmc._v_log_conditional(state, prior)(state.v) == -np.inf
+        assert full_log_joint(state, data, prior) == -np.inf
 
 
 class TestThetaGibbs:
@@ -502,10 +510,10 @@ class TestThetaGibbs:
         n_items = 20_000
         succ = np.array([1.0, 3.0, 5.0][:n_sets]) if with_data else np.zeros(n_sets)
         totals = np.full(n_sets, 6.0 if with_data else 0.0)
-        params = RepelledBetaParams(np.column_stack([1.0 + succ, 1.0 + totals - succ]), v)
+        alpha = np.column_stack([1.0 + succ, 1.0 + totals - succ])
 
         def exact():
-            return np.array([repelled_beta.sample(params, rng) for _ in range(n_items)])
+            return np.array([repelled_beta.sample(alpha, rng, v=v) for _ in range(n_items)])
 
         state = make_state(np.tile(np.arange(1, n_sets + 1), (n_items, 1)), exact(), [], v=v)
         counts = (np.tile(succ[:, None], (1, n_items)), totals)
@@ -658,6 +666,22 @@ class TestRunChain:
         prior = PriorConfig.default(4, lam=0.5, v_mode="free")
         draws = run_chain(data, prior, McmcConfig(n_main=10, n_warmup=3, seed=1))
         assert 0.0 < draws.stats["rj_accept_rate"] <= 1.0
+
+    @pytest.mark.parametrize("v_mode", ["free", "fixed_zero"])
+    def test_column_change_rate_counts_changed_columns(self, v_mode):
+        # every retained draw follows one sweep, so the changed columns
+        # between consecutive draws, from the all-distinct start, are the
+        # base move's changes
+        data, _ = self.small_inputs(n=30)
+        prior = PriorConfig.default(3, lam=0.5, v_mode=v_mode)
+        draws = run_chain(data, prior, McmcConfig(n_main=40, seed=3))
+        start = np.tile(np.arange(1, 4), (1, data.n_items, 1))
+        columns = np.concatenate([start, draws.base_columns])
+        changed = (columns[1:] != columns[:-1]).any(axis=2)
+        assert 0 < changed.sum() < changed.size
+        assert draws.stats["column_change_rate"] == changed.sum() / changed.size
+        draws = run_chain(data, prior, McmcConfig(n_main=5, seed=3, unrestricted=True))
+        assert draws.stats["column_change_rate"] is None
 
     def test_same_seed_same_draws(self):
         data, prior = self.small_inputs()
