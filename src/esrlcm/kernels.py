@@ -5,7 +5,9 @@ so each kernel reads it once without a cast. The kernels are class-major:
 log likelihoods, logits and counts are (C, n) or (C, J) blocks, one row per
 class, so a per-class term is one row add and the membership draw makes no
 transposing copy. ``categorical_rows`` consumes caller-supplied uniforms, so
-its draws are reproducible given those uniforms.
+its draws are reproducible given those uniforms. ``class_counts`` counts
+every row once; ``update_class_counts`` carries those counts to new
+memberships from the rows whose class changed, with the same bits.
 """
 
 import numpy as np
@@ -62,3 +64,21 @@ def class_counts(x, memberships, n_classes):
     """
     member = (memberships == np.arange(n_classes)[:, None]).astype(np.float64)
     return member @ x, np.bincount(memberships, minlength=n_classes).astype(np.float64)
+
+
+def update_class_counts(x, old, new, counts):
+    """The ``class_counts`` of memberships ``new``, from ``counts``, those of
+    ``old``, and the rows whose class changed.
+
+    A moved row adds its row of ``x`` to its new class and subtracts it from
+    its old one: one product of a signed (C, k) one-hot block with the k
+    moved rows. Every term and partial sum is an integer far below 2^53, so
+    the result has the same bits as a full recount.
+    """
+    succ, totals = counts
+    moved = np.flatnonzero(old != new)
+    delta = np.zeros((len(totals), moved.size))
+    cols = np.arange(moved.size)
+    delta[new[moved], cols] = 1.0
+    delta[old[moved], cols] = -1.0
+    return succ + delta @ x[moved], totals + delta.sum(axis=1)

@@ -143,15 +143,33 @@ def _clip_unit(values):
     return np.clip(values, 1e-12, 1.0 - 1e-12)
 
 
-def _set_counts(columns, succ, totals):
-    """Per-set success and failure counts of canonical columns (..., C).
+def _label_sums(labels, weights, n_labels):
+    """Per-label sums in each row of the (J, C) block ``labels``, one (J,
+    n_labels) block per entry of ``weights``.
 
-    ``succ`` holds per-class successes broadcastable against ``columns``;
-    set s of a column is at index s - 1, and unused sets count zero.
+    Entry (i, l - 1) of block k sums ``weights[k]`` at (i, c) over the
+    classes c with ``labels[i, c] == l``, for l = 1..n_labels; label 0
+    leaves a class out. Each weight broadcasts against ``labels``. All sums
+    are one bincount over ``(k * J + row) * (n_labels + 1) + label``; their
+    terms are integers, so they are exact in any order.
     """
-    member = columns[..., :, None] == np.arange(1, columns.shape[-1] + 1)  # class, set
-    s = (member * succ[..., :, None]).sum(axis=-2)
-    return s, (member * totals[:, None]).sum(axis=-2) - s
+    n_rows, stride = len(labels), n_labels + 1
+    stacked = np.empty((len(weights),) + labels.shape)
+    for block, weight in zip(stacked, weights):
+        block[...] = weight
+    bins = np.arange(stacked.shape[0] * n_rows).reshape(-1, n_rows, 1) * stride + labels
+    sums = np.bincount(bins.ravel(), stacked.ravel(), minlength=bins.shape[0] * n_rows * stride)
+    return sums.reshape(-1, n_rows, stride)[:, :, 1:]
+
+
+def _set_counts(columns, succ, totals):
+    """Per-set success and failure counts of the (J, C) canonical columns.
+
+    ``succ`` is (J, C), one row per item, and ``totals`` (C,); set s of a
+    column is at index s - 1, and unused sets count zero.
+    """
+    s, t = _label_sums(columns, (succ, totals), columns.shape[1])
+    return s, t - s
 
 
 def _column_menu(columns, targets, succ, totals, prior):
@@ -177,10 +195,9 @@ def _column_menu(columns, targets, succ, totals, prior):
     labels = np.arange(1, n_classes + 2)
     others = columns.copy()
     others[rows, targets] = 0
-    member = (others[:, :, None] == labels).astype(np.float64)  # item, class, label
-    s = np.einsum("jc,jcl->jl", succ, member)
-    f = totals @ member - s
-    present = member.any(axis=1)
+    s, t, n_members = _label_sums(others, (succ, totals, 1.0), n_classes + 1)
+    f = t - s
+    present = n_members > 0
     valid = present | (labels == columns.max(axis=1)[:, None] + 1)
     # row k of the staircase is a canonical column with k + 1 sets
     by_n_sets = base_vector_log_prior(np.minimum.outer(labels[:-1], labels[:-1]), prior)
@@ -204,8 +221,12 @@ def _relabel(columns, targets, new_labels):
     return canonicalize(moved)
 
 
-def _class_count_cache(state, data):
-    return kernels.class_counts(data.x, state.memberships, state.base.n_classes)
+def _class_count_cache(data, old, new, counts):
+    """The class counts of memberships ``new``, carried from ``counts``, those
+    of ``old``, by :func:`kernels.update_class_counts`. The sweep calls this
+    binding, which ``perfbench/tracing.py`` times by name as the class count
+    phase."""
+    return kernels.update_class_counts(data.x, old, new, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +272,9 @@ def _base_move(items, state, data, prior, rng, counts):
     identically 1: every row is accepted and no uniform is drawn, which
     makes this the collapsed Gibbs move. Returns the number accepted.
     """
-    succ, totals = counts if counts is not None else _class_count_cache(state, data)
+    if counts is None:
+        counts = kernels.class_counts(data.x, state.memberships, state.base.n_classes)
+    succ, totals = counts
     items = np.atleast_1d(items)
     succ_items = succ[:, items].T
     columns = _propose_columns(items, state, succ_items, totals, prior, rng)
@@ -377,7 +400,9 @@ def gibbs_update_theta(items, state, data, prior, rng, counts=None):
     ``perfbench/tracing.py`` wraps this binding by name and reads
     ``result[1]`` and ``result[2]``.
     """
-    succ, totals = counts if counts is not None else _class_count_cache(state, data)
+    if counts is None:
+        counts = kernels.class_counts(data.x, state.memberships, state.base.n_classes)
+    succ, totals = counts
     items = np.atleast_1d(items)
     s, f = _set_counts(state.base.labels[:, items].T, succ[:, items].T, totals)
 
@@ -396,10 +421,14 @@ def gibbs_update_theta(items, state, data, prior, rng, counts=None):
 # conjugate updates
 # ---------------------------------------------------------------------------
 
-def gibbs_update_pi(state, prior, rng):
-    """Redraw the class weights from their Dirichlet full conditional."""
-    counts = np.bincount(state.memberships, minlength=state.base.n_classes)
-    pi = rng.dirichlet(prior.alpha_c + counts)
+def gibbs_update_pi(state, prior, rng, counts=None):
+    """Redraw the class weights from their Dirichlet full conditional.
+
+    ``counts`` are the state's class counts; only their totals are read.
+    """
+    totals = (counts[1] if counts is not None
+              else np.bincount(state.memberships, minlength=state.base.n_classes))
+    pi = rng.dirichlet(prior.alpha_c + totals)
     state.pi = np.clip(pi, 1e-300, None)
     state.pi /= state.pi.sum()
     return state
@@ -456,11 +485,14 @@ def run_chain(data: Dataset, prior: PriorConfig, config: McmcConfig,
     Sweep order: memberships, pi, then at v = 0 one batched collapsed move
     of every item's column and theta', and at free v one batched reversible
     jump move, one batched slice update of theta' and one slice update of v.
-    Warmup sweeps are discarded and every ``thin``-th main sweep is
-    retained. ``stats["rj_accept_rate"]`` is accepted moves over items times
-    free-v sweeps; ``stats["column_change_rate"]`` is the share of items
-    whose column the base move changed, over items times sweeps in both v
-    modes (None when unrestricted); ``stats["theta_evals_per_update"]`` and
+    The class counts are counted in full once, before the first sweep; each
+    sweep then updates them from the rows whose class its membership draw
+    changed, with the bits of a full recount. Warmup sweeps are discarded
+    and every ``thin``-th main sweep is retained.
+    ``stats["rj_accept_rate"]`` is accepted moves over items times free-v
+    sweeps; ``stats["column_change_rate"]`` is the share of items whose
+    column the base move changed, over items times sweeps in both v modes
+    (None when unrestricted); ``stats["theta_evals_per_update"]`` and
     ``stats["v_evals_per_update"]`` are the mean numbers of log-target
     evaluations per slice update of one item's theta' row and of v, levels
     included (None at v = 0).
@@ -474,12 +506,15 @@ def run_chain(data: Dataset, prior: PriorConfig, config: McmcConfig,
     rj_accept = rj_total = theta_evals = theta_total = v_evals = v_total = 0
     col_changes = col_total = 0
 
+    # the class counts of the current memberships, carried across sweeps
+    counts = kernels.class_counts(data.x, state.memberships, prior.n_classes)
     total_sweeps = config.n_warmup + config.n_main
     for sweep in range(total_sweeps):
+        old = state.memberships  # the draw makes a new array, so no copy
         if data.n:
             _update_all_memberships(state, data, rng)
-        counts = _class_count_cache(state, data)
-        gibbs_update_pi(state, prior, rng)
+        counts = _class_count_cache(data, old, state.memberships, counts)
+        gibbs_update_pi(state, prior, rng, counts=counts)
         if not config.unrestricted:
             before = state.base.labels.copy()
             if prior.v_mode == V_FIXED_ZERO:
@@ -500,8 +535,8 @@ def run_chain(data: Dataset, prior: PriorConfig, config: McmcConfig,
             v_total += 1
             v_evals += n_evals
 
-        # memberships change only at the top of the sweep, so ``counts`` is
-        # still the current class count when the draw is retained
+        # memberships change only at the top of the sweep, so the carried
+        # ``counts`` are still current when the draw is retained
         main_iter = sweep - config.n_warmup
         if main_iter >= 0 and (main_iter + 1) % config.thin == 0:
             if config.store_c_every and len(kept) % config.store_c_every == 0:

@@ -38,9 +38,12 @@ def test_traced_fit_runs_with_every_patch_installed(tmp_path, monkeypatch, v_mod
     names = {rec[tracing.NAME] for rec in tracer.spans}
     assert {"kernels.class_counts", "mcmc.base_move", "repelled_beta.log_density_all_ones"} <= names
     assert tracer.counts["model.base_vector_log_prior"] > 0
-    # one class count per sweep: retention reuses the sweep's counts
+    # one full class count per chain, then one carried count update per
+    # sweep: retention reuses the sweep's counts and recounts nothing
     class_counts = [rec for rec in tracer.spans if rec[tracing.NAME] == "kernels.class_counts"]
-    assert len(class_counts) == 5
+    assert len(class_counts) == 1
+    count_phase = [rec for rec in tracer.spans if rec[tracing.NAME] == "mcmc.class_counts"]
+    assert len(count_phase) == 5
     # the fit aligns each of its 3 retained draws once, for both summaries
     assert tracer.counts["evaluation.align_classes"] == 3
     # one batched base move per sweep draws every item's column, under both

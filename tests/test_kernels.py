@@ -87,6 +87,24 @@ class TestBackendEquivalence:
             assert totals[c] == len(rows)
             assert succ[c].tolist() == [sum(int(x[i, j]) for i in rows) for j in range(x.shape[1])]
 
+    @pytest.mark.parametrize("n, n_classes, moves", [
+        (300, 5, "some"), (0, 3, "some"), (300, 4, "none"), (300, 4, "all"), (300, 1, "all"),
+    ])
+    def test_update_class_counts_equals_a_full_recount(self, n, n_classes, moves):
+        rng = np.random.default_rng(n + n_classes)
+        x = rng.integers(0, 2, size=(n, 7)).astype(np.float64)
+        for _ in range(20):
+            old = rng.integers(0, n_classes, size=n)
+            if moves == "some":
+                new = np.where(rng.random(n) < 0.1, rng.integers(0, n_classes, size=n), old)
+            elif moves == "none":
+                new = old.copy()
+            else:  # every row that can change class does
+                new = (old + rng.integers(1, max(n_classes, 2), size=n)) % n_classes
+            got = kernels.update_class_counts(x, old, new, kernels.class_counts(x, old, n_classes))
+            ref = kernels.class_counts(x, new, n_classes)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in ref]
+
     def test_empty_inputs(self):
         x = np.empty((0, 3), dtype=np.int8)
         memberships = np.empty(0, dtype=np.int64)

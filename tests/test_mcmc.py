@@ -475,6 +475,23 @@ class TestMetropolisV:
         assert full_log_joint(state, data, prior) == -np.inf
 
 
+class TestSetCounts:
+    def test_set_counts_match_the_per_column_bincount(self):
+        from helpers import _set_counts
+
+        rng = np.random.default_rng(14)
+        for n_classes in range(1, 9):
+            columns = np.array([random_canonical_column(rng, n_classes) for _ in range(30)])
+            totals = rng.integers(0, 50, size=n_classes).astype(np.float64)
+            succ = np.floor(rng.random((30, n_classes)) * (totals + 1))
+            s, f = mcmc._set_counts(columns, succ, totals)
+            for col, succ_j, s_j, f_j in zip(columns, succ, s, f):
+                ref_s, ref_f = _set_counts(col, succ_j, totals)
+                n_sets = col.max()
+                assert np.array_equal(s_j[:n_sets], ref_s) and np.array_equal(f_j[:n_sets], ref_f)
+                assert not s_j[n_sets:].any() and not f_j[n_sets:].any()
+
+
 class TestThetaGibbs:
     def test_prior_draw_is_uniform_at_v_zero(self):
         rng = np.random.default_rng(21)
@@ -597,6 +614,17 @@ class TestPiAndMemberships:
         state = make_state([[1, 2, 3]], [[0.2, 0.5, 0.8]], [], v=1.0)
         draws = np.array([gibbs_update_pi(state, prior, rng).pi.copy() for _ in range(20_000)])
         assert np.allclose(draws.mean(axis=0), 1 / 3, atol=0.01)
+
+    def test_pi_from_carried_totals_draws_the_same_stream(self):
+        prior = PriorConfig.default(3, lam=1.0)
+        memberships = np.random.default_rng(36).integers(0, 3, size=50)
+        data = Dataset(np.random.default_rng(37).integers(0, 2, size=(50, 1)))
+        counts = kernels.class_counts(data.x, memberships, 3)
+        pis = []
+        for kwargs in ({}, {"counts": counts}):
+            state = make_state([[1, 2, 3]], [[0.2, 0.5, 0.8]], memberships, v=1.0)
+            pis.append(gibbs_update_pi(state, prior, np.random.default_rng(38), **kwargs).pi)
+        assert pis[0].tobytes() == pis[1].tobytes()
 
     def test_membership_uniform_when_classes_identical(self):
         rng = np.random.default_rng(33)
@@ -742,6 +770,51 @@ class TestRunChain:
                                base=BaseClassMatrix(draws.base_columns[d].T),
                                theta_prime=draws.theta_prime[d], v=draws.v[d])
             assert full_log_joint(state, data, prior) == draws.log_joint[d]
+
+    COUNT_CASES = [("fixed_zero", False, 60), ("free", False, 60), ("fixed_zero", True, 60),
+                   ("free", True, 60), ("fixed_zero", False, 0)]
+
+    @pytest.mark.parametrize("v_mode, unrestricted, n", COUNT_CASES)
+    def test_carried_counts_equal_a_full_recount_every_sweep(self, monkeypatch, v_mode,
+                                                             unrestricted, n):
+        rng = np.random.default_rng(12)
+        data = Dataset(rng.integers(0, 2, size=(n, 4)))
+        prior = PriorConfig.default(3, lam=0.5, v_mode=v_mode)
+        carry, sweeps = mcmc._class_count_cache, []
+
+        def checked(data, old, new, counts):
+            # the counts carried in are those of ``old``, and those carried
+            # out equal a recount of ``new``, bit for bit
+            recount = kernels.class_counts(data.x, old, 3)
+            assert [a.tobytes() for a in counts] == [a.tobytes() for a in recount]
+            out = carry(data, old, new, counts)
+            recount = kernels.class_counts(data.x, new, 3)
+            assert [a.tobytes() for a in out] == [a.tobytes() for a in recount]
+            sweeps.append(np.count_nonzero(old != new))
+            return out
+
+        monkeypatch.setattr(mcmc, "_class_count_cache", checked)
+        run_chain(data, prior, McmcConfig(n_main=15, n_warmup=10, seed=2,
+                                          unrestricted=unrestricted))
+        assert len(sweeps) == 25
+        assert (sum(sweeps) > 0) == (n > 0)
+
+    @pytest.mark.parametrize("v_mode, unrestricted, n", COUNT_CASES)
+    def test_draws_equal_those_of_a_full_recount_each_sweep(self, monkeypatch, v_mode,
+                                                            unrestricted, n):
+        rng = np.random.default_rng(13)
+        data = Dataset(rng.integers(0, 2, size=(n, 4)))
+        prior = PriorConfig.default(3, lam=0.5, v_mode=v_mode)
+        config = McmcConfig(n_main=15, n_warmup=10, seed=3, unrestricted=unrestricted,
+                            store_c_every=1)
+        carried = run_chain(data, prior, config)
+        monkeypatch.setattr(mcmc, "_class_count_cache",
+                            lambda data, old, new, counts: kernels.class_counts(data.x, new, 3))
+        recounted = run_chain(data, prior, config)
+        for name in ("iters", "log_joint", "v", "pi", "base_columns", "theta_prime"):
+            assert getattr(carried, name).tobytes() == getattr(recounted, name).tobytes(), name
+        assert all(carried.memberships[it].tobytes() == c.tobytes()
+                   for it, c in recounted.memberships.items())
 
     def test_prior_recovery_through_full_chain(self):
         prior = PriorConfig.default(3, lam=0.5, v_mode="fixed_zero")
