@@ -143,32 +143,16 @@ def _clip_unit(values):
     return np.clip(values, 1e-12, 1.0 - 1e-12)
 
 
-def _label_sums(labels, weights, n_labels):
-    """Per-label sums in each row of the (J, C) block ``labels``, one (J,
-    n_labels) block per entry of ``weights``.
-
-    Entry (i, l - 1) of block k sums ``weights[k]`` at (i, c) over the
-    classes c with ``labels[i, c] == l``, for l = 1..n_labels; label 0
-    leaves a class out. Each weight broadcasts against ``labels``. All sums
-    are one bincount over ``(k * J + row) * (n_labels + 1) + label``; their
-    terms are integers, so they are exact in any order.
-    """
-    n_rows, stride = len(labels), n_labels + 1
-    stacked = np.empty((len(weights),) + labels.shape)
-    for block, weight in zip(stacked, weights):
-        block[...] = weight
-    bins = np.arange(stacked.shape[0] * n_rows).reshape(-1, n_rows, 1) * stride + labels
-    sums = np.bincount(bins.ravel(), stacked.ravel(), minlength=bins.shape[0] * n_rows * stride)
-    return sums.reshape(-1, n_rows, stride)[:, :, 1:]
-
-
 def _set_counts(columns, succ, totals):
     """Per-set success and failure counts of the (J, C) canonical columns.
 
     ``succ`` is (J, C), one row per item, and ``totals`` (C,); set s of a
     column is at index s - 1, and unused sets count zero.
     """
-    s, t = _label_sums(columns, (succ, totals), columns.shape[1])
+    n_rows, n_classes = columns.shape
+    bins = (np.arange(n_rows)[:, None] * n_classes + columns - 1).ravel()
+    s = np.bincount(bins, succ.ravel(), minlength=bins.size).reshape(n_rows, n_classes)
+    t = np.bincount(bins, np.tile(totals, n_rows), minlength=bins.size).reshape(n_rows, n_classes)
     return s, t - s
 
 
@@ -195,9 +179,10 @@ def _column_menu(columns, targets, succ, totals, prior):
     labels = np.arange(1, n_classes + 2)
     others = columns.copy()
     others[rows, targets] = 0
-    s, t, n_members = _label_sums(others, (succ, totals, 1.0), n_classes + 1)
-    f = t - s
-    present = n_members > 0
+    member = (others[:, :, None] == labels).astype(np.float64)  # item, class, label
+    s = np.einsum("jc,jcl->jl", succ, member)
+    f = totals @ member - s
+    present = member.any(axis=1)
     valid = present | (labels == columns.max(axis=1)[:, None] + 1)
     # row k of the staircase is a canonical column with k + 1 sets
     by_n_sets = base_vector_log_prior(np.minimum.outer(labels[:-1], labels[:-1]), prior)
@@ -219,6 +204,10 @@ def _relabel(columns, targets, new_labels):
     moved = columns.copy()
     moved[np.arange(len(moved)), targets] = new_labels
     return canonicalize(moved)
+
+
+def _full_counts(state, data):
+    return kernels.class_counts(data.x, state.memberships, state.base.n_classes)
 
 
 def _class_count_cache(data, old, new, counts):
@@ -272,9 +261,7 @@ def _base_move(items, state, data, prior, rng, counts):
     identically 1: every row is accepted and no uniform is drawn, which
     makes this the collapsed Gibbs move. Returns the number accepted.
     """
-    if counts is None:
-        counts = kernels.class_counts(data.x, state.memberships, state.base.n_classes)
-    succ, totals = counts
+    succ, totals = counts if counts is not None else _full_counts(state, data)
     items = np.atleast_1d(items)
     succ_items = succ[:, items].T
     columns = _propose_columns(items, state, succ_items, totals, prior, rng)
@@ -400,9 +387,7 @@ def gibbs_update_theta(items, state, data, prior, rng, counts=None):
     ``perfbench/tracing.py`` wraps this binding by name and reads
     ``result[1]`` and ``result[2]``.
     """
-    if counts is None:
-        counts = kernels.class_counts(data.x, state.memberships, state.base.n_classes)
-    succ, totals = counts
+    succ, totals = counts if counts is not None else _full_counts(state, data)
     items = np.atleast_1d(items)
     s, f = _set_counts(state.base.labels[:, items].T, succ[:, items].T, totals)
 
@@ -421,13 +406,9 @@ def gibbs_update_theta(items, state, data, prior, rng, counts=None):
 # conjugate updates
 # ---------------------------------------------------------------------------
 
-def gibbs_update_pi(state, prior, rng, counts=None):
-    """Redraw the class weights from their Dirichlet full conditional.
-
-    ``counts`` are the state's class counts; only their totals are read.
-    """
-    totals = (counts[1] if counts is not None
-              else np.bincount(state.memberships, minlength=state.base.n_classes))
+def gibbs_update_pi(state, prior, rng, totals):
+    """Redraw the class weights from their Dirichlet full conditional, given
+    ``totals``, the number of rows in each class."""
     pi = rng.dirichlet(prior.alpha_c + totals)
     state.pi = np.clip(pi, 1e-300, None)
     state.pi /= state.pi.sum()
@@ -507,14 +488,14 @@ def run_chain(data: Dataset, prior: PriorConfig, config: McmcConfig,
     col_changes = col_total = 0
 
     # the class counts of the current memberships, carried across sweeps
-    counts = kernels.class_counts(data.x, state.memberships, prior.n_classes)
+    counts = _full_counts(state, data)
     total_sweeps = config.n_warmup + config.n_main
     for sweep in range(total_sweeps):
         old = state.memberships  # the draw makes a new array, so no copy
         if data.n:
             _update_all_memberships(state, data, rng)
         counts = _class_count_cache(data, old, state.memberships, counts)
-        gibbs_update_pi(state, prior, rng, counts=counts)
+        gibbs_update_pi(state, prior, rng, counts[1])
         if not config.unrestricted:
             before = state.base.labels.copy()
             if prior.v_mode == V_FIXED_ZERO:

@@ -605,26 +605,19 @@ class TestPiAndMemberships:
         rng = np.random.default_rng(31)
         prior = PriorConfig.default(2, lam=1.0)
         state = make_state([[1, 2]], [[0.4, 0.6]], [0, 0, 0, 1], v=1.0)
-        draws = np.array([gibbs_update_pi(state, prior, rng).pi.copy() for _ in range(20_000)])
+        totals = np.bincount(state.memberships, minlength=2)
+        draws = np.array([gibbs_update_pi(state, prior, rng, totals).pi.copy()
+                          for _ in range(20_000)])
         assert draws[:, 0].mean() == pytest.approx(2 / 3, abs=0.01)
 
     def test_pi_prior_draw_without_data(self):
         rng = np.random.default_rng(32)
         prior = PriorConfig.default(3, lam=1.0)
         state = make_state([[1, 2, 3]], [[0.2, 0.5, 0.8]], [], v=1.0)
-        draws = np.array([gibbs_update_pi(state, prior, rng).pi.copy() for _ in range(20_000)])
+        totals = np.bincount(state.memberships, minlength=3)
+        draws = np.array([gibbs_update_pi(state, prior, rng, totals).pi.copy()
+                          for _ in range(20_000)])
         assert np.allclose(draws.mean(axis=0), 1 / 3, atol=0.01)
-
-    def test_pi_from_carried_totals_draws_the_same_stream(self):
-        prior = PriorConfig.default(3, lam=1.0)
-        memberships = np.random.default_rng(36).integers(0, 3, size=50)
-        data = Dataset(np.random.default_rng(37).integers(0, 2, size=(50, 1)))
-        counts = kernels.class_counts(data.x, memberships, 3)
-        pis = []
-        for kwargs in ({}, {"counts": counts}):
-            state = make_state([[1, 2, 3]], [[0.2, 0.5, 0.8]], memberships, v=1.0)
-            pis.append(gibbs_update_pi(state, prior, np.random.default_rng(38), **kwargs).pi)
-        assert pis[0].tobytes() == pis[1].tobytes()
 
     def test_membership_uniform_when_classes_identical(self):
         rng = np.random.default_rng(33)
@@ -780,7 +773,7 @@ class TestRunChain:
         rng = np.random.default_rng(12)
         data = Dataset(rng.integers(0, 2, size=(n, 4)))
         prior = PriorConfig.default(3, lam=0.5, v_mode=v_mode)
-        carry, sweeps = mcmc._class_count_cache, []
+        carry, draw_pi, sweeps, pi_totals = mcmc._class_count_cache, mcmc.gibbs_update_pi, [], []
 
         def checked(data, old, new, counts):
             # the counts carried in are those of ``old``, and those carried
@@ -793,10 +786,18 @@ class TestRunChain:
             sweeps.append(np.count_nonzero(old != new))
             return out
 
+        def pi_checked(state, prior, rng, totals):
+            # pi is drawn from the counts of the current memberships
+            recount = np.bincount(state.memberships, minlength=3).astype(np.float64)
+            assert totals.tobytes() == recount.tobytes()
+            pi_totals.append(totals)
+            return draw_pi(state, prior, rng, totals)
+
         monkeypatch.setattr(mcmc, "_class_count_cache", checked)
+        monkeypatch.setattr(mcmc, "gibbs_update_pi", pi_checked)
         run_chain(data, prior, McmcConfig(n_main=15, n_warmup=10, seed=2,
                                           unrestricted=unrestricted))
-        assert len(sweeps) == 25
+        assert len(sweeps) == len(pi_totals) == 25
         assert (sum(sweeps) > 0) == (n > 0)
 
     @pytest.mark.parametrize("v_mode, unrestricted, n", COUNT_CASES)
