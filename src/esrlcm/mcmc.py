@@ -10,6 +10,13 @@ hyperrectangle slice update of every item's theta' row (Neal 2003, §5.1)
 and one slice update of v, both by one shrinkage routine. Chain k draws
 from child k of ``SeedSequence(seed)``, so chains are reproducible given
 (seed, chain index) and no two (seed, chain index) pairs share a stream.
+
+:func:`run_lockstep` advances several independent chains one sweep at a
+time and runs the base move once per sweep over all their items, stacked
+in a :class:`Lanes` block; every other phase runs chain by chain. Each
+chain's draws are those of a one-chain run (:func:`run_chain`), so
+``kfold_cv`` runs its whole (prior, fold) grid as one group in one process,
+and ``run_chains`` runs each worker process's chains as one group.
 """
 
 import json
@@ -144,62 +151,74 @@ def _clip_unit(values):
 
 
 def _set_counts(columns, succ, totals):
-    """Per-set success and failure counts of the (J, C) canonical columns.
+    """Per-set success and failure counts of the (R, C) canonical columns.
 
-    ``succ`` is (J, C), one row per item, and ``totals`` (C,); set s of a
-    column is at index s - 1, and unused sets count zero.
+    ``succ`` is (R, C), one row per item, and ``totals`` broadcasts to it;
+    set s of a column is at index s - 1, and unused sets count zero.
     """
     n_rows, n_classes = columns.shape
     bins = (np.arange(n_rows)[:, None] * n_classes + columns - 1).ravel()
     s = np.bincount(bins, succ.ravel(), minlength=bins.size).reshape(n_rows, n_classes)
-    t = np.bincount(bins, np.tile(totals, n_rows), minlength=bins.size).reshape(n_rows, n_classes)
+    t = np.bincount(bins, np.broadcast_to(totals, columns.shape).ravel(),
+                    minlength=bins.size).reshape(n_rows, n_classes)
     return s, t - s
 
 
-def _column_menu(columns, targets, succ, totals, prior):
+def _log_prior_by_n_sets(prior):
+    """The partition log prior of a canonical column by its number of sets:
+    entry k is that of a column with k + 1 sets."""
+    labels = np.arange(1, prior.n_classes + 1)
+    # row k of this staircase is a canonical column with k + 1 sets
+    return base_vector_log_prior(np.minimum.outer(labels, labels), prior)
+
+
+def _column_menu(columns, targets, succ, totals, log_prior_by_n_sets):
     """Candidate labels and their log weights when, in each row of the
-    (J, C) block ``columns``, class ``targets[i]`` may change its label.
+    (R, C) block ``columns``, class ``targets[i]`` may change its label.
 
     An item's menu is: join each equivalence set present among its other
     classes (ascending label), or open a fresh set (last); its current
-    column is always in it. Both outputs are (J, C + 1): the label the
+    column is always in it. Both outputs are (R, C + 1): the label the
     target takes, and the candidate's log weight, -inf on the padding after
     the valid ones. :func:`_relabel` makes chosen candidates canonical. A
-    weight is the partition prior times the likelihood with theta'
+    weight is the partition prior (``log_prior_by_n_sets``, see
+    :func:`_log_prior_by_n_sets`) times the likelihood with theta'
     integrated out under independent uniform priors (v = 0). The other
     classes' sets are counted once; a candidate changes only the set the
-    target joins. ``succ`` is (J, C), one row per item.
+    target joins. ``succ``, ``totals`` and ``log_prior_by_n_sets`` are
+    (R, C), one row per item, so rows of different lanes may have their own
+    totals and prior.
     """
     # imported here: scipy.special costs about 0.28 s, which simulate never
     # needs; repeating the import costs under 1 µs, under 1% of this call
     from scipy.special import betaln
 
-    n_items, n_classes = columns.shape
-    rows = np.arange(n_items)
+    n_rows, n_classes = columns.shape
+    rows = np.arange(n_rows)
     labels = np.arange(1, n_classes + 2)
     others = columns.copy()
     others[rows, targets] = 0
-    member = (others[:, :, None] == labels).astype(np.float64)  # item, class, label
-    s = np.einsum("jc,jcl->jl", succ, member)
-    f = totals @ member - s
+    member = (others[:, :, None] == labels).astype(np.float64)  # row, class, label
+    # each candidate set's successes and rows, one stacked product
+    s, t = (np.stack([succ, totals], axis=1) @ member).swapaxes(0, 1)
+    f = t - s
     present = member.any(axis=1)
     valid = present | (labels == columns.max(axis=1)[:, None] + 1)
-    # row k of the staircase is a canonical column with k + 1 sets
-    by_n_sets = base_vector_log_prior(np.minimum.outer(labels[:-1], labels[:-1]), prior)
     n_sets = present.sum(axis=1)[:, None] + ~present  # a fresh set adds one
+    by_n_sets = log_prior_by_n_sets[rows[:, None], n_sets - 1]
     sets = betaln(1.0 + s, 1.0 + f)
     s_t = succ[rows, targets][:, None]
-    f_t = totals[targets][:, None] - s_t
-    log_w = (by_n_sets[n_sets - 1] + (sets.sum(axis=1)[:, None] - sets)
+    f_t = totals[rows, targets][:, None] - s_t
+    log_w = (by_n_sets + (sets.sum(axis=1)[:, None] - sets)
              + betaln(1.0 + s + s_t, 1.0 + f + f_t))
     log_w[~valid] = -np.inf
     # valid labels first, in label order; padding after them
     order = np.argsort(~valid, axis=1, kind="stable")
-    return labels[order], np.take_along_axis(log_w, order, axis=1)
+    return labels[order], log_w[rows[:, None], order]
 
 
 def _relabel(columns, targets, new_labels):
-    """Canonical columns after class ``targets[i]`` of row i of the (J, C)
+    """Canonical columns after class ``targets[i]`` of row i of the (R, C)
     block ``columns`` takes the label ``new_labels[i]``."""
     moved = columns.copy()
     moved[np.arange(len(moved)), targets] = new_labels
@@ -222,77 +241,144 @@ def _class_count_cache(data, old, new, counts):
 # base class updates
 # ---------------------------------------------------------------------------
 
-def _conjugate_theta(columns, succ_items, totals, rng):
-    """NaN-padded theta' of every set of the (J, C) columns, each set drawn
+class Lanes:
+    """The base class state of K chains ("lanes") stacked for one base move.
+
+    ``labels`` (K, C, J) and ``theta`` (K, J, C) hold lane k's base labels
+    and NaN-padded theta', laid out as ``ModelState`` keeps them; ``succ``
+    (K, C, J) and ``totals`` (K, C) are its class counts, as
+    ``kernels.class_counts`` returns them, and lane k draws from
+    ``rngs[k]``. The blocks are copied from the states once; each state's
+    base labels and theta' then view its lane of them, so a move that writes
+    the blocks moves every state, and a slice update of a state's theta'
+    rows writes the block. All lanes share C and J.
+    """
+
+    def __init__(self, states, priors, rngs, counts):
+        self.states, self.rngs = list(states), list(rngs)
+        self.labels = np.stack([state.base.labels for state in self.states])
+        self.theta = np.stack([state.theta_prime for state in self.states])
+        for state, labels, theta in zip(self.states, self.labels, self.theta):
+            state.base.labels, state.theta_prime = labels, theta
+        self.succ = np.stack([succ for succ, _ in counts])
+        self.totals = np.stack([totals for _, totals in counts])
+        self.log_prior_by_n_sets = np.stack([_log_prior_by_n_sets(prior) for prior in priors])
+        self.n_accepted = np.zeros(len(self.states), dtype=np.int64)
+
+    def counts(self, k):
+        """Lane k's class counts, views of the blocks."""
+        return self.succ[k], self.totals[k]
+
+    def rows(self, items):
+        """The ``items`` of every lane as rows, lane after lane: their
+        (K, I, C) canonical columns, and their successes and class totals
+        as (K·I, C) blocks."""
+        columns = self.labels[:, :, items].swapaxes(1, 2)
+        n_items, n_classes = columns.shape[1:]
+        succ = self.succ[:, :, items].swapaxes(1, 2).reshape(-1, n_classes)
+        return columns, succ, np.repeat(self.totals, n_items, axis=0)
+
+
+def _conjugate_theta(columns, succ, totals, rngs):
+    """NaN-padded theta' of every set of the (R, C) columns, each set drawn
     from its conjugate beta under a uniform prior.
 
     Given the columns and v = 0 the sets' response probabilities are
-    independent betas, so one ``rng.beta`` call draws all of them, item by
-    item in set order. ``succ_items`` is (J, C), one row per item.
+    independent betas. The rows are split evenly into one run of rows per
+    stream of ``rngs``, and one ``rng.beta`` call per stream draws all sets
+    of its rows, item by item in set order. ``succ`` is (R, C), one row per
+    item, and ``totals`` broadcasts to it.
     """
-    s, f = _set_counts(columns, succ_items, totals)
+    s, f = _set_counts(columns, succ, totals)
     used = np.arange(columns.shape[1]) < columns.max(axis=1)[:, None]
     block = np.full(columns.shape, np.nan)
-    block[used] = _clip_unit(rng.beta(1.0 + s[used], 1.0 + f[used]))
+    n_items = len(columns) // len(rngs)
+    for k, rng in enumerate(rngs):
+        lane = slice(k * n_items, (k + 1) * n_items)
+        a, b, lane_used = s[lane], f[lane], used[lane]
+        block[lane][lane_used] = _clip_unit(rng.beta(1.0 + a[lane_used], 1.0 + b[lane_used]))
     return block
 
 
-def _propose_columns(items, state, succ_items, totals, prior, rng):
-    """In each item's row of the (J, C) block, a uniformly chosen class
-    takes a label drawn from the collapsed v = 0 conditional over its menu.
-    Returns the new canonical columns."""
-    targets = rng.integers(state.base.n_classes, size=items.size)
-    columns = state.base.labels[:, items].T
-    labels, log_w = _column_menu(columns, targets, succ_items, totals, prior)
-    picks = kernels.categorical_rows(log_w.T, rng.random(items.size))
-    return _relabel(columns, targets, labels[np.arange(items.size), picks])
+def _propose_columns(columns, succ, totals, log_prior_by_n_sets, rngs):
+    """In each row of the (R, C) block, a uniformly chosen class takes a
+    label drawn from the collapsed v = 0 conditional over its menu.
+
+    The rows are split evenly into one run of rows per stream of ``rngs``;
+    each stream draws its rows' targets, then their pick uniforms. The other
+    arguments are those of :func:`_column_menu`. Returns the new canonical
+    columns.
+    """
+    n_items = len(columns) // len(rngs)
+    targets = np.concatenate([rng.integers(columns.shape[1], size=n_items) for rng in rngs])
+    labels, log_w = _column_menu(columns, targets, succ, totals, log_prior_by_n_sets)
+    u = np.concatenate([rng.random(n_items) for rng in rngs])
+    picks = kernels.categorical_rows(log_w.T, u)
+    return _relabel(columns, targets, labels[np.arange(len(columns)), picks])
 
 
-def _base_move(items, state, data, prior, rng, counts):
-    """The base move of both v modes on one item or an index array of items.
+def _base_move(items, lanes):
+    """The base move of both v modes on one item, an index array or a slice
+    of items of every lane of the :class:`Lanes` block, as one stacked step
+    over their rows.
 
     Each item's column comes from :func:`_propose_columns` and every set of
     it takes a fresh theta' from :func:`_conjugate_theta`. In Green's
     acceptance ratio (Green 1995, Biometrika 82(4)) the column weights,
     partition priors, likelihoods and beta densities then cancel, leaving
     the ratio of the normalized repelled beta densities of the new and old
-    theta'. Given the memberships and v the items are independent, so at
-    v > 0 each row accepts with its own uniform. At v = 0 the ratio is
-    identically 1: every row is accepted and no uniform is drawn, which
-    makes this the collapsed Gibbs move. Returns the number accepted.
+    theta'. Given the memberships and v the items are independent, so in a
+    lane at v > 0 each row accepts with its own uniform from the lane's
+    stream. At v = 0 the ratio is identically 1: every row is accepted and
+    no uniform is drawn, which makes this the collapsed Gibbs move. Lanes
+    share no draw and every row is computed on its own, so each lane's
+    stream and state follow exactly as in a one-lane block. Sets
+    ``lanes.n_accepted``, the number accepted per lane.
     """
-    succ, totals = counts if counts is not None else _full_counts(state, data)
-    items = np.atleast_1d(items)
-    succ_items = succ[:, items].T
-    columns = _propose_columns(items, state, succ_items, totals, prior, rng)
-    theta = _conjugate_theta(columns, succ_items, totals, rng)
-    if state.v > 0:
-        log_acc = (repelled_beta.log_density_all_ones(theta, state.v)
-                   - repelled_beta.log_density_all_ones(state.theta_prime[items], state.v))
-        accepted = np.log(rng.random(items.size)) < log_acc
-        items, columns, theta = items[accepted], columns[accepted], theta[accepted]
-    state.base.labels[:, items] = columns.T
-    state.theta_prime[items] = theta
-    return items.size
+    if not isinstance(items, slice):
+        items = np.atleast_1d(items)
+    old_columns, succ, totals = lanes.rows(items)
+    old_theta = lanes.theta[:, items]
+    n_lanes, n_items, n_classes = old_columns.shape
+    columns = _propose_columns(old_columns.reshape(-1, n_classes), succ, totals,
+                               np.repeat(lanes.log_prior_by_n_sets, n_items, axis=0), lanes.rngs)
+    theta = _conjugate_theta(columns, succ, totals, lanes.rngs).reshape(old_theta.shape)
+    columns = columns.reshape(old_columns.shape)
+    n_accepted = np.full(n_lanes, n_items)
+    for k, (state, rng) in enumerate(zip(lanes.states, lanes.rngs)):
+        if state.v > 0:
+            log_acc = (repelled_beta.log_density_all_ones(theta[k], state.v)
+                       - repelled_beta.log_density_all_ones(old_theta[k], state.v))
+            keep = (np.log(rng.random(n_items)) < log_acc)[:, None]
+            columns[k] = np.where(keep, columns[k], old_columns[k])
+            theta[k] = np.where(keep, theta[k], old_theta[k])
+            n_accepted[k] = keep.sum()
+    lanes.labels[:, :, items], lanes.theta[:, items] = columns.swapaxes(1, 2), theta
+    lanes.n_accepted = n_accepted
 
 
-def gibbs_update_base_class_v0(items, state, data, prior, rng, counts=None):
-    """Collapsed Gibbs move on the partitions and theta' of one item or an
-    index array of items, valid at v = 0: :func:`_base_move`, which accepts
-    every proposal there. Returns ``state``."""
-    _base_move(items, state, data, prior, rng, counts)
-    return state
+def gibbs_update_base_class_v0(items, lanes):
+    """Collapsed Gibbs move on the partitions and theta' of the ``items``
+    (see :func:`_base_move`) of every lane of ``lanes``, valid at v = 0:
+    :func:`_base_move`, which accepts every proposal there. Returns
+    ``lanes``."""
+    _base_move(items, lanes)
+    return lanes
 
 
-def rj_update_base_class(items, state, data, prior, rng, counts=None):
-    """Reversible jump move on the partitions and theta' of one item or an
-    index array of items, for v > 0: :func:`_base_move`.
+def rj_update_base_class(items, lanes):
+    """Reversible jump move on the partitions and theta' of the ``items``
+    (see :func:`_base_move`) of every lane of ``lanes``, for v > 0:
+    :func:`_base_move`.
 
-    Returns ``(state, n_accepted)``. Neither public move calls the other,
-    and the name and the two-tuple are kept, because ``perfbench/tracing.py``
-    wraps both bindings by name and reads ``result[1]`` here.
+    Returns ``(lanes, n_accepted)``, the number accepted over all lanes;
+    ``lanes.n_accepted`` has it per lane. Neither public move calls the
+    other, and the name and the two-tuple are kept, because
+    ``perfbench/tracing.py`` wraps both bindings by name and reads
+    ``result[1]`` here.
     """
-    return state, _base_move(items, state, data, prior, rng, counts)
+    _base_move(items, lanes)
+    return lanes, int(lanes.n_accepted.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -375,19 +461,20 @@ def metropolis_update_v(state, prior, rng):
     return state, n_evals
 
 
-def gibbs_update_theta(items, state, data, prior, rng, counts=None):
+def gibbs_update_theta(items, state, data, prior, rng, counts):
     """Slice update of the repelled beta theta' of one item or an index
     array of items: given the columns and v the items are independent, so
     each item's NaN-padded theta' row moves in its own box on (0, 1)^m, all
     rows in one :func:`_shrinkage_slice` call. A row's target is its sets'
-    summed beta kernels plus its repulsion gap term.
+    summed beta kernels plus its repulsion gap term. ``counts`` are the
+    ``kernels.class_counts`` of the state's memberships.
 
     Returns ``(state, n_evals, False)``, ``n_evals`` counting one per row
     evaluation. The name and the three-tuple are kept because
     ``perfbench/tracing.py`` wraps this binding by name and reads
     ``result[1]`` and ``result[2]``.
     """
-    succ, totals = counts if counts is not None else _full_counts(state, data)
+    succ, totals = counts
     items = np.atleast_1d(items)
     s, f = _set_counts(state.base.labels[:, items].T, succ[:, items].T, totals)
 
@@ -459,87 +546,124 @@ def _check_start_reachable(prior, config):
                          f"so the chain cannot leave its {n_classes}-set start")
 
 
-def run_chain(data: Dataset, prior: PriorConfig, config: McmcConfig,
-              chain_index: int = 0) -> PosteriorDraws:
-    """Run one chain and return the retained draws.
+def run_lockstep(lanes, config: McmcConfig) -> list:
+    """Run independent chains ("lanes") in lockstep and return each lane's
+    retained draws, in lane order.
 
-    Sweep order: memberships, pi, then at v = 0 one batched collapsed move
-    of every item's column and theta', and at free v one batched reversible
-    jump move, one batched slice update of theta' and one slice update of v.
-    The class counts are counted in full once, before the first sweep; each
-    sweep then updates them from the rows whose class its membership draw
-    changed, with the bits of a full recount. Warmup sweeps are discarded
-    and every ``thin``-th main sweep is retained.
-    ``stats["rj_accept_rate"]`` is accepted moves over items times free-v
-    sweeps; ``stats["column_change_rate"]`` is the share of items whose
-    column the base move changed, over items times sweeps in both v modes
-    (None when unrestricted); ``stats["theta_evals_per_update"]`` and
+    ``lanes`` are (data, prior, chain index) triples; lane k draws from
+    child ``chain index`` of ``SeedSequence(config.seed)``, so its draws,
+    memberships and stats are those of a one-lane run, whatever the other
+    lanes are. The lanes must share the item count, the class count and the
+    v mode; their data and priors may differ.
+
+    Sweep order, per lane: memberships, class counts, pi; then one batched
+    base move of every lane's items (at v = 0 the collapsed move of every
+    column and theta', at free v the reversible jump move), as one stacked
+    step over the lanes' :class:`Lanes` block; then at free v, per lane, one
+    batched slice update of theta' and one slice update of v. The class
+    counts are counted in full once, before the first sweep; each sweep then
+    updates them from the rows whose class its membership draw changed, with
+    the bits of a full recount. Warmup sweeps are discarded and every
+    ``thin``-th main sweep is retained.
+
+    Per lane, ``stats["rj_accept_rate"]`` is accepted moves over items times
+    free-v sweeps; ``stats["column_change_rate"]`` is the share of items
+    whose column the base move changed, over items times sweeps in both v
+    modes (None when unrestricted); ``stats["theta_evals_per_update"]`` and
     ``stats["v_evals_per_update"]`` are the mean numbers of log-target
     evaluations per slice update of one item's theta' row and of v, levels
     included (None at v = 0).
     """
-    _check_start_reachable(prior, config)
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(chain_index,)))
-    state = _initial_state(data, prior, rng)
-    items = np.arange(data.n_items)
-
-    kept, memberships = [], {}  # one tuple per retained draw
-    rj_accept = rj_total = theta_evals = theta_total = v_evals = v_total = 0
-    col_changes = col_total = 0
-
+    shapes = {(data.n_items, prior.n_classes, prior.v_mode) for data, prior, _ in lanes}
+    if len(shapes) != 1:
+        raise ValueError("chains run in lockstep must share the item count, the class "
+                         f"count and the v mode, got {sorted(shapes)}")
+    (n_items, _, v_mode), = shapes
+    for _, prior, _ in lanes:
+        _check_start_reachable(prior, config)
+    rngs = [np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(k,)))
+            for _, _, k in lanes]
+    states = [_initial_state(data, prior, rng) for (data, prior, _), rng in zip(lanes, rngs)]
     # the class counts of the current memberships, carried across sweeps
-    counts = _full_counts(state, data)
-    total_sweeps = config.n_warmup + config.n_main
-    for sweep in range(total_sweeps):
-        old = state.memberships  # the draw makes a new array, so no copy
-        if data.n:
-            _update_all_memberships(state, data, rng)
-        counts = _class_count_cache(data, old, state.memberships, counts)
-        gibbs_update_pi(state, prior, rng, counts[1])
+    block = Lanes(states, [prior for _, prior, _ in lanes], rngs,
+                  [_full_counts(state, data) for state, (data, _, _) in zip(states, lanes)])
+    items = np.arange(n_items)
+
+    kept = [[] for _ in lanes]  # one tuple per retained draw
+    memberships = [{} for _ in lanes]
+    rj_accept, col_changes = np.zeros((2, len(lanes)), dtype=np.int64)
+    theta_evals, v_evals = [0] * len(lanes), [0] * len(lanes)
+    n_sweeps = config.n_warmup + config.n_main
+    for sweep in range(n_sweeps):
+        for k, (data, prior, _) in enumerate(lanes):
+            state = states[k]
+            old = state.memberships  # the draw makes a new array, so no copy
+            if data.n:
+                _update_all_memberships(state, data, rngs[k])
+            block.succ[k], block.totals[k] = _class_count_cache(data, old, state.memberships,
+                                                                block.counts(k))
+            gibbs_update_pi(state, prior, rngs[k], block.totals[k])
         if not config.unrestricted:
-            before = state.base.labels.copy()
-            if prior.v_mode == V_FIXED_ZERO:
-                gibbs_update_base_class_v0(items, state, data, prior, rng, counts=counts)
+            before = block.labels.copy()
+            if v_mode == V_FIXED_ZERO:
+                gibbs_update_base_class_v0(slice(None), block)
             else:
-                _, n_accepted = rj_update_base_class(items, state, data, prior, rng, counts=counts)
-                rj_accept += n_accepted
-                rj_total += items.size
-            col_changes += int((state.base.labels != before).any(axis=0).sum())
-            col_total += items.size
-        elif prior.v_mode == V_FIXED_ZERO:
-            state.theta_prime = _conjugate_theta(state.base.labels.T, counts[0].T, counts[1], rng)
-        if prior.v_mode == V_FREE:
-            _, n_evals, _ = gibbs_update_theta(items, state, data, prior, rng, counts=counts)
-            theta_total += items.size
-            theta_evals += n_evals
-            _, n_evals = metropolis_update_v(state, prior, rng)
-            v_total += 1
-            v_evals += n_evals
+                rj_update_base_class(slice(None), block)
+                rj_accept += block.n_accepted
+            col_changes += (block.labels != before).any(axis=1).sum(axis=1)
+        elif v_mode == V_FIXED_ZERO:
+            columns, succ, totals = block.rows(items)
+            block.theta[...] = _conjugate_theta(columns.reshape(succ.shape), succ, totals,
+                                                rngs).reshape(block.theta.shape)
 
         # memberships change only at the top of the sweep, so the carried
-        # ``counts`` are still current when the draw is retained
+        # counts are still current when a draw is retained
         main_iter = sweep - config.n_warmup
-        if main_iter >= 0 and (main_iter + 1) % config.thin == 0:
-            if config.store_c_every and len(kept) % config.store_c_every == 0:
-                memberships[main_iter] = state.memberships.copy()
-            kept.append((main_iter, full_log_joint(state, data, prior, counts), state.v,
-                         state.pi.copy(), state.base.labels.T.copy(), state.theta_prime.copy()))
+        retain = main_iter >= 0 and (main_iter + 1) % config.thin == 0
+        for k, (data, prior, _) in enumerate(lanes):
+            state = states[k]
+            if v_mode == V_FREE:
+                _, n_evals, _ = gibbs_update_theta(items, state, data, prior, rngs[k],
+                                                   block.counts(k))
+                theta_evals[k] += n_evals
+                _, n_evals = metropolis_update_v(state, prior, rngs[k])
+                v_evals[k] += n_evals
+            if retain:
+                if config.store_c_every and len(kept[k]) % config.store_c_every == 0:
+                    memberships[k][main_iter] = state.memberships.copy()
+                kept[k].append((main_iter, full_log_joint(state, data, prior, block.counts(k)),
+                                state.v, state.pi.copy(), state.base.labels.T.copy(),
+                                state.theta_prime.copy()))
 
-    iters, log_joint, vs, pis, base_columns, theta_prime = zip(*kept)
-    return PosteriorDraws(
-        iters=np.array(iters, dtype=np.int64), log_joint=np.array(log_joint, dtype=np.float64),
-        v=np.array(vs, dtype=np.float64), pi=np.array(pis, dtype=np.float64),
-        base_columns=np.array(base_columns, dtype=np.int64),
-        theta_prime=np.array(theta_prime, dtype=np.float64),
-        memberships=memberships,
-        stats={
-            "chain_index": chain_index,
-            "rj_accept_rate": rj_accept / rj_total if rj_total else None,
-            "column_change_rate": col_changes / col_total if col_total else None,
-            "theta_evals_per_update": theta_evals / theta_total if theta_total else None,
-            "v_evals_per_update": v_evals / v_total if v_total else None,
-        },
-    )
+    moved = 0 if config.unrestricted else n_items * n_sweeps  # base moves per lane
+    n_updates = n_sweeps if v_mode == V_FREE else 0  # slice updates of v per lane
+    out = []
+    for k, (_, _, chain_index) in enumerate(lanes):
+        iters, log_joint, vs, pis, base_columns, theta_prime = zip(*kept[k])
+        out.append(PosteriorDraws(
+            iters=np.array(iters, dtype=np.int64), log_joint=np.array(log_joint, dtype=np.float64),
+            v=np.array(vs, dtype=np.float64), pi=np.array(pis, dtype=np.float64),
+            base_columns=np.array(base_columns, dtype=np.int64),
+            theta_prime=np.array(theta_prime, dtype=np.float64),
+            memberships=memberships[k],
+            stats={
+                "chain_index": chain_index,
+                "rj_accept_rate": (int(rj_accept[k]) / moved
+                                   if moved and v_mode == V_FREE else None),
+                "column_change_rate": int(col_changes[k]) / moved if moved else None,
+                "theta_evals_per_update": (theta_evals[k] / (n_items * n_updates)
+                                           if n_updates else None),
+                "v_evals_per_update": v_evals[k] / n_updates if n_updates else None,
+            },
+        ))
+    return out
+
+
+def run_chain(data: Dataset, prior: PriorConfig, config: McmcConfig,
+              chain_index: int = 0) -> PosteriorDraws:
+    """Run one chain and return the retained draws: :func:`run_lockstep`
+    with the one lane (data, prior, chain_index)."""
+    return run_lockstep([(data, prior, chain_index)], config)[0]
 
 
 def concat_draws(chains) -> PosteriorDraws:
@@ -557,18 +681,24 @@ def concat_draws(chains) -> PosteriorDraws:
     )
 
 
-def _run_chain_worker(args):
-    data, prior, config, chain_index = args
-    return run_chain(data, prior, config, chain_index=chain_index)
+def _run_lockstep_worker(args):
+    data, prior, config, chain_indices = args
+    return run_lockstep([(data, prior, k) for k in chain_indices], config)
 
 
 def run_chains(data, prior, config, n_threads=None):
-    """Run ``config.n_chains`` independent chains, in parallel when allowed.
+    """Run ``config.n_chains`` independent chains, split over worker
+    processes when allowed.
 
     Chain k draws from child k of ``SeedSequence(config.seed)``, the
-    stream ``SeedSequence.spawn`` would give it. ``n_threads`` defaults to
-    ``ESRLCM_THREADS``, else the CPU count. File output is left to the
-    caller so that all writes happen in one place.
+    stream ``SeedSequence.spawn`` would give it, so the draws do not depend
+    on the split. ``n_threads`` defaults to ``ESRLCM_THREADS``, else the CPU
+    count. Each worker runs its contiguous share of the chains in lockstep
+    (:func:`run_lockstep`), so one worker runs them all as one group, in
+    this process. The thread count splits only these ``fit`` chains:
+    ``evaluation.kfold_cv`` runs its grid as one group and starts no pool.
+    File output is left to the caller so that all writes happen in one
+    place.
     """
     if config.n_chains == 1:
         return [run_chain(data, prior, config, chain_index=0)]
@@ -578,11 +708,12 @@ def run_chains(data, prior, config, n_threads=None):
             raise ValueError(f"ESRLCM_THREADS must be a positive integer, got {env!r}")
         n_threads = int(env)
     n_workers = max(1, min(n_threads, config.n_chains))
-    args = [(data, prior, config, k) for k in range(config.n_chains)]
+    args = [(data, prior, config, group.tolist())
+            for group in np.array_split(np.arange(config.n_chains), n_workers)]
     if n_workers == 1:
-        return [_run_chain_worker(a) for a in args]
+        return _run_lockstep_worker(args[0])
     # imported before the pool starts, so that forked workers inherit the
     # module instead of each importing it
     import scipy.special  # noqa: F401
     with ProcessPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(_run_chain_worker, args))
+        return [draws for group in pool.map(_run_lockstep_worker, args) for draws in group]

@@ -83,8 +83,10 @@ class SimulationTruth:
                             for t, n in zip(self.theta_prime, self.base.n_base_all())],
             "c": self.memberships.tolist(),
         }
+        # one dumps call runs the C encoder; json.dump streams through the
+        # pure-Python one, which is slow over n membership ints
         with open(path, "w") as fh:
-            json.dump(rec, fh)
+            fh.write(json.dumps(rec))
 
     @classmethod
     def from_json(cls, path) -> "SimulationTruth":

@@ -6,7 +6,7 @@ from scipy.special import betaln, gammaln
 from scipy.stats import beta as sp_beta
 from scipy.stats import dirichlet as sp_dirichlet
 
-from esrlcm import kernels
+from esrlcm import kernels, mcmc
 from esrlcm.identifiability import _is_column_merge
 from esrlcm.model import (
     BaseClassMatrix,
@@ -306,3 +306,10 @@ def rj_log_acceptance_terms(col_old, theta_old, col_new, theta_new, succ_j, tota
         + proposal(col_old, theta_old) - proposal(col_new, theta_new)
         + log_weight(col_old) - log_weight(col_new)
     )
+
+
+def one_lane(state, data, prior, rng):
+    """A one-lane ``mcmc.Lanes`` block of ``state`` with the class counts of
+    its memberships on ``data``; the state views the block from then on."""
+    counts = kernels.class_counts(data.x, state.memberships, state.base.n_classes)
+    return mcmc.Lanes([state], [prior], [rng], [counts])

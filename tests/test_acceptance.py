@@ -10,8 +10,9 @@ import time
 import numpy as np
 import pytest
 
-from esrlcm import evaluation, identifiability, repelled_beta, simulation
+from esrlcm import evaluation, identifiability, kernels, repelled_beta, simulation
 from esrlcm.mcmc import (
+    Lanes,
     McmcConfig,
     gibbs_update_base_class_v0,
     gibbs_update_theta,
@@ -107,6 +108,8 @@ def test_criterion_4_rj_gibbs_consistency(capsys):
     memberships = np.tile([0, 1], 10)
     prior = PriorConfig.default(2, lam=1.0, v_mode="fixed_zero")
     sweeps = 100_000
+    # the memberships never change, so neither do the class counts
+    counts = kernels.class_counts(data.x, memberships, 2)
 
     def chain(kind):
         rng = np.random.default_rng(41 if kind == "gibbs" else 42)
@@ -116,13 +119,14 @@ def test_criterion_4_rj_gibbs_consistency(capsys):
             theta_prime=np.array([[0.4, 0.6]]),
             v=0.0 if kind == "gibbs" else 1e-6,
         )
+        lanes = Lanes([state], [prior], [rng], [counts])
         merged = 0
         for _ in range(sweeps):
             if kind == "gibbs":
-                gibbs_update_base_class_v0(0, state, data, prior, rng)
+                gibbs_update_base_class_v0(0, lanes)
             else:
-                rj_update_base_class(0, state, data, prior, rng)
-                gibbs_update_theta(0, state, data, prior, rng)
+                rj_update_base_class(0, lanes)
+                gibbs_update_theta(0, state, data, prior, rng, counts)
             merged += state.base.column(0)[1] == 1
         return merged / sweeps
 

@@ -192,6 +192,25 @@ class TestFitCommand:
         assert cli.main(["fit", "--config", str(config), "--threads", "1"]) == 0
 
 
+    @pytest.mark.parametrize("v_mode", ["fixed_zero", "free"])
+    def test_thread_count_does_not_change_outputs(self, toy_run, v_mode):
+        # chain k draws from its own stream whichever worker runs it, and a
+        # worker runs its chains in lockstep, so one worker and two write the
+        # same bytes
+        tmp_path, _ = toy_run
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"out{threads}"
+            config = write_config(tmp_path / f"three{threads}.json", tmp_path / "data.csv", out,
+                                  prior={"v_mode": v_mode},
+                                  mcmc={"n_chains": 3, "n_warmup": 10, "n_main": 10})
+            assert cli.main(["fit", "--config", str(config), "--threads", threads]) == 0
+            outputs.append(out)
+        names = [f"draws_chain{k}.jsonl" for k in range(3)] + ["summary.json"]
+        for name in names:
+            assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes(), name
+
+
 class TestCheckIdCommand:
     def test_q_matrix_block_diagonal_form(self, tmp_path):
         q = np.vstack([np.eye(2, dtype=int), np.eye(2, dtype=int), [[1, 1]]])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from esrlcm import evaluation as ev
-from esrlcm.mcmc import McmcConfig, PosteriorDraws
+from esrlcm.mcmc import McmcConfig, PosteriorDraws, run_chain
 from esrlcm.model import BaseClassMatrix, Dataset, PriorConfig, canonicalize, pad_theta_prime
 
 from helpers import predictive_loglik_per_draw
@@ -215,19 +215,40 @@ class TestKfoldCv:
         assert a.min() >= 0 and a.max() < 5
 
     def test_each_fold_gets_its_own_chain_index(self, monkeypatch):
-        # seeding fold k with seed + k made fold 1 of seed 6 fold 0 of seed 7
+        # seeding fold k with seed + k made fold 1 of seed 6 fold 0 of seed 7;
+        # the whole grid runs as one lockstep group, each prior's folds as
+        # chain indices 0..k-1 of the run's seed
         calls = []
 
-        def fake_run_chain(train, prior, config, chain_index=0):
-            calls.append((config.seed, chain_index))
+        def fake_run_lockstep(lanes, config):
+            calls.append((config.seed, [index for _, _, index in lanes]))
+            return [None] * len(lanes)
 
-        monkeypatch.setattr(ev, "run_chain", fake_run_chain)
+        monkeypatch.setattr(ev, "run_lockstep", fake_run_lockstep)
         monkeypatch.setattr(ev, "predictive_loglik", lambda draws, test: 0.0)
         data = Dataset(np.zeros((40, 2), dtype=np.int64))
-        prior = PriorConfig.default(1, lam=1.0, v_mode="fixed_zero")
-        ev.kfold_cv(data, [prior], McmcConfig(n_main=5, seed=6), k=4)
-        assert [seed for seed, _ in calls] == [6] * 4
-        assert sorted(index for _, index in calls) == [0, 1, 2, 3]
+        grid = [PriorConfig.default(1, lam=lam, v_mode="fixed_zero") for lam in (1.0, 0.5)]
+        ev.kfold_cv(data, grid, McmcConfig(n_main=5, seed=6), k=4)
+        assert calls == [(6, [0, 1, 2, 3, 0, 1, 2, 3])]
+
+    @pytest.mark.parametrize("v_mode", ["fixed_zero", "free"])
+    def test_rows_equal_a_per_fold_run_chain_reference(self, v_mode):
+        rng = np.random.default_rng(8)
+        data = Dataset(rng.integers(0, 2, size=(90, 4)))
+        grid = [PriorConfig.default(3, lam=0.5, v_mode=v_mode),
+                PriorConfig(alpha_c=np.ones(3), zeta=np.array([0.2, 0.3, 0.5]), v_mode=v_mode)]
+        config = McmcConfig(n_main=6, n_warmup=4, seed=12)
+        rows = ev.kfold_cv(data, grid, config, k=3, seed=2)
+        folds = ev.fold_assignments(2, data.n, 3)
+        for (prior, value), expected_prior in zip(rows, grid):
+            assert prior is expected_prior
+            total = 0.0
+            for fold in range(3):
+                train = Dataset(data.x[folds != fold])
+                test = Dataset(data.x[folds == fold])
+                draws = run_chain(train, prior, config, chain_index=fold)
+                total += ev.predictive_loglik(draws, test) * test.n
+            assert value == total / data.n
 
     def test_rejects_small_problems(self):
         data = Dataset(np.array([[1], [0]]))

@@ -31,6 +31,7 @@ from helpers import (
     column_menu_loop,
     expected_rho,
     gibbs_update_c,
+    one_lane,
     random_canonical_column,
     random_state,
     rj_log_acceptance_terms,
@@ -49,6 +50,13 @@ def make_state(columns, theta_prime, memberships, pi=None, v=0.0):
         theta_prime=pad_theta_prime(base.labels.T, theta_prime),
         v=v,
     )
+
+
+def column_menu(columns, targets, succ, totals, prior):
+    """``mcmc._column_menu`` of one lane's rows: its totals and its prior's
+    staircase are the same for every row."""
+    return mcmc._column_menu(columns, targets, succ, np.broadcast_to(totals, succ.shape),
+                             np.broadcast_to(mcmc._log_prior_by_n_sets(prior), succ.shape))
 
 
 def menu_columns(columns, targets, labels):
@@ -95,8 +103,7 @@ class TestBaseClassGibbsV0:
         succ_j = np.array([1.0, 0.0])
         totals = np.array([1.0, 1.0])
         prior = PriorConfig.default(2, lam=1.0, v_mode="fixed_zero")
-        labels, log_w = mcmc._column_menu(column[None], np.array([1]), succ_j[None], totals,
-                                          prior)
+        labels, log_w = column_menu(column[None], np.array([1]), succ_j[None], totals, prior)
         menu = menu_columns(column[None], np.array([1]), labels)
         weights = {tuple(row.tolist()): np.exp(w)
                    for row, w in zip(menu[0], log_w[0]) if w > -np.inf}
@@ -125,7 +132,7 @@ class TestBaseClassGibbsV0:
                     zeta[unused & (rng.random(n_classes) < 0.7)] = 0.0
                 prior = PriorConfig(alpha_c=np.ones(n_classes), zeta=zeta / zeta.sum())
             targets = rng.integers(n_classes, size=n_items)
-            labels, log_w = mcmc._column_menu(columns, targets, succ, totals, prior)
+            labels, log_w = column_menu(columns, targets, succ, totals, prior)
             assert log_w.shape == (n_items, n_classes + 1)
             assert not np.isnan(log_w).any()
             menu = menu_columns(columns, targets, labels)
@@ -150,8 +157,9 @@ class TestBaseClassGibbsV0:
         data = Dataset(np.empty((0, 1), dtype=int))
         state = make_state([[1, 2, 3]], [[0.2, 0.5, 0.8]], [])
         seen = []
+        lanes = one_lane(state, data, prior, rng)
         for _ in range(20_000):
-            gibbs_update_base_class_v0(0, state, data, prior, rng)
+            gibbs_update_base_class_v0(0, lanes)
             seen.append(state.base.column(0).tolist())
         freq = partition_distribution(seen, 3)
         for col, target in exact_prior(prior, 3).items():
@@ -170,9 +178,9 @@ class TestBaseClassGibbsV0:
         seen = [{} for _ in range(3)]
         theta_sums = [{} for _ in range(3)]
         n_sweeps = 30_000
+        lanes = mcmc.Lanes([state], [prior], [rng], [(succ, totals)])
         for _ in range(n_sweeps):
-            gibbs_update_base_class_v0(np.arange(3), state, data, prior, rng,
-                                       counts=(succ, totals))
+            gibbs_update_base_class_v0(np.arange(3), lanes)
             for j in range(3):
                 key = tuple(state.base.column(j).tolist())
                 seen[j][key] = seen[j].get(key, 0) + 1
@@ -199,8 +207,9 @@ class TestBaseClassGibbsV0:
         data = Dataset(np.array([[1], [0]]))
         state = make_state([[1, 2]], [[0.4, 0.6]], [0, 1])
         seen = []
+        lanes = one_lane(state, data, prior, rng)
         for _ in range(20_000):
-            gibbs_update_base_class_v0(0, state, data, prior, rng)
+            gibbs_update_base_class_v0(0, lanes)
             seen.append(state.base.column(0).tolist())
         freq = partition_distribution(seen, 2)
         assert freq[(1, 1)] == pytest.approx(2 / 5, abs=0.02)
@@ -216,9 +225,10 @@ class TestReversibleJump:
         data = Dataset(np.empty((0, 1), dtype=int))
         state = make_state([[1, 2, 3]], [[0.2, 0.5, 0.8]], [], v=0.5)
         seen = []
+        lanes = one_lane(state, data, prior, rng)
         for _ in range(30_000):
-            rj_update_base_class(0, state, data, prior, rng)
-            gibbs_update_theta(0, state, data, prior, rng)
+            rj_update_base_class(0, lanes)
+            gibbs_update_theta(0, state, data, prior, rng, lanes.counts(0))
             seen.append(state.base.column(0).tolist())
         freq = partition_distribution(seen, 3)
         for col, target in exact_prior(prior, 3).items():
@@ -238,13 +248,14 @@ class TestReversibleJump:
         items = np.arange(3)
         seen = [[] for _ in items]
         two_set_draws = [[] for _ in items]
+        lanes = one_lane(state, data, prior, rng)
         for _ in range(30_000):
-            rj_update_base_class(items, state, data, prior, rng)
+            rj_update_base_class(items, lanes)
             for j in items:
                 seen[j].append(state.base.column(j).tolist())
                 if state.base.n_base(j) == 2:
                     two_set_draws[j].append(np.sort(state.theta_prime[j, :2]))
-            gibbs_update_theta(items, state, data, prior, rng)
+            gibbs_update_theta(items, state, data, prior, rng, lanes.counts(0))
         expected = [expected_rho(2, v, k) for k in (1, 2)]
         for j in items:
             freq = partition_distribution(seen[j], 3)
@@ -264,9 +275,10 @@ class TestReversibleJump:
         state = make_state([[1, 2, 3]] * n_items, [[0.2, 0.5, 0.8]] * n_items, [], v=v)
         items = np.arange(n_items)
         n_one_set = []
+        lanes = one_lane(state, data, prior, rng)
         for sweep in range(4_400):
-            rj_update_base_class(items, state, data, prior, rng)
-            gibbs_update_theta(items, state, data, prior, rng)
+            rj_update_base_class(items, lanes)
+            gibbs_update_theta(items, state, data, prior, rng, lanes.counts(0))
             if sweep >= 400:
                 n_one_set.append(np.sum(state.base.labels.max(axis=0) == 1))
         p = np.exp(base_vector_log_prior(np.array([1, 1, 1]), prior))
@@ -281,15 +293,17 @@ class TestReversibleJump:
 
         state = make_state([[1, 2]], [[0.4, 0.6]], memberships)
         gibbs_seen = []
+        lanes = one_lane(state, data, prior, rng)
         for _ in range(25_000):
-            gibbs_update_base_class_v0(0, state, data, prior, rng)
+            gibbs_update_base_class_v0(0, lanes)
             gibbs_seen.append(state.base.column(0).tolist())
 
         state = make_state([[1, 2]], [[0.4, 0.6]], memberships, v=1e-6)
         rj_seen = []
+        lanes = one_lane(state, data, prior, rng)
         for _ in range(25_000):
-            rj_update_base_class(0, state, data, prior, rng)
-            gibbs_update_theta(0, state, data, prior, rng)
+            rj_update_base_class(0, lanes)
+            gibbs_update_theta(0, state, data, prior, rng, lanes.counts(0))
             rj_seen.append(state.base.column(0).tolist())
 
         gibbs_freq = partition_distribution(gibbs_seen, 2)
@@ -305,9 +319,10 @@ class TestReversibleJump:
         data = Dataset(np.empty((0, 1), dtype=int))
         state = make_state([[1, 2, 3]], [[0.2, 0.5, 0.8]], [], v=1.0)
         two_set_draws = []
+        lanes = one_lane(state, data, prior, rng)
         for _ in range(30_000):
-            rj_update_base_class(0, state, data, prior, rng)
-            gibbs_update_theta(0, state, data, prior, rng)
+            rj_update_base_class(0, lanes)
+            gibbs_update_theta(0, state, data, prior, rng, lanes.counts(0))
             if state.base.n_base(0) == 2:
                 two_set_draws.append(np.sort(state.theta_prime[0, :2]))
         two_set_draws = np.asarray(two_set_draws)
@@ -339,10 +354,10 @@ class TestReversibleJumpRatio:
             theta_old = pad_theta_prime(col_old, [rng.uniform(0.01, 0.99, size=c.max())
                                                   for c in col_old])
             targets = rng.integers(n_classes, size=n_items)
-            labels, log_w = mcmc._column_menu(col_old, targets, succ, totals, prior)
+            labels, log_w = column_menu(col_old, targets, succ, totals, prior)
             picks = rng.integers(np.isfinite(log_w).sum(axis=1))
             col_new = mcmc._relabel(col_old, targets, labels[np.arange(n_items), picks])
-            theta_new = mcmc._conjugate_theta(col_new, succ, totals, rng)
+            theta_new = mcmc._conjugate_theta(col_new, succ, totals, [rng])
             short = log_density_all_ones(theta_new, v) - log_density_all_ones(theta_old, v)
             for i in range(n_items):
                 old, new = theta_old[i, :col_old[i].max()], theta_new[i, :col_new[i].max()]
@@ -366,13 +381,18 @@ class TestReversibleJumpRatio:
         states = [make_state(columns, [np.full(c.max(), 0.5) for c in columns], memberships)
                   for _ in range(3)]
         rngs = [np.random.default_rng(99) for _ in range(3)]
+        gibbs, rj = (mcmc.Lanes([state], [prior], [gen], [(succ, totals)])
+                     for state, gen in zip(states[:2], rngs))
+        rows = np.broadcast_to(totals, succ.T.shape)
+        staircase = np.broadcast_to(mcmc._log_prior_by_n_sets(prior), succ.T.shape)
         for _ in range(20):
-            gibbs_update_base_class_v0(items, states[0], data, prior, rngs[0])
-            _, n_accepted = rj_update_base_class(items, states[1], data, prior, rngs[1])
+            gibbs_update_base_class_v0(items, gibbs)
+            _, n_accepted = rj_update_base_class(items, rj)
             assert n_accepted == n_items
-            proposed = mcmc._propose_columns(items, states[2], succ.T, totals, prior, rngs[2])
+            proposed = mcmc._propose_columns(states[2].base.labels.T, succ.T, rows, staircase,
+                                             [rngs[2]])
             states[2].base.labels[:] = proposed.T
-            states[2].theta_prime = mcmc._conjugate_theta(proposed, succ.T, totals, rngs[2])
+            states[2].theta_prime = mcmc._conjugate_theta(proposed, succ.T, totals, [rngs[2]])
         for state, gen in zip(states[1:], rngs[1:]):
             assert np.array_equal(state.base.labels, states[0].base.labels)
             assert np.array_equal(state.theta_prime, states[0].theta_prime, equal_nan=True)
@@ -499,8 +519,9 @@ class TestThetaGibbs:
         data = Dataset(np.empty((0, 1), dtype=int))
         state = make_state([[1, 2]], [[0.4, 0.6]], [])
         draws = []
+        counts = kernels.class_counts(data.x, state.memberships, state.base.n_classes)
         for _ in range(20_000):
-            gibbs_update_theta(0, state, data, prior, rng)
+            gibbs_update_theta(0, state, data, prior, rng, counts)
             draws.append(state.theta_prime[0].copy())
         draws = np.asarray(draws)
         assert stats.kstest(draws[:, 0], stats.uniform.cdf).pvalue > 0.01
@@ -512,8 +533,9 @@ class TestThetaGibbs:
         data = Dataset(np.array([[1], [1], [1], [0]]))
         state = make_state([[1, 1]], [[0.5]], [0, 1, 0, 1])
         draws = []
+        counts = kernels.class_counts(data.x, state.memberships, state.base.n_classes)
         for _ in range(30_000):
-            gibbs_update_theta(0, state, data, prior, rng)
+            gibbs_update_theta(0, state, data, prior, rng, counts)
             draws.append(state.theta_prime[0][0])
         assert stats.kstest(np.asarray(draws), stats.beta(4, 2).cdf).pvalue > 0.01
 
@@ -565,7 +587,8 @@ class TestThetaGibbs:
         prior = PriorConfig.default(3, lam=1.0, v_mode="free")
         state = make_state([[1, 2, 3], [1, 2, 2]], [[0.2, 0.5, 0.8], [0.3, 0.6]], [0, 1, 2],
                            v=1.0)
-        gibbs_update_theta(np.arange(2), state, data, prior, EndsFirst())
+        gibbs_update_theta(np.arange(2), state, data, prior, EndsFirst(),
+                           kernels.class_counts(data.x, state.memberships, 3))
         used = ~np.isnan(state.theta_prime)
         assert np.array_equal(used, [[True] * 3, [True, True, False]])
         assert np.all((state.theta_prime[used] > 0) & (state.theta_prime[used] < 1))
@@ -594,8 +617,9 @@ class TestThetaGibbs:
         data = Dataset(np.array([[1]] * 9 + [[0]]))
         state = make_state([[1]], [[0.5]], [0] * 10)
         draws = []
+        counts = kernels.class_counts(data.x, state.memberships, state.base.n_classes)
         for _ in range(5_000):
-            gibbs_update_theta(0, state, data, prior, rng)
+            gibbs_update_theta(0, state, data, prior, rng, counts)
             draws.append(state.theta_prime[0][0])
         assert np.mean(draws) == pytest.approx(10 / 12, abs=0.02)
 
@@ -871,3 +895,55 @@ class TestRunChain:
         assert not np.array_equal(chains[0].log_joint, chains[1].log_joint)
         pooled = mcmc.concat_draws(chains)
         assert pooled.n_draws == 20
+
+
+class TestLockstep:
+    DRAW_FIELDS = ("iters", "log_joint", "v", "pi", "base_columns", "theta_prime")
+
+    def lanes(self, v_mode):
+        # different data sizes (one lane empty), different priors, chain
+        # indices out of order
+        rng = np.random.default_rng(21)
+        priors = [PriorConfig.default(3, lam=0.5, v_mode=v_mode),
+                  PriorConfig.default(3, lam=1.0, v_mode=v_mode),
+                  PriorConfig(alpha_c=np.array([1.0, 2.0, 0.5]),
+                              zeta=np.array([0.2, 0.3, 0.5]), v_mode=v_mode)]
+        sizes, indices = (50, 0, 23), (3, 0, 1)
+        return [(Dataset(rng.integers(0, 2, size=(n, 4))), prior, k)
+                for n, prior, k in zip(sizes, priors, indices)]
+
+    @pytest.mark.parametrize("v_mode", ["fixed_zero", "free"])
+    @pytest.mark.parametrize("unrestricted", [False, True])
+    def test_each_lane_equals_a_one_lane_run(self, v_mode, unrestricted):
+        lanes = self.lanes(v_mode)
+        config = McmcConfig(n_main=12, n_warmup=5, seed=9, thin=2, store_c_every=2,
+                            unrestricted=unrestricted)
+        together = mcmc.run_lockstep(lanes, config)
+        assert len(together) == len(lanes)
+        for draws, (data, prior, k) in zip(together, lanes):
+            alone = run_chain(data, prior, config, chain_index=k)
+            for name in self.DRAW_FIELDS:
+                assert getattr(draws, name).tobytes() == getattr(alone, name).tobytes(), name
+            assert draws.memberships.keys() == alone.memberships.keys()
+            assert all(draws.memberships[it].tobytes() == c.tobytes()
+                       for it, c in alone.memberships.items())
+            assert draws.stats == alone.stats
+
+    def test_lanes_must_share_their_shapes(self):
+        data, prior, _ = self.lanes("free")[0]
+        other = Dataset(np.zeros((5, 3), dtype=np.int64))
+        config = McmcConfig(n_main=2)
+        with pytest.raises(ValueError, match="lockstep"):
+            mcmc.run_lockstep([(data, prior, 0), (other, prior, 1)], config)
+        zero = PriorConfig.default(3, lam=0.5, v_mode="fixed_zero")
+        with pytest.raises(ValueError, match="lockstep"):
+            mcmc.run_lockstep([(data, prior, 0), (data, zero, 1)], config)
+
+    def test_run_chains_in_one_worker_equals_chain_by_chain(self):
+        data, prior, _ = self.lanes("free")[0]
+        config = McmcConfig(n_main=8, n_warmup=3, seed=4, n_chains=3)
+        for k, draws in enumerate(mcmc.run_chains(data, prior, config, n_threads=1)):
+            alone = run_chain(data, prior, config, chain_index=k)
+            assert draws.log_joint.tobytes() == alone.log_joint.tobytes()
+            assert draws.stats == alone.stats
+

@@ -137,3 +137,13 @@ class TestSimulate:
         path.write_text(json.dumps(rec))
         with pytest.raises(ValueError):
             sim.SimulationTruth.from_json(path)
+
+    def test_truth_json_bytes_pinned(self, tmp_path):
+        # the writer's bytes for a fixed seed, recorded before the writer
+        # moved from json.dump to one json.dumps call
+        _, truth = sim.simulate(4, 200, seed=7)
+        path = tmp_path / "truth.json"
+        truth.to_json(path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "dd5cda5a2e52bf97222c4551557393db5b8f510a45016224c917b046136f7f9d")
+
