@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, identifiability, mcmc, simulation
-from .model import BaseClassMatrix, Dataset, PriorConfig, V_FREE
+from .model import BaseClassMatrix, Dataset, PriorConfig
 
 PRIOR_KEYS = {"lambda", "zeta", "alpha_c", "d1", "d2", "max_v", "v_mode"}
 MCMC_DEFAULTS = {"n_main": 1000, "n_warmup": 1000, "n_chains": 1, "seed": 0, "thin": 1,
@@ -33,55 +33,62 @@ def _reject_unknown(mapping, allowed, where):
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
-def _json_int(value, key):
-    # a JSON bool is an int to Python, and int() would truncate a float
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key} must be an integer, got {json.dumps(value)}")
+def _json_value(value, key, kinds, what):
+    # exact types: a JSON bool is an int to Python, and int() would
+    # truncate a float
+    if type(value) not in kinds:
+        raise ConfigError(f"{key} must be {what}, got {json.dumps(value)}")
     return value
+
+
+def _prior_value(key, value):
+    if key == "v_mode":  # PriorConfig names the allowed modes
+        return value
+    if key not in ("zeta", "alpha_c"):
+        return float(_json_value(value, f"prior.{key}", (int, float), "a number"))
+    if type(value) is not list or any(type(x) not in (int, float) for x in value):
+        raise ConfigError(f"prior.{key} must be a list of numbers, got {json.dumps(value)}")
+    return np.asarray(value, dtype=np.float64)
 
 
 def load_run_config(path):
     """Parse and validate a run configuration file."""
     with open(path) as fh:
-        raw = json.load(fh)
+        raw = _json_value(json.load(fh), "config", (dict,), "a JSON object")
     _reject_unknown(raw, TOP_KEYS, "config")
     if raw.get("model", "esrlcm") != "esrlcm":
         raise ConfigError(f"unsupported model {raw.get('model')!r}")
-    n_classes = _json_int(raw["classes"], "classes")
+    n_classes = _json_value(raw["classes"], "classes", (int,), "an integer")
     if n_classes < 1:
         raise ConfigError("classes must be >= 1")
 
-    prior_raw = dict(raw.get("prior", {}))
+    prior_raw = _json_value(raw.get("prior", {}), "prior", (dict,), "a JSON object")
     _reject_unknown(prior_raw, PRIOR_KEYS, "prior")
-    alpha_c = np.asarray(prior_raw.get("alpha_c", np.ones(n_classes)), dtype=np.float64)
-    if alpha_c.shape != (n_classes,):
+    # a key the config leaves out takes PriorConfig's default; a null lambda
+    # or zeta counts as left out
+    fields = {"lam" if key == "lambda" else key: _prior_value(key, value)
+              for key, value in prior_raw.items()
+              if value is not None or key not in ("lambda", "zeta")}
+    fields.setdefault("alpha_c", np.ones(n_classes))
+    if fields["alpha_c"].shape != (n_classes,):
         raise ConfigError("prior.alpha_c must have one entry per class")
     try:
-        prior = PriorConfig(
-            alpha_c=alpha_c,
-            lam=prior_raw.get("lambda"),
-            zeta=None if prior_raw.get("zeta") is None else np.asarray(prior_raw["zeta"]),
-            d1=float(prior_raw.get("d1", 1.0)),
-            d2=float(prior_raw.get("d2", 1.0)),
-            max_v=float(prior_raw.get("max_v", 2.0)),
-            v_mode=prior_raw.get("v_mode", V_FREE),
-        )
+        prior = PriorConfig(**fields)
     except ValueError as err:
         raise ConfigError(str(err)) from err
 
-    mcmc_raw = dict(raw.get("mcmc", {}))
+    mcmc_raw = _json_value(raw.get("mcmc", {}), "mcmc", (dict,), "a JSON object")
     _reject_unknown(mcmc_raw, set(MCMC_DEFAULTS), "mcmc")
-    settings = {key: _json_int(mcmc_raw.get(key, default), f"mcmc.{key}")
-                for key, default in MCMC_DEFAULTS.items()}
-    unrestricted = raw.get("unrestricted", False)
-    if not isinstance(unrestricted, bool):
-        raise ConfigError(f"unrestricted must be true or false, got {json.dumps(unrestricted)}")
+    settings = {key: _json_value(mcmc_raw.get(key, default), f"mcmc.{key}", (int,),
+                                 "an integer") for key, default in MCMC_DEFAULTS.items()}
+    unrestricted = _json_value(raw.get("unrestricted", False), "unrestricted", (bool,),
+                               "true or false")
     try:
         config = mcmc.McmcConfig(**settings, unrestricted=unrestricted)
     except ValueError as err:
         raise ConfigError(str(err)) from err
 
-    paths = dict(raw.get("paths", {}))
+    paths = _json_value(raw.get("paths", {}), "paths", (dict,), "a JSON object")
     _reject_unknown(paths, PATH_KEYS, "paths")
     return prior, config, paths
 
@@ -92,8 +99,6 @@ def load_run_config(path):
 
 def cmd_fit(args):
     prior, config, paths = load_run_config(args.config)
-    if args.unrestricted:
-        config.unrestricted = True
     data = Dataset.from_csv(paths["data"])
     out_dir = Path(paths.get("out", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -128,14 +133,20 @@ def cmd_simulate(args):
         truth.to_json(args.truth)
     if args.holdout:
         holdout = simulation.simulate_holdout(truth, args.holdout)
-        holdout.to_csv(args.holdout_out or _with_suffix(args.out, "_holdout"))
+        out = Path(args.out)
+        holdout.to_csv(args.holdout_out or out.with_stem(out.stem + "_holdout"))
     print(f"wrote {data.n} x {data.n_items} dataset to {args.out}")
     return 0
 
 
-def _with_suffix(path, suffix):
-    p = Path(path)
-    return p.with_name(p.stem + suffix + p.suffix)
+def _emit(payload, out):
+    """Write ``payload`` as indented JSON to the file ``out``, or to stdout."""
+    text = json.dumps(payload, indent=2)
+    if out:
+        Path(out).write_text(text)
+    else:
+        print(text)
+    return 0
 
 
 def cmd_cv(args):
@@ -154,12 +165,7 @@ def cmd_cv(args):
         }
         for prior, value in rows
     ]
-    out = json.dumps({"k": args.k, "results": table}, indent=2)
-    if args.out:
-        Path(args.out).write_text(out)
-    else:
-        print(out)
-    return 0
+    return _emit({"k": args.k, "results": table}, args.out)
 
 
 def cmd_check_id(args):
@@ -179,12 +185,7 @@ def cmd_check_id(args):
         payload["numeric_verify"] = identifiability.numeric_verify(
             base, levels, report.witness.tripartition, rng, trials=args.verify_trials
         )
-    out = json.dumps(payload, indent=2)
-    if args.out:
-        Path(args.out).write_text(out)
-    else:
-        print(out)
-    return 0
+    return _emit(payload, args.out)
 
 
 def cmd_metrics(args):
@@ -211,17 +212,22 @@ def cmd_metrics(args):
     }
     if holdout is not None:
         payload["oos_loglik"] = evaluation.predictive_loglik(draws, holdout, args.mode, perms)
-    out = json.dumps(payload, indent=2)
-    if args.out:
-        Path(args.out).write_text(out)
-    else:
-        print(out)
-    return 0
+    return _emit(payload, args.out)
 
 
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
+
+def _int_at_least(minimum):
+    """An argparse type: an integer of at least ``minimum``, else exit 2."""
+    def integer(text):
+        value = int(text)  # argparse reports a ValueError as an invalid integer value
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    return integer
+
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -232,9 +238,8 @@ def build_parser():
 
     p_fit = sub.add_parser("fit", help="fit a model from a JSON run config")
     p_fit.add_argument("--config", required=True)
-    p_fit.add_argument("--threads", type=int, default=None)
-    p_fit.add_argument("--unrestricted", action="store_true",
-                       help="pin every item to the all-distinct partition")
+    p_fit.add_argument("--threads", type=_int_at_least(1),
+                       help="worker processes for the chains (default: the CPU count)")
     p_fit.set_defaults(func=cmd_fit)
 
     p_sim = sub.add_parser("simulate", help="generate a synthetic dataset")
@@ -244,7 +249,7 @@ def build_parser():
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--out", required=True)
     p_sim.add_argument("--truth")
-    p_sim.add_argument("--holdout", type=int, default=0)
+    p_sim.add_argument("--holdout", type=_int_at_least(0), default=0)
     p_sim.add_argument("--holdout-out")
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -280,13 +285,11 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "threads", None) is not None and args.threads < 1:
-        parser.error(f"--threads must be a positive integer, got {args.threads}")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, KeyError, ValueError) as err:
+    except (ConfigError, FileNotFoundError, KeyError, ValueError,
+            identifiability.BudgetExceededError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

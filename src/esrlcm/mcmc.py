@@ -23,6 +23,7 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -598,8 +599,7 @@ def run_lockstep(lanes, config: McmcConfig) -> list:
         for k, (data, prior, _) in enumerate(lanes):
             state = states[k]
             old = state.memberships  # the draw makes a new array, so no copy
-            if data.n:
-                _update_all_memberships(state, data, rngs[k])
+            _update_all_memberships(state, data, rngs[k])
             block.succ[k], block.totals[k] = _class_count_cache(data, old, state.memberships,
                                                                 block.counts(k))
             gibbs_update_pi(state, prior, rngs[k], block.totals[k])
@@ -681,39 +681,34 @@ def concat_draws(chains) -> PosteriorDraws:
     )
 
 
-def _run_lockstep_worker(args):
-    data, prior, config, chain_indices = args
-    return run_lockstep([(data, prior, k) for k in chain_indices], config)
-
-
 def run_chains(data, prior, config, n_threads=None):
-    """Run ``config.n_chains`` independent chains, split over worker
-    processes when allowed.
+    """Run ``config.n_chains`` independent chains, split over up to
+    ``n_threads`` worker processes (default: the CPU count).
 
     Chain k draws from child k of ``SeedSequence(config.seed)``, the
     stream ``SeedSequence.spawn`` would give it, so the draws do not depend
-    on the split. ``n_threads`` defaults to ``ESRLCM_THREADS``, else the CPU
-    count. Each worker runs its contiguous share of the chains in lockstep
-    (:func:`run_lockstep`), so one worker runs them all as one group, in
-    this process. The thread count splits only these ``fit`` chains:
-    ``evaluation.kfold_cv`` runs its grid as one group and starts no pool.
-    File output is left to the caller so that all writes happen in one
-    place.
+    on the split. Each worker runs its contiguous share of the chains in
+    lockstep (:func:`run_lockstep`), so one worker runs them all as one
+    group, in this process. The thread count splits only these ``fit``
+    chains: ``evaluation.kfold_cv`` runs its grid as one group and starts no
+    pool. File output is left to the caller so that all writes happen in
+    one place.
     """
     if config.n_chains == 1:
-        return [run_chain(data, prior, config, chain_index=0)]
+        # through the run_chain binding, which perfbench/tracing.py times as
+        # the chain span that its per-phase readings of a fit nest under
+        return [run_chain(data, prior, config)]
     if n_threads is None:
-        env = os.environ.get("ESRLCM_THREADS", str(os.cpu_count() or 1))
-        if not env.strip().isdecimal() or int(env) < 1:
-            raise ValueError(f"ESRLCM_THREADS must be a positive integer, got {env!r}")
-        n_threads = int(env)
-    n_workers = max(1, min(n_threads, config.n_chains))
-    args = [(data, prior, config, group.tolist())
-            for group in np.array_split(np.arange(config.n_chains), n_workers)]
+        n_threads = os.cpu_count() or 1
+    n_workers = min(n_threads, config.n_chains)
+    # tolist() keeps the chain indices Python ints, so the stats serialize
+    groups = [[(data, prior, k) for k in group.tolist()]
+              for group in np.array_split(np.arange(config.n_chains), n_workers)]
     if n_workers == 1:
-        return _run_lockstep_worker(args[0])
+        return run_lockstep(groups[0], config)
     # imported before the pool starts, so that forked workers inherit the
     # module instead of each importing it
     import scipy.special  # noqa: F401
     with ProcessPoolExecutor(max_workers=n_workers) as pool:
-        return [draws for group in pool.map(_run_lockstep_worker, args) for draws in group]
+        return [draws for group in pool.map(run_lockstep, groups, repeat(config))
+                for draws in group]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 
 from esrlcm import cli, evaluation
 from esrlcm.mcmc import PosteriorDraws
-from esrlcm.model import Dataset
+from esrlcm.model import Dataset, PriorConfig
 
 
 def write_config(path, data_path, out_dir, **overrides):
@@ -48,6 +49,14 @@ class TestConfigDefaults:
         assert np.array_equal(prior.alpha_c, np.ones(2))
         assert mcmc_config.thin == 1 and mcmc_config.n_chains == 1
 
+    def test_prior_keys_left_out_take_the_prior_config_defaults(self, tmp_path):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"classes": 2, "prior": {"lambda": 0.5}}))
+        prior = cli.load_run_config(config)[0]
+        for field in dataclasses.fields(PriorConfig):
+            if field.name in ("d1", "d2", "max_v", "v_mode"):
+                assert getattr(prior, field.name) == field.default, field.name
+
 
 class TestSimulateCommand:
     def test_writes_expected_shapes(self, tmp_path):
@@ -73,6 +82,15 @@ class TestSimulateCommand:
         assert code == 0
         holdout = tmp_path / "sim_holdout.csv"
         assert len(holdout.read_text().splitlines()) == 26
+
+    def test_negative_holdout_rejected_before_writing(self, tmp_path, capsys):
+        out, truth = tmp_path / "sim.csv", tmp_path / "truth.json"
+        with pytest.raises(SystemExit) as err:
+            cli.main(["simulate", "--classes", "4", "--n", "50", "--out", str(out),
+                      "--truth", str(truth), "--holdout", "-3"])
+        assert err.value.code == 2
+        assert "--holdout" in capsys.readouterr().err
+        assert not out.exists() and not truth.exists()
 
 
 class TestFitCommand:
@@ -101,8 +119,10 @@ class TestFitCommand:
         assert blobs[0] == blobs[1]
 
     def test_unrestricted_flag(self, toy_run):
-        tmp_path, config_path = toy_run
-        assert cli.main(["fit", "--config", str(config_path), "--unrestricted"]) == 0
+        tmp_path, _ = toy_run
+        config = write_config(tmp_path / "unrestricted.json", tmp_path / "data.csv",
+                              tmp_path / "out", unrestricted=True)
+        assert cli.main(["fit", "--config", str(config)]) == 0
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         for column in summary["mode_restrictions"]:
             assert sorted(set(column)) == [1, 2]
@@ -127,6 +147,17 @@ class TestFitCommand:
         ({"mcmc": {"seed": 7.0}}, "mcmc.seed"),
         ({"mcmc": {"thin": None}}, "mcmc.thin"),
         ({"mcmc": {"store_c_every": [1]}}, "mcmc.store_c_every"),
+        ({"prior": {"lambda": "0.5"}}, "prior.lambda"),
+        ({"prior": {"lambda": True}}, "prior.lambda"),
+        ({"prior": {"d1": None}}, "prior.d1"),
+        ({"prior": {"max_v": [1]}}, "prior.max_v"),
+        ({"prior": {"lambda": None, "zeta": ["0.5", "0.5"]}}, "prior.zeta"),
+        ({"prior": {"alpha_c": 1.0}}, "prior.alpha_c"),
+        ({"prior": []}, "prior"),
+        ({"prior": "x"}, "prior"),
+        ({"mcmc": []}, "mcmc"),
+        ({"mcmc": "x"}, "mcmc"),
+        ({"paths": []}, "paths"),
     ])
     def test_config_values_of_the_wrong_json_type_rejected(self, toy_run, capsys,
                                                            overrides, key):
@@ -158,14 +189,15 @@ class TestFitCommand:
         assert "no draw would be retained" in capsys.readouterr().err
         assert not (tmp_path / "out" / "draws_chain0.jsonl").exists()
 
-    @pytest.mark.parametrize("zeta, flags", [([0.0, 1.0, 0.0, 0.0], []),
-                                             ([0.0, 0.0, 1.0, 0.0], ["--unrestricted"])])
+    # flags: top-level config keys
+    @pytest.mark.parametrize("zeta, flags", [([0.0, 1.0, 0.0, 0.0], {}),
+                                             ([0.0, 0.0, 1.0, 0.0], {"unrestricted": True})])
     def test_zeta_without_mass_near_the_start_fails_before_sampling(self, toy_run, capsys,
                                                                    zeta, flags):
         tmp_path, _ = toy_run
         config = write_config(tmp_path / "zeta.json", tmp_path / "data.csv", tmp_path / "out",
-                              classes=4, prior={"lambda": None, "zeta": zeta})
-        assert cli.main(["fit", "--config", str(config), *flags]) == 1
+                              classes=4, prior={"lambda": None, "zeta": zeta}, **flags)
+        assert cli.main(["fit", "--config", str(config)]) == 1
         assert "zeta" in capsys.readouterr().err
         assert not (tmp_path / "out" / "draws_chain0.jsonl").exists()
 
@@ -178,19 +210,6 @@ class TestFitCommand:
             cli.main(["fit", "--config", str(config), "--threads", threads])
         assert err.value.code == 2
         assert "--threads" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("env", ["0", "-2", "two", "1.5", ""])
-    def test_bad_thread_variable_rejected(self, toy_run, capsys, monkeypatch, env):
-        tmp_path, _ = toy_run
-        config = write_config(tmp_path / "two.json", tmp_path / "data.csv", tmp_path / "out",
-                              mcmc={"n_chains": 2})
-        monkeypatch.setenv("ESRLCM_THREADS", env)
-        assert cli.main(["fit", "--config", str(config)]) == 1
-        assert "ESRLCM_THREADS must be a positive integer" in capsys.readouterr().err
-        assert not (tmp_path / "out" / "draws_chain0.jsonl").exists()
-        # the flag wins and the variable is then not read
-        assert cli.main(["fit", "--config", str(config), "--threads", "1"]) == 0
-
 
     @pytest.mark.parametrize("v_mode", ["fixed_zero", "free"])
     def test_thread_count_does_not_change_outputs(self, toy_run, v_mode):
@@ -231,6 +250,16 @@ class TestCheckIdCommand:
         out = tmp_path / "r.json"
         assert cli.main(["check-id", "--matrix", str(path), "--out", str(out)]) == 0
         assert json.loads(out.read_text())["status"] == "Unknown"
+
+    def test_exhaustive_budget_exceeded_fails(self, tmp_path, capsys):
+        path = tmp_path / "b.csv"
+        np.savetxt(path, np.array([[1, 1], [2, 2], [3, 3]]), fmt="%d", delimiter=",")
+        out = tmp_path / "r.json"
+        assert cli.main(["check-id", "--matrix", str(path), "--exhaustive", "--budget", "1",
+                         "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "exceeded its budget of 1 steps" in err
+        assert not out.exists()
 
     def test_levels_below_two_rejected(self, tmp_path, capsys):
         path = tmp_path / "b.csv"

@@ -896,6 +896,14 @@ class TestRunChain:
         pooled = mcmc.concat_draws(chains)
         assert pooled.n_draws == 20
 
+    def test_one_chain_runs_through_the_run_chain_binding(self, monkeypatch):
+        # perfbench/tracing.py times a fit's chain by wrapping this binding
+        data, prior = self.small_inputs()
+        calls, run_chain = [], mcmc.run_chain
+        monkeypatch.setattr(mcmc, "run_chain", lambda *args: calls.append(1) or run_chain(*args))
+        mcmc.run_chains(data, prior, McmcConfig(n_main=3, seed=3))
+        assert calls == [1]
+
 
 class TestLockstep:
     DRAW_FIELDS = ("iters", "log_joint", "v", "pi", "base_columns", "theta_prime")
