@@ -19,7 +19,7 @@ from .model import BaseClassMatrix, Dataset, PriorConfig
 PRIOR_KEYS = {"lambda", "zeta", "alpha_c", "d1", "d2", "max_v", "v_mode"}
 MCMC_DEFAULTS = {"n_main": 1000, "n_warmup": 1000, "n_chains": 1, "seed": 0, "thin": 1,
                  "store_c_every": 0}
-TOP_KEYS = {"model", "classes", "prior", "mcmc", "unrestricted", "paths"}
+TOP_KEYS = {"model", "classes", "prior", "mcmc", "paths"}
 PATH_KEYS = {"data", "out", "truth"}
 
 
@@ -31,6 +31,12 @@ def _reject_unknown(mapping, allowed, where):
     unknown = set(mapping) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+
+
+def _required(mapping, key, name):
+    if key not in mapping:
+        raise ConfigError(f"{name} is required")
+    return mapping[key]
 
 
 def _json_value(value, key, kinds, what):
@@ -45,7 +51,7 @@ def _prior_value(key, value):
     if key == "v_mode":  # PriorConfig names the allowed modes
         return value
     if key not in ("zeta", "alpha_c"):
-        return float(_json_value(value, f"prior.{key}", (int, float), "a number"))
+        return _json_value(value, f"prior.{key}", (int, float), "a number")
     if type(value) is not list or any(type(x) not in (int, float) for x in value):
         raise ConfigError(f"prior.{key} must be a list of numbers, got {json.dumps(value)}")
     return np.asarray(value, dtype=np.float64)
@@ -58,7 +64,8 @@ def load_run_config(path):
     _reject_unknown(raw, TOP_KEYS, "config")
     if raw.get("model", "esrlcm") != "esrlcm":
         raise ConfigError(f"unsupported model {raw.get('model')!r}")
-    n_classes = _json_value(raw["classes"], "classes", (int,), "an integer")
+    n_classes = _json_value(_required(raw, "classes", "classes"), "classes", (int,),
+                            "an integer")
     if n_classes < 1:
         raise ConfigError("classes must be >= 1")
 
@@ -75,21 +82,23 @@ def load_run_config(path):
     try:
         prior = PriorConfig(**fields)
     except ValueError as err:
-        raise ConfigError(str(err)) from err
+        # PriorConfig's errors start with the key they are about, if any
+        where = "prior." if str(err).split()[0] in PRIOR_KEYS else "prior: "
+        raise ConfigError(f"{where}{err}") from err
 
     mcmc_raw = _json_value(raw.get("mcmc", {}), "mcmc", (dict,), "a JSON object")
     _reject_unknown(mcmc_raw, set(MCMC_DEFAULTS), "mcmc")
     settings = {key: _json_value(mcmc_raw.get(key, default), f"mcmc.{key}", (int,),
                                  "an integer") for key, default in MCMC_DEFAULTS.items()}
-    unrestricted = _json_value(raw.get("unrestricted", False), "unrestricted", (bool,),
-                               "true or false")
     try:
-        config = mcmc.McmcConfig(**settings, unrestricted=unrestricted)
+        config = mcmc.McmcConfig(**settings)
     except ValueError as err:
         raise ConfigError(str(err)) from err
 
     paths = _json_value(raw.get("paths", {}), "paths", (dict,), "a JSON object")
     _reject_unknown(paths, PATH_KEYS, "paths")
+    for key, value in paths.items():
+        _json_value(value, f"paths.{key}", (str,), "a string")
     return prior, config, paths
 
 
@@ -99,7 +108,7 @@ def load_run_config(path):
 
 def cmd_fit(args):
     prior, config, paths = load_run_config(args.config)
-    data = Dataset.from_csv(paths["data"])
+    data = Dataset.from_csv(_required(paths, "data", "paths.data"))
     out_dir = Path(paths.get("out", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -151,7 +160,7 @@ def _emit(payload, out):
 
 def cmd_cv(args):
     prior, config, paths = load_run_config(args.config)
-    data = Dataset.from_csv(paths["data"])
+    data = Dataset.from_csv(_required(paths, "data", "paths.data"))
     grid = [prior]
     for lam in args.grid_lambda or []:
         if prior.lam is None or lam != prior.lam:

@@ -44,11 +44,7 @@ from .model import (
 
 @dataclass
 class McmcConfig:
-    """Sweep counts, seeding, thinning, and the unrestricted switch.
-
-    The v mode is the prior's. ``unrestricted`` pins every column to the
-    all-distinct partition, recovering a plain latent class model.
-    """
+    """Sweep counts, seeding and thinning; the v mode is the prior's."""
 
     n_main: int
     n_warmup: int = 0
@@ -56,7 +52,6 @@ class McmcConfig:
     seed: int = 0
     thin: int = 1
     store_c_every: int = 0
-    unrestricted: bool = False
 
     def __post_init__(self):
         if self.n_main < 1:
@@ -532,19 +527,15 @@ def _initial_state(data, prior, rng):
     return state
 
 
-def _check_start_reachable(prior, config):
+def _check_start_reachable(prior):
     """Reject a zeta prior under which the chain can never leave its start.
 
     The chain starts with every column all-distinct (C sets), and one base
-    move reaches only columns with C or C - 1 sets; an unrestricted fit
-    stays at C sets.
+    move reaches only columns with C or C - 1 sets.
     """
-    n_reachable = 1 if config.unrestricted else 2
-    if prior.zeta is not None and not prior.zeta[-n_reachable:].any():
-        n_classes = prior.n_classes
-        sets = " or ".join(str(n_classes - k) for k in range(n_reachable))
-        raise ValueError(f"zeta {prior.zeta.tolist()} gives no mass to {sets} sets, "
-                         f"so the chain cannot leave its {n_classes}-set start")
+    if prior.zeta is not None and not prior.zeta[-2:].any():
+        raise ValueError(f"zeta {prior.zeta.tolist()} gives no mass to {prior.n_classes} or "
+                         f"{prior.n_classes - 1} sets, so the chain cannot leave its start")
 
 
 def run_lockstep(lanes, config: McmcConfig) -> list:
@@ -570,7 +561,7 @@ def run_lockstep(lanes, config: McmcConfig) -> list:
     Per lane, ``stats["rj_accept_rate"]`` is accepted moves over items times
     free-v sweeps; ``stats["column_change_rate"]`` is the share of items
     whose column the base move changed, over items times sweeps in both v
-    modes (None when unrestricted); ``stats["theta_evals_per_update"]`` and
+    modes; ``stats["theta_evals_per_update"]`` and
     ``stats["v_evals_per_update"]`` are the mean numbers of log-target
     evaluations per slice update of one item's theta' row and of v, levels
     included (None at v = 0).
@@ -581,7 +572,7 @@ def run_lockstep(lanes, config: McmcConfig) -> list:
                          f"count and the v mode, got {sorted(shapes)}")
     (n_items, _, v_mode), = shapes
     for _, prior, _ in lanes:
-        _check_start_reachable(prior, config)
+        _check_start_reachable(prior)
     rngs = [np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(k,)))
             for _, _, k in lanes]
     states = [_initial_state(data, prior, rng) for (data, prior, _), rng in zip(lanes, rngs)]
@@ -603,18 +594,13 @@ def run_lockstep(lanes, config: McmcConfig) -> list:
             block.succ[k], block.totals[k] = _class_count_cache(data, old, state.memberships,
                                                                 block.counts(k))
             gibbs_update_pi(state, prior, rngs[k], block.totals[k])
-        if not config.unrestricted:
-            before = block.labels.copy()
-            if v_mode == V_FIXED_ZERO:
-                gibbs_update_base_class_v0(slice(None), block)
-            else:
-                rj_update_base_class(slice(None), block)
-                rj_accept += block.n_accepted
-            col_changes += (block.labels != before).any(axis=1).sum(axis=1)
-        elif v_mode == V_FIXED_ZERO:
-            columns, succ, totals = block.rows(items)
-            block.theta[...] = _conjugate_theta(columns.reshape(succ.shape), succ, totals,
-                                                rngs).reshape(block.theta.shape)
+        before = block.labels.copy()
+        if v_mode == V_FIXED_ZERO:
+            gibbs_update_base_class_v0(slice(None), block)
+        else:
+            rj_update_base_class(slice(None), block)
+            rj_accept += block.n_accepted
+        col_changes += (block.labels != before).any(axis=1).sum(axis=1)
 
         # memberships change only at the top of the sweep, so the carried
         # counts are still current when a draw is retained
@@ -635,7 +621,7 @@ def run_lockstep(lanes, config: McmcConfig) -> list:
                                 state.v, state.pi.copy(), state.base.labels.T.copy(),
                                 state.theta_prime.copy()))
 
-    moved = 0 if config.unrestricted else n_items * n_sweeps  # base moves per lane
+    moved = n_items * n_sweeps  # base moves per lane
     n_updates = n_sweeps if v_mode == V_FREE else 0  # slice updates of v per lane
     out = []
     for k, (_, _, chain_index) in enumerate(lanes):
@@ -648,9 +634,8 @@ def run_lockstep(lanes, config: McmcConfig) -> list:
             memberships=memberships[k],
             stats={
                 "chain_index": chain_index,
-                "rj_accept_rate": (int(rj_accept[k]) / moved
-                                   if moved and v_mode == V_FREE else None),
-                "column_change_rate": int(col_changes[k]) / moved if moved else None,
+                "rj_accept_rate": int(rj_accept[k]) / moved if v_mode == V_FREE else None,
+                "column_change_rate": int(col_changes[k]) / moved,
                 "theta_evals_per_update": (theta_evals[k] / (n_items * n_updates)
                                            if n_updates else None),
                 "v_evals_per_update": v_evals[k] / n_updates if n_updates else None,

@@ -194,7 +194,8 @@ class PriorConfig:
     class weights and implicitly fixes the number of classes. The response
     probability prior is the repelled beta with all-ones shapes and exponent
     v, where v is either fixed at zero or free on (0, max_v) with log prior
-    d1*log(v) + d2*v.
+    d1*log(v) + d2*v. The plain latent class model is the zeta that puts all
+    its mass on C sets: every column then stays all-distinct.
     """
 
     alpha_c: np.ndarray
@@ -210,10 +211,10 @@ class PriorConfig:
         if self.alpha_c.ndim != 1 or self.alpha_c.size < 1 or np.any(self.alpha_c <= 0):
             raise ValueError("alpha_c must be a positive vector")
         if (self.lam is None) == (self.zeta is None):
-            raise ValueError("exactly one of lam and zeta must be given")
+            raise ValueError("exactly one of lambda and zeta must be given")
         if self.lam is not None:
             if not 0 < self.lam <= 1:
-                raise ValueError(f"lam must be in (0, 1], got {self.lam}")
+                raise ValueError(f"lambda must be in (0, 1], got {self.lam}")
             self.lam = float(self.lam)
         else:
             self.zeta = np.asarray(self.zeta, dtype=np.float64)
@@ -221,10 +222,11 @@ class PriorConfig:
                 raise ValueError("zeta must have one entry per possible number of sets")
             if np.any(self.zeta < 0) or abs(self.zeta.sum() - 1.0) > 1e-9:
                 raise ValueError("zeta must be a probability vector")
-        if self.d1 <= 0 or self.d2 <= 0:
-            raise ValueError("d1 and d2 must be positive")
-        if self.max_v <= 0:
-            raise ValueError("max_v must be positive")
+        for name in ("d1", "d2", "max_v"):
+            value = getattr(self, name)
+            if value <= 0:
+                raise ValueError(f"{name} must be positive, got {value}")
+            setattr(self, name, float(value))
         if self.v_mode not in (V_FIXED_ZERO, V_FREE):
             raise ValueError(f"v_mode must be '{V_FIXED_ZERO}' or '{V_FREE}'")
 

@@ -72,6 +72,11 @@ def all_partition_columns(n_classes: int):
     return columns
 
 
+def lcm_prior(n_classes, v_mode="free"):
+    """The plain latent class model: zeta puts all its mass on C sets."""
+    return PriorConfig(alpha_c=np.ones(n_classes), zeta=np.eye(n_classes)[-1], v_mode=v_mode)
+
+
 def random_canonical_column(rng, n_classes):
     return canonicalize(rng.integers(1, n_classes + 1, size=n_classes))
 

@@ -185,9 +185,9 @@ def recovery_run():
     config = McmcConfig(n_main=1500, n_warmup=1500, seed=7)
     prior = PriorConfig.default(4, lam=0.5, v_mode="free")
     draws = run_chain(data, prior, config)
+    # the unrestricted LCM: zeta puts all its mass on C sets
     unrestricted = run_chain(
-        data, PriorConfig.default(4, lam=0.5, v_mode="free"),
-        McmcConfig(n_main=1500, n_warmup=1500, seed=7, unrestricted=True),
+        data, PriorConfig(alpha_c=np.ones(4), zeta=[0, 0, 0, 1], v_mode="free"), config,
     )
     return {
         "truth": truth,

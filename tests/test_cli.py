@@ -118,14 +118,49 @@ class TestFitCommand:
             blobs.append((tmp_path / name / "draws_chain0.jsonl").read_bytes())
         assert blobs[0] == blobs[1]
 
-    def test_unrestricted_flag(self, toy_run):
+    def test_lcm_zeta_prior_fit(self, toy_run):
+        # the plain latent class model: zeta puts all its mass on C sets
         tmp_path, _ = toy_run
-        config = write_config(tmp_path / "unrestricted.json", tmp_path / "data.csv",
-                              tmp_path / "out", unrestricted=True)
+        config = write_config(tmp_path / "lcm.json", tmp_path / "data.csv", tmp_path / "out",
+                              prior={"lambda": None, "zeta": [0, 1]})
         assert cli.main(["fit", "--config", str(config)]) == 0
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         for column in summary["mode_restrictions"]:
             assert sorted(set(column)) == [1, 2]
+        assert summary["chains"][0]["column_change_rate"] == 0.0
+
+    def test_unrestricted_key_rejected(self, toy_run, capsys):
+        # the LCM is a zeta prior; the switch it replaced is an unknown key
+        tmp_path, _ = toy_run
+        for flag in (True, False):
+            config = write_config(tmp_path / "flag.json", tmp_path / "data.csv",
+                                  tmp_path / "out", unrestricted=flag)
+            assert cli.main(["fit", "--config", str(config)]) == 1
+            assert capsys.readouterr().err == "error: unknown keys in config: ['unrestricted']\n"
+
+    @pytest.mark.parametrize("command", ["fit", "cv"])
+    @pytest.mark.parametrize("section, key", [(None, "classes"), ("paths", "data")])
+    def test_missing_required_key_named(self, toy_run, capsys, command, section, key):
+        tmp_path, config = toy_run
+        raw = json.loads(config.read_text())
+        del (raw[section] if section else raw)[key]
+        config.write_text(json.dumps(raw))
+        assert cli.main([command, "--config", str(config)]) == 1
+        name = f"{section}.{key}" if section else key
+        assert capsys.readouterr().err == f"error: {name} is required\n"
+
+    @pytest.mark.parametrize("prior, message", [
+        ({"lambda": 2}, "prior.lambda must be in (0, 1], got 2"),
+        ({"lambda": 0.5, "v_mode": "sometimes"}, "prior.v_mode must be 'fixed_zero' or 'free'"),
+        ({"lambda": 0.5, "d1": -1}, "prior.d1 must be positive, got -1"),
+        ({"lambda": None}, "prior: exactly one of lambda and zeta must be given"),
+    ])
+    def test_prior_errors_named_by_their_config_key(self, toy_run, capsys, prior, message):
+        tmp_path, _ = toy_run
+        config = write_config(tmp_path / "prior.json", tmp_path / "data.csv", tmp_path / "out",
+                              prior=prior)
+        assert cli.main(["fit", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_unknown_config_keys_rejected(self, tmp_path, toy_run):
         _, config_path = toy_run
@@ -136,8 +171,8 @@ class TestFitCommand:
         assert cli.main(["fit", "--config", str(bad)]) == 1
 
     @pytest.mark.parametrize("overrides, key", [
-        ({"unrestricted": "false"}, "unrestricted"),
-        ({"unrestricted": 0}, "unrestricted"),
+        ({"prior": {"v_mode": 1}}, "prior.v_mode"),
+        ({"paths": {"out": 5}}, "paths.out"),
         ({"classes": 4.7}, "classes"),
         ({"classes": True}, "classes"),
         ({"classes": "2"}, "classes"),
@@ -170,13 +205,6 @@ class TestFitCommand:
         assert f"error: {key} must be" in capsys.readouterr().err
         assert not (tmp_path / "out" / "draws_chain0.jsonl").exists()
 
-    def test_json_bool_unrestricted_accepted(self, toy_run):
-        tmp_path, _ = toy_run
-        for flag in (True, False):
-            config = write_config(tmp_path / "flag.json", tmp_path / "data.csv",
-                                  tmp_path / "out", unrestricted=flag)
-            assert cli.load_run_config(config)[1].unrestricted is flag
-
     def test_missing_data_file_fails(self, tmp_path):
         config = write_config(tmp_path / "c.json", tmp_path / "nope.csv", tmp_path / "o")
         assert cli.main(["fit", "--config", str(config)]) == 1
@@ -189,9 +217,9 @@ class TestFitCommand:
         assert "no draw would be retained" in capsys.readouterr().err
         assert not (tmp_path / "out" / "draws_chain0.jsonl").exists()
 
-    # flags: top-level config keys
+    # flags: other config keys; two chains start a worker pool
     @pytest.mark.parametrize("zeta, flags", [([0.0, 1.0, 0.0, 0.0], {}),
-                                             ([0.0, 0.0, 1.0, 0.0], {"unrestricted": True})])
+                                             ([1.0, 0.0, 0.0, 0.0], {"mcmc": {"n_chains": 2}})])
     def test_zeta_without_mass_near_the_start_fails_before_sampling(self, toy_run, capsys,
                                                                    zeta, flags):
         tmp_path, _ = toy_run
@@ -403,6 +431,22 @@ class TestCvCommand:
         assert len(table["results"]) == 2
         for row in table["results"]:
             assert np.isfinite(row["mean_predictive_loglik"])
+
+    def test_lcm_config_with_a_lambda_grid(self, tmp_path):
+        # the grid's LCM lanes and lambda lanes run as one lockstep group
+        rng = np.random.default_rng(8)
+        data_path = tmp_path / "d.csv"
+        Dataset(rng.integers(0, 2, size=(60, 2))).to_csv(data_path)
+        config = write_config(tmp_path / "c.json", data_path, tmp_path / "o",
+                              prior={"lambda": None, "zeta": [0, 1], "v_mode": "free"},
+                              mcmc={"n_warmup": 10, "n_main": 10, "seed": 4})
+        out = tmp_path / "cv.json"
+        assert cli.main(["cv", "--config", str(config), "--k", "3",
+                         "--grid-lambda", "0.5", "--out", str(out)]) == 0
+        rows = json.loads(out.read_text())["results"]
+        assert [(row["lambda"], row["v_mode"]) for row in rows] == [(None, "free"),
+                                                                    (0.5, "free")]
+        assert all(np.isfinite(row["mean_predictive_loglik"]) for row in rows)
 
     @pytest.mark.parametrize("prior_raw", [
         {"lambda": 1.0},

@@ -31,6 +31,7 @@ from helpers import (
     column_menu_loop,
     expected_rho,
     gibbs_update_c,
+    lcm_prior,
     one_lane,
     random_canonical_column,
     random_state,
@@ -725,8 +726,8 @@ class TestRunChain:
         changed = (columns[1:] != columns[:-1]).any(axis=2)
         assert 0 < changed.sum() < changed.size
         assert draws.stats["column_change_rate"] == changed.sum() / changed.size
-        draws = run_chain(data, prior, McmcConfig(n_main=5, seed=3, unrestricted=True))
-        assert draws.stats["column_change_rate"] is None
+        draws = run_chain(data, lcm_prior(3, v_mode), McmcConfig(n_main=5, seed=3))
+        assert draws.stats["column_change_rate"] == 0.0
 
     def test_same_seed_same_draws(self):
         data, prior = self.small_inputs()
@@ -788,15 +789,15 @@ class TestRunChain:
                                theta_prime=draws.theta_prime[d], v=draws.v[d])
             assert full_log_joint(state, data, prior) == draws.log_joint[d]
 
+    # lcm: the plain latent class model's zeta prior instead of lambda = 0.5
     COUNT_CASES = [("fixed_zero", False, 60), ("free", False, 60), ("fixed_zero", True, 60),
                    ("free", True, 60), ("fixed_zero", False, 0)]
 
-    @pytest.mark.parametrize("v_mode, unrestricted, n", COUNT_CASES)
-    def test_carried_counts_equal_a_full_recount_every_sweep(self, monkeypatch, v_mode,
-                                                             unrestricted, n):
+    @pytest.mark.parametrize("v_mode, lcm, n", COUNT_CASES)
+    def test_carried_counts_equal_a_full_recount_every_sweep(self, monkeypatch, v_mode, lcm, n):
         rng = np.random.default_rng(12)
         data = Dataset(rng.integers(0, 2, size=(n, 4)))
-        prior = PriorConfig.default(3, lam=0.5, v_mode=v_mode)
+        prior = lcm_prior(3, v_mode) if lcm else PriorConfig.default(3, lam=0.5, v_mode=v_mode)
         carry, draw_pi, sweeps, pi_totals = mcmc._class_count_cache, mcmc.gibbs_update_pi, [], []
 
         def checked(data, old, new, counts):
@@ -819,19 +820,16 @@ class TestRunChain:
 
         monkeypatch.setattr(mcmc, "_class_count_cache", checked)
         monkeypatch.setattr(mcmc, "gibbs_update_pi", pi_checked)
-        run_chain(data, prior, McmcConfig(n_main=15, n_warmup=10, seed=2,
-                                          unrestricted=unrestricted))
+        run_chain(data, prior, McmcConfig(n_main=15, n_warmup=10, seed=2))
         assert len(sweeps) == len(pi_totals) == 25
         assert (sum(sweeps) > 0) == (n > 0)
 
-    @pytest.mark.parametrize("v_mode, unrestricted, n", COUNT_CASES)
-    def test_draws_equal_those_of_a_full_recount_each_sweep(self, monkeypatch, v_mode,
-                                                            unrestricted, n):
+    @pytest.mark.parametrize("v_mode, lcm, n", COUNT_CASES)
+    def test_draws_equal_those_of_a_full_recount_each_sweep(self, monkeypatch, v_mode, lcm, n):
         rng = np.random.default_rng(13)
         data = Dataset(rng.integers(0, 2, size=(n, 4)))
-        prior = PriorConfig.default(3, lam=0.5, v_mode=v_mode)
-        config = McmcConfig(n_main=15, n_warmup=10, seed=3, unrestricted=unrestricted,
-                            store_c_every=1)
+        prior = lcm_prior(3, v_mode) if lcm else PriorConfig.default(3, lam=0.5, v_mode=v_mode)
+        config = McmcConfig(n_main=15, n_warmup=10, seed=3, store_c_every=1)
         carried = run_chain(data, prior, config)
         monkeypatch.setattr(mcmc, "_class_count_cache",
                             lambda data, old, new, counts: kernels.class_counts(data.x, new, 3))
@@ -853,12 +851,16 @@ class TestRunChain:
             for col, p in target.items():
                 assert freq.get(col, 0.0) == pytest.approx(p, abs=0.03)
 
-    def test_unrestricted_flag_pins_columns(self):
-        data, prior = self.small_inputs()
-        draws = run_chain(data, prior, McmcConfig(n_main=10, seed=2, unrestricted=True))
-        for d in range(draws.n_draws):
-            for col in draws.base_columns[d]:
-                assert col.tolist() == [1, 2]
+    def test_lcm_zeta_prior_pins_columns(self):
+        # the base move still runs: at free v it redraws theta' and accepts
+        # by the repelled beta ratio, with the column kept
+        data, _ = self.small_inputs()
+        for v_mode in ("free", "fixed_zero"):
+            draws = run_chain(data, lcm_prior(2, v_mode), McmcConfig(n_main=10, seed=2))
+            assert (draws.base_columns == [1, 2]).all()
+            assert draws.stats["column_change_rate"] == 0.0
+            rate = draws.stats["rj_accept_rate"]
+            assert rate is None if v_mode == "fixed_zero" else 0.0 < rate <= 1.0
 
     def test_fixed_zero_mode_keeps_v_zero(self):
         data, prior = self.small_inputs(v_mode="fixed_zero")
@@ -908,26 +910,29 @@ class TestRunChain:
 class TestLockstep:
     DRAW_FIELDS = ("iters", "log_joint", "v", "pi", "base_columns", "theta_prime")
 
-    def lanes(self, v_mode):
+    def lanes(self, v_mode, lcm=False):
         # different data sizes (one lane empty), different priors, chain
-        # indices out of order
+        # indices out of order; with ``lcm``, the last lane fits the plain
+        # latent class model among lambda lanes, as in a cv grid
         rng = np.random.default_rng(21)
+        zeta = [0.0, 0.0, 1.0] if lcm else [0.2, 0.3, 0.5]
         priors = [PriorConfig.default(3, lam=0.5, v_mode=v_mode),
                   PriorConfig.default(3, lam=1.0, v_mode=v_mode),
-                  PriorConfig(alpha_c=np.array([1.0, 2.0, 0.5]),
-                              zeta=np.array([0.2, 0.3, 0.5]), v_mode=v_mode)]
+                  PriorConfig(alpha_c=np.array([1.0, 2.0, 0.5]), zeta=np.array(zeta),
+                              v_mode=v_mode)]
         sizes, indices = (50, 0, 23), (3, 0, 1)
         return [(Dataset(rng.integers(0, 2, size=(n, 4))), prior, k)
                 for n, prior, k in zip(sizes, priors, indices)]
 
     @pytest.mark.parametrize("v_mode", ["fixed_zero", "free"])
-    @pytest.mark.parametrize("unrestricted", [False, True])
-    def test_each_lane_equals_a_one_lane_run(self, v_mode, unrestricted):
-        lanes = self.lanes(v_mode)
-        config = McmcConfig(n_main=12, n_warmup=5, seed=9, thin=2, store_c_every=2,
-                            unrestricted=unrestricted)
+    @pytest.mark.parametrize("lcm", [False, True])
+    def test_each_lane_equals_a_one_lane_run(self, v_mode, lcm):
+        lanes = self.lanes(v_mode, lcm)
+        config = McmcConfig(n_main=12, n_warmup=5, seed=9, thin=2, store_c_every=2)
         together = mcmc.run_lockstep(lanes, config)
         assert len(together) == len(lanes)
+        if lcm:
+            assert (together[-1].base_columns == [1, 2, 3]).all()
         for draws, (data, prior, k) in zip(together, lanes):
             alone = run_chain(data, prior, config, chain_index=k)
             for name in self.DRAW_FIELDS:
