@@ -20,7 +20,7 @@ PRIOR_KEYS = {"lambda", "zeta", "alpha_c", "d1", "d2", "max_v", "v_mode"}
 MCMC_DEFAULTS = {"n_main": 1000, "n_warmup": 1000, "n_chains": 1, "seed": 0, "thin": 1,
                  "store_c_every": 0}
 TOP_KEYS = {"model", "classes", "prior", "mcmc", "paths"}
-PATH_KEYS = {"data", "out", "truth"}
+PATH_KEYS = {"data", "out"}
 
 
 class ConfigError(ValueError):
@@ -93,7 +93,8 @@ def load_run_config(path):
     try:
         config = mcmc.McmcConfig(**settings)
     except ValueError as err:
-        raise ConfigError(str(err)) from err
+        # McmcConfig's errors start with the key they are about
+        raise ConfigError(f"mcmc.{err}") from err
 
     paths = _json_value(raw.get("paths", {}), "paths", (dict,), "a JSON object")
     _reject_unknown(paths, PATH_KEYS, "paths")
@@ -112,7 +113,7 @@ def cmd_fit(args):
     out_dir = Path(paths.get("out", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    chains = mcmc.run_chains(data, prior, config, n_threads=args.threads)
+    chains = mcmc.run_chains(data, prior, config)
     for k, draws in enumerate(chains):
         draws.to_jsonl(out_dir / f"draws_chain{k}.jsonl")
         if config.store_c_every:
@@ -247,8 +248,6 @@ def build_parser():
 
     p_fit = sub.add_parser("fit", help="fit a model from a JSON run config")
     p_fit.add_argument("--config", required=True)
-    p_fit.add_argument("--threads", type=_int_at_least(1),
-                       help="worker processes for the chains (default: the CPU count)")
     p_fit.set_defaults(func=cmd_fit)
 
     p_sim = sub.add_parser("simulate", help="generate a synthetic dataset")

@@ -15,15 +15,12 @@ from child k of ``SeedSequence(seed)``, so chains are reproducible given
 time and runs the base move once per sweep over all their items, stacked
 in a :class:`Lanes` block; every other phase runs chain by chain. Each
 chain's draws are those of a one-chain run (:func:`run_chain`), so
-``kfold_cv`` runs its whole (prior, fold) grid as one group in one process,
-and ``run_chains`` runs each worker process's chains as one group.
+``kfold_cv`` runs its whole (prior, fold) grid as one group and
+``run_chains`` runs a fit's chains as one group, each in this process.
 """
 
 import json
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 
@@ -666,34 +663,18 @@ def concat_draws(chains) -> PosteriorDraws:
     )
 
 
-def run_chains(data, prior, config, n_threads=None):
-    """Run ``config.n_chains`` independent chains, split over up to
-    ``n_threads`` worker processes (default: the CPU count).
+def run_chains(data, prior, config):
+    """Run ``config.n_chains`` independent chains as one lockstep group
+    (:func:`run_lockstep`) in this process and return their draws, in chain
+    order.
 
     Chain k draws from child k of ``SeedSequence(config.seed)``, the
-    stream ``SeedSequence.spawn`` would give it, so the draws do not depend
-    on the split. Each worker runs its contiguous share of the chains in
-    lockstep (:func:`run_lockstep`), so one worker runs them all as one
-    group, in this process. The thread count splits only these ``fit``
-    chains: ``evaluation.kfold_cv`` runs its grid as one group and starts no
-    pool. File output is left to the caller so that all writes happen in
-    one place.
+    stream ``SeedSequence.spawn`` would give it, so its draws are those of
+    ``run_chain(..., chain_index=k)``. File output is left to the caller so
+    that all writes happen in one place.
     """
     if config.n_chains == 1:
         # through the run_chain binding, which perfbench/tracing.py times as
         # the chain span that its per-phase readings of a fit nest under
         return [run_chain(data, prior, config)]
-    if n_threads is None:
-        n_threads = os.cpu_count() or 1
-    n_workers = min(n_threads, config.n_chains)
-    # tolist() keeps the chain indices Python ints, so the stats serialize
-    groups = [[(data, prior, k) for k in group.tolist()]
-              for group in np.array_split(np.arange(config.n_chains), n_workers)]
-    if n_workers == 1:
-        return run_lockstep(groups[0], config)
-    # imported before the pool starts, so that forked workers inherit the
-    # module instead of each importing it
-    import scipy.special  # noqa: F401
-    with ProcessPoolExecutor(max_workers=n_workers) as pool:
-        return [draws for group in pool.map(run_lockstep, groups, repeat(config))
-                for draws in group]
+    return run_lockstep([(data, prior, k) for k in range(config.n_chains)], config)

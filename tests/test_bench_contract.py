@@ -15,8 +15,9 @@ from test_cli import write_config
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-@pytest.mark.parametrize("v_mode", ["free", "fixed_zero"])
-def test_traced_fit_runs_with_every_patch_installed(tmp_path, monkeypatch, v_mode):
+def traced_fit(tmp_path, monkeypatch, v_mode="fixed_zero", n_chains=1):
+    """The tracing module and its tracer after a traced 2 + 3 sweep ``fit``
+    of a toy data set."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import tracing
 
@@ -24,7 +25,8 @@ def test_traced_fit_runs_with_every_patch_installed(tmp_path, monkeypatch, v_mod
     data_path = tmp_path / "data.csv"
     Dataset(rng.integers(0, 2, size=(40, 3))).to_csv(data_path)
     config = write_config(tmp_path / "run.json", data_path, tmp_path / "out",
-                          prior={"v_mode": v_mode}, mcmc={"n_warmup": 2, "n_main": 3})
+                          prior={"v_mode": v_mode},
+                          mcmc={"n_warmup": 2, "n_main": 3, "n_chains": n_chains})
 
     tracer = tracing.Tracer(tmp_path)
     try:
@@ -32,6 +34,12 @@ def test_traced_fit_runs_with_every_patch_installed(tmp_path, monkeypatch, v_mod
         assert cli.main(["fit", "--config", str(config)]) == 0
     finally:
         tracer.uninstall()
+    return tracing, tracer
+
+
+@pytest.mark.parametrize("v_mode", ["free", "fixed_zero"])
+def test_traced_fit_runs_with_every_patch_installed(tmp_path, monkeypatch, v_mode):
+    tracing, tracer = traced_fit(tmp_path, monkeypatch, v_mode)
     assert esrlcm.ACTIVE_BACKEND == "numpy"
 
     # the patched bindings are the ones the sweep calls, under both base moves
@@ -58,6 +66,15 @@ def test_traced_fit_runs_with_every_patch_installed(tmp_path, monkeypatch, v_mod
     else:
         # at v = 0 the base move also draws theta'
         assert "mcmc.theta" not in names
+
+
+def test_traced_multi_chain_fit_records_every_lane(tmp_path, monkeypatch):
+    # the chains run in this process, so the tracer sees each lane's phases
+    tracing, tracer = traced_fit(tmp_path, monkeypatch, n_chains=2)
+    # one membership draw per lane per sweep, one stacked base move per sweep
+    names = [rec[tracing.NAME] for rec in tracer.spans]
+    assert names.count("mcmc.memberships") == 2 * 5
+    assert names.count("mcmc.base_move") == 5
 
 
 def test_traced_sample_keeps_its_positional_contract(tmp_path, monkeypatch):

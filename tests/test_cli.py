@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from esrlcm import cli, evaluation
-from esrlcm.mcmc import PosteriorDraws
+from esrlcm.mcmc import PosteriorDraws, run_chain
 from esrlcm.model import Dataset, PriorConfig
 
 
@@ -162,6 +162,26 @@ class TestFitCommand:
         assert cli.main(["fit", "--config", str(config)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("mcmc, message", [
+        ({"n_main": 0}, "mcmc.n_main must be >= 1"),
+        ({"n_chains": 0}, "mcmc.n_chains must be >= 1"),
+    ])
+    def test_mcmc_errors_named_by_their_config_key(self, toy_run, capsys, mcmc, message):
+        tmp_path, _ = toy_run
+        config = write_config(tmp_path / "mcmc.json", tmp_path / "data.csv", tmp_path / "out",
+                              mcmc=mcmc)
+        assert cli.main(["fit", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_truth_path_rejected(self, toy_run, capsys):
+        # no command reads a truth path from the config; metrics takes --truth
+        tmp_path, _ = toy_run
+        config = write_config(tmp_path / "truth.json", tmp_path / "data.csv", tmp_path / "out",
+                              paths={"truth": str(tmp_path / "truth.json")})
+        assert cli.main(["fit", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == "error: unknown keys in paths: ['truth']\n"
+        assert not (tmp_path / "out" / "draws_chain0.jsonl").exists()
+
     def test_unknown_config_keys_rejected(self, tmp_path, toy_run):
         _, config_path = toy_run
         raw = json.loads(config_path.read_text())
@@ -217,7 +237,7 @@ class TestFitCommand:
         assert "no draw would be retained" in capsys.readouterr().err
         assert not (tmp_path / "out" / "draws_chain0.jsonl").exists()
 
-    # flags: other config keys; two chains start a worker pool
+    # flags: other config keys; two chains run as one lockstep group
     @pytest.mark.parametrize("zeta, flags", [([0.0, 1.0, 0.0, 0.0], {}),
                                              ([1.0, 0.0, 0.0, 0.0], {"mcmc": {"n_chains": 2}})])
     def test_zeta_without_mass_near_the_start_fails_before_sampling(self, toy_run, capsys,
@@ -229,33 +249,23 @@ class TestFitCommand:
         assert "zeta" in capsys.readouterr().err
         assert not (tmp_path / "out" / "draws_chain0.jsonl").exists()
 
-    @pytest.mark.parametrize("threads", ["0", "-1", "two"])
-    def test_bad_threads_flag_rejected_at_parse(self, toy_run, capsys, threads):
-        tmp_path, _ = toy_run
-        config = write_config(tmp_path / "two.json", tmp_path / "data.csv", tmp_path / "out",
-                              mcmc={"n_chains": 2})
-        with pytest.raises(SystemExit) as err:
-            cli.main(["fit", "--config", str(config), "--threads", threads])
-        assert err.value.code == 2
-        assert "--threads" in capsys.readouterr().err
-
     @pytest.mark.parametrize("v_mode", ["fixed_zero", "free"])
     def test_thread_count_does_not_change_outputs(self, toy_run, v_mode):
-        # chain k draws from its own stream whichever worker runs it, and a
-        # worker runs its chains in lockstep, so one worker and two write the
-        # same bytes
+        # the chains run as one lockstep group in one process, and chain k
+        # draws from its own stream, so its draw file is that of a one-chain
+        # run with chain index k
         tmp_path, _ = toy_run
-        outputs = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"out{threads}"
-            config = write_config(tmp_path / f"three{threads}.json", tmp_path / "data.csv", out,
-                                  prior={"v_mode": v_mode},
-                                  mcmc={"n_chains": 3, "n_warmup": 10, "n_main": 10})
-            assert cli.main(["fit", "--config", str(config), "--threads", threads]) == 0
-            outputs.append(out)
-        names = [f"draws_chain{k}.jsonl" for k in range(3)] + ["summary.json"]
-        for name in names:
-            assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes(), name
+        out = tmp_path / "out"
+        config = write_config(tmp_path / "three.json", tmp_path / "data.csv", out,
+                              prior={"v_mode": v_mode},
+                              mcmc={"n_chains": 3, "n_warmup": 10, "n_main": 10})
+        assert cli.main(["fit", "--config", str(config)]) == 0
+        prior, mcmc_config, _ = cli.load_run_config(config)
+        data = Dataset.from_csv(tmp_path / "data.csv")
+        for k in range(3):
+            alone = tmp_path / f"alone{k}.jsonl"
+            run_chain(data, prior, mcmc_config, chain_index=k).to_jsonl(alone)
+            assert (out / f"draws_chain{k}.jsonl").read_bytes() == alone.read_bytes(), k
 
 
 class TestCheckIdCommand:
@@ -476,36 +486,47 @@ class TestCvCommand:
         assert grid_prior.alpha_c.tolist() == base.alpha_c.tolist() == [2.0, 3.0]
 
 
-# Run in a fresh interpreter: which scipy modules each command loads.
+# Run in a fresh interpreter: which scipy and process-pool modules each
+# command loads.
 STARTUP_SCRIPT = """
 import sys
 
 import esrlcm
 from esrlcm import cli
 
+
+def loaded(*packages):
+    return sorted(m for m in sys.modules if m.split(".")[0] in packages)
+
+
 tmp = sys.argv[1]
 assert cli.main(["simulate", "--classes", "4", "--n", "60", "--seed", "1",
                  "--out", f"{tmp}/data.csv"]) == 0
 assert cli.main(["check-id", "--matrix", f"{tmp}/q.csv", "--q-matrix",
                  "--verify-trials", "3", "--out", f"{tmp}/id.json"]) == 0
-scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+scipy = loaded("scipy")
 assert not scipy, f"{len(scipy)} scipy modules loaded: {scipy[:3]} ..."
+pools = loaded("multiprocessing", "concurrent")
+assert not pools, f"process-pool modules loaded: {pools}"
 assert cli.main(["cv", "--config", f"{tmp}/run.json", "--k", "2",
                  "--out", f"{tmp}/cv.json"]) == 0
 assert "scipy.optimize" not in sys.modules
 assert cli.main(["fit", "--config", f"{tmp}/run.json"]) == 0
 assert "scipy.optimize" in sys.modules
+# scipy.special imports concurrent.futures itself, but nothing starts a pool
+assert not loaded("multiprocessing"), loaded("multiprocessing")
 """
 
 
 class TestStartup:
     def test_scipy_loads_only_where_used(self, tmp_path):
-        """import, simulate and check-id load no scipy; cv loads no
-        scipy.optimize; fit loads it to align classes."""
+        """import, simulate and check-id load no scipy and no process pool;
+        cv loads no scipy.optimize; a two-chain fit loads it to align classes,
+        and still no multiprocessing."""
         q = np.vstack([np.eye(2, dtype=int), np.eye(2, dtype=int), [[1, 1]]])
         np.savetxt(tmp_path / "q.csv", q, fmt="%d", delimiter=",")
         write_config(tmp_path / "run.json", tmp_path / "data.csv", tmp_path / "out",
-                     mcmc={"n_warmup": 5, "n_main": 5, "seed": 3})
+                     mcmc={"n_warmup": 5, "n_main": 5, "seed": 3, "n_chains": 2})
         src = Path(cli.__file__).resolve().parents[1]
         proc = subprocess.run([sys.executable, "-c", STARTUP_SCRIPT, str(tmp_path)],
                               env={**os.environ, "PYTHONPATH": str(src)},

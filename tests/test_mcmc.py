@@ -892,7 +892,7 @@ class TestRunChain:
     def test_run_chains_multiple(self):
         data, prior = self.small_inputs()
         config = McmcConfig(n_main=10, seed=3, n_chains=2)
-        chains = mcmc.run_chains(data, prior, config, n_threads=1)
+        chains = mcmc.run_chains(data, prior, config)
         assert len(chains) == 2
         assert not np.array_equal(chains[0].log_joint, chains[1].log_joint)
         pooled = mcmc.concat_draws(chains)
@@ -955,7 +955,7 @@ class TestLockstep:
     def test_run_chains_in_one_worker_equals_chain_by_chain(self):
         data, prior, _ = self.lanes("free")[0]
         config = McmcConfig(n_main=8, n_warmup=3, seed=4, n_chains=3)
-        for k, draws in enumerate(mcmc.run_chains(data, prior, config, n_threads=1)):
+        for k, draws in enumerate(mcmc.run_chains(data, prior, config)):
             alone = run_chain(data, prior, config, chain_index=k)
             assert draws.log_joint.tobytes() == alone.log_joint.tobytes()
             assert draws.stats == alone.stats
