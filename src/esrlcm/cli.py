@@ -126,7 +126,7 @@ def cmd_fit(args):
     summary = {
         "pi_mean": pi_bar.tolist(),
         "theta_mean": theta_bar.tolist(),
-        "mode_restrictions": mode.labels.T.tolist(),
+        "mode_restrictions": mode.tolist(),
         "v_mean": float(pooled.v.mean()),
         "chains": [draws.stats for draws in chains],
     }
@@ -204,21 +204,21 @@ def cmd_metrics(args):
     holdout = Dataset.from_csv(args.holdout) if args.holdout else None
     perms = evaluation._aligned_permutations(draws)
     mode = evaluation.mode_restrictions(draws, perms)
-    shape = (mode.n_classes, mode.n_items)
-    if (truth.base.n_classes, truth.base.n_items) != shape:
-        raise ValueError(f"truth has {truth.base.n_classes} classes x {truth.base.n_items} "
-                         f"items but the draws have {shape[0]} classes x {shape[1]} items")
-    if holdout is not None and holdout.n_items != mode.n_items:
+    n_items, n_classes = mode.shape
+    if truth.columns.shape != mode.shape:
+        raise ValueError(f"truth has {truth.columns.shape[1]} classes x {truth.columns.shape[0]} "
+                         f"items but the draws have {n_classes} classes x {n_items} items")
+    if holdout is not None and holdout.n_items != n_items:
         raise ValueError(f"holdout has {holdout.n_items} items "
-                         f"but the draws have {mode.n_items} items")
+                         f"but the draws have {n_items} items")
     _, theta_bar = evaluation.posterior_mean_parameters(draws, perms)
     alignment = evaluation.align_classes(truth.theta_matrix(), theta_bar)
-    sens, spec = evaluation.restriction_sensitivity_specificity(truth.base, mode, alignment)
+    sens, spec = evaluation.restriction_sensitivity_specificity(truth.columns, mode, alignment)
     payload = {
         "sensitivity": sens,
         "specificity": spec,
         "oos_loglik": None,
-        "per_item_mode_columns": mode.labels.T.tolist(),
+        "per_item_mode_columns": mode.tolist(),
     }
     if holdout is not None:
         payload["oos_loglik"] = evaluation.predictive_loglik(draws, holdout, args.mode, perms)
@@ -276,7 +276,7 @@ def build_parser():
     p_id.add_argument("--levels", type=int, default=2)
     p_id.add_argument("--exhaustive", action="store_true")
     p_id.add_argument("--budget", type=int, default=5_000_000)
-    p_id.add_argument("--verify-trials", type=int, default=0)
+    p_id.add_argument("--verify-trials", type=_int_at_least(0), default=0)
     p_id.add_argument("--seed", type=int, default=0)
     p_id.add_argument("--out")
     p_id.set_defaults(func=cmd_check_id)

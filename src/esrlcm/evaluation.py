@@ -9,7 +9,7 @@ from . import kernels
 from .mcmc import PosteriorDraws, run_lockstep
 # kept importable by this name: perfbench/tracing.py patches evaluation.run_chain
 from .mcmc import run_chain  # noqa: F401
-from .model import BaseClassMatrix, Dataset, canonicalize
+from .model import Dataset, canonicalize
 
 
 # Output elements (rows x draws x classes) of one holdout block: 2 MB of float64.
@@ -110,8 +110,8 @@ def posterior_mean_parameters(draws: PosteriorDraws, perms=None):
     return pi, theta
 
 
-def mode_restrictions(draws: PosteriorDraws, perms=None) -> BaseClassMatrix:
-    """Most frequent partition per item among aligned draws.
+def mode_restrictions(draws: PosteriorDraws, perms=None) -> np.ndarray:
+    """Most frequent partition per item among aligned draws, as (J, C) columns.
 
     Ties break toward fewer equivalence sets, then lexicographically.
     ``perms`` are as in :func:`posterior_mean_parameters`.
@@ -124,29 +124,30 @@ def mode_restrictions(draws: PosteriorDraws, perms=None) -> BaseClassMatrix:
         rows, counts = np.unique(draws_j, axis=0, return_counts=True)
         # np.unique sorts rows lexicographically and lexsort is stable
         columns.append(rows[np.lexsort((rows.max(axis=1), -counts))[0]])
-    return BaseClassMatrix(np.column_stack(columns))
+    return np.array(columns)
 
 
-def restriction_sensitivity_specificity(truth: BaseClassMatrix,
-                                        estimate: BaseClassMatrix,
-                                        alignment=None):
+def restriction_sensitivity_specificity(truth, estimate, alignment=None):
     """Recovery rates of restricted and unrestricted class pairs.
 
+    ``truth`` and ``estimate`` are (J, C) blocks of canonical columns, and
+    truth class c is compared with estimate class ``alignment[c]``.
     Sensitivity is the fraction of truly restricted pairs (equal response
     probabilities) the estimate also restricts; specificity the fraction of
     truly unrestricted pairs kept unrestricted. Pairs aggregate over items.
     A component with no eligible pairs is returned as None.
     """
-    if (truth.n_classes, truth.n_items) != (estimate.n_classes, estimate.n_items):
+    if truth.shape != estimate.shape:
         raise ValueError("matrices must have identical dimensions")
+    n_classes = truth.shape[1]
     if alignment is None:
-        alignment = np.arange(truth.n_classes)
+        alignment = np.arange(n_classes)
     alignment = np.asarray(alignment, dtype=np.int64)
 
-    i, k = np.triu_indices(truth.n_classes, k=1)
-    estimate_labels = estimate.labels[alignment]
-    true_pairs = truth.labels[i] == truth.labels[k]  # class pair, item
-    est_pairs = estimate_labels[i] == estimate_labels[k]
+    i, k = np.triu_indices(n_classes, k=1)
+    estimate = estimate[:, alignment]
+    true_pairs = truth[:, i] == truth[:, k]  # item, class pair
+    est_pairs = estimate[:, i] == estimate[:, k]
     total_restricted = int(true_pairs.sum())
     total_unrestricted = true_pairs.size - total_restricted
     hits_restricted = int((true_pairs & est_pairs).sum())

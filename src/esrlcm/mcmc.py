@@ -28,12 +28,12 @@ from . import kernels, repelled_beta
 from .model import (
     V_FIXED_ZERO,
     V_FREE,
-    BaseClassMatrix,
     Dataset,
     ModelState,
     PriorConfig,
     base_vector_log_prior,
     canonicalize,
+    check_columns,
     full_log_joint,
     pad_theta_prime,
     theta_matrix,
@@ -115,10 +115,7 @@ class PosteriorDraws:
         if not recs:
             raise ValueError(f"draws file {path} holds no draws")
         base_columns = np.array([rec["B"] for rec in recs], dtype=np.int64)
-        cols = np.unique(base_columns.reshape(-1, base_columns.shape[-1]), axis=0)
-        bad = (cols != canonicalize(cols)).any(axis=1)
-        if bad.any():
-            raise ValueError(f"stored base column {cols[bad][0].tolist()} is not canonical")
+        check_columns(base_columns.reshape(-1, base_columns.shape[-1]), "stored base column")
         return cls(
             iters=np.array([rec["iter"] for rec in recs], dtype=np.int64),
             log_joint=np.array([rec["log_joint"] for rec in recs], dtype=np.float64),
@@ -219,7 +216,7 @@ def _relabel(columns, targets, new_labels):
 
 
 def _full_counts(state, data):
-    return kernels.class_counts(data.x, state.memberships, state.base.n_classes)
+    return kernels.class_counts(data.x, state.memberships, state.columns.shape[1])
 
 
 def _class_count_cache(data, old, new, counts):
@@ -237,22 +234,22 @@ def _class_count_cache(data, old, new, counts):
 class Lanes:
     """The base class state of K chains ("lanes") stacked for one base move.
 
-    ``labels`` (K, C, J) and ``theta`` (K, J, C) hold lane k's base labels
-    and NaN-padded theta', laid out as ``ModelState`` keeps them; ``succ``
-    (K, C, J) and ``totals`` (K, C) are its class counts, as
-    ``kernels.class_counts`` returns them, and lane k draws from
+    ``columns`` (K, J, C) and ``theta`` (K, J, C) hold lane k's canonical
+    base class columns and NaN-padded theta', laid out as ``ModelState``
+    keeps them; ``succ`` (K, C, J) and ``totals`` (K, C) are its class
+    counts, as ``kernels.class_counts`` returns them, and lane k draws from
     ``rngs[k]``. The blocks are copied from the states once; each state's
-    base labels and theta' then view its lane of them, so a move that writes
+    columns and theta' then view its lane of them, so a move that writes
     the blocks moves every state, and a slice update of a state's theta'
     rows writes the block. All lanes share C and J.
     """
 
     def __init__(self, states, priors, rngs, counts):
         self.states, self.rngs = list(states), list(rngs)
-        self.labels = np.stack([state.base.labels for state in self.states])
+        self.columns = np.stack([state.columns for state in self.states])
         self.theta = np.stack([state.theta_prime for state in self.states])
-        for state, labels, theta in zip(self.states, self.labels, self.theta):
-            state.base.labels, state.theta_prime = labels, theta
+        for state, columns, theta in zip(self.states, self.columns, self.theta):
+            state.columns, state.theta_prime = columns, theta
         self.succ = np.stack([succ for succ, _ in counts])
         self.totals = np.stack([totals for _, totals in counts])
         self.log_prior_by_n_sets = np.stack([_log_prior_by_n_sets(prior) for prior in priors])
@@ -266,7 +263,7 @@ class Lanes:
         """The ``items`` of every lane as rows, lane after lane: their
         (K, I, C) canonical columns, and their successes and class totals
         as (K·I, C) blocks."""
-        columns = self.labels[:, :, items].swapaxes(1, 2)
+        columns = self.columns[:, items]
         n_items, n_classes = columns.shape[1:]
         succ = self.succ[:, :, items].swapaxes(1, 2).reshape(-1, n_classes)
         return columns, succ, np.repeat(self.totals, n_items, axis=0)
@@ -346,7 +343,7 @@ def _base_move(items, lanes):
             columns[k] = np.where(keep, columns[k], old_columns[k])
             theta[k] = np.where(keep, theta[k], old_theta[k])
             n_accepted[k] = keep.sum()
-    lanes.labels[:, :, items], lanes.theta[:, items] = columns.swapaxes(1, 2), theta
+    lanes.columns[:, items], lanes.theta[:, items] = columns, theta
     lanes.n_accepted = n_accepted
 
 
@@ -430,7 +427,7 @@ def _v_log_conditional(state, prior):
     at every v > 0, as in the joint.
     """
     log_gaps = repelled_beta.log_gap_term(state.theta_prime, 1.0).sum()
-    n_sets = state.base.labels.max(axis=0)
+    n_sets = state.columns.max(axis=1)
 
     def logpost(v):
         return (prior.d1 * np.log(v) + (prior.d2 + log_gaps) * v
@@ -454,7 +451,7 @@ def metropolis_update_v(state, prior, rng):
     return state, n_evals
 
 
-def gibbs_update_theta(items, state, data, prior, rng, counts):
+def gibbs_update_theta(items, state, rng, counts):
     """Slice update of the repelled beta theta' of one item or an index
     array of items: given the columns and v the items are independent, so
     each item's NaN-padded theta' row moves in its own box on (0, 1)^m, all
@@ -469,7 +466,7 @@ def gibbs_update_theta(items, state, data, prior, rng, counts):
     """
     succ, totals = counts
     items = np.atleast_1d(items)
-    s, f = _set_counts(state.base.labels[:, items].T, succ[:, items].T, totals)
+    s, f = _set_counts(state.columns[items], succ[:, items].T, totals)
 
     def logf(x, rows):
         # every real kernel term is <= 0 and padding gives NaN, so fmin with
@@ -511,13 +508,10 @@ def _update_all_memberships(state, data, rng):
 
 def _initial_state(data, prior, rng):
     n_classes = prior.n_classes
-    base = BaseClassMatrix(
-        np.tile(np.arange(1, n_classes + 1)[:, None], (1, data.n_items))
-    )
     state = ModelState(
         pi=rng.dirichlet(prior.alpha_c),
         memberships=rng.integers(0, n_classes, size=data.n),
-        base=base,
+        columns=np.tile(np.arange(1, n_classes + 1), (data.n_items, 1)),
         theta_prime=_clip_unit(rng.random((data.n_items, n_classes))),
         v=min(0.1, prior.max_v / 2.0) if prior.v_mode == V_FREE else 0.0,
     )
@@ -591,13 +585,13 @@ def run_lockstep(lanes, config: McmcConfig) -> list:
             block.succ[k], block.totals[k] = _class_count_cache(data, old, state.memberships,
                                                                 block.counts(k))
             gibbs_update_pi(state, prior, rngs[k], block.totals[k])
-        before = block.labels.copy()
+        before = block.columns.copy()
         if v_mode == V_FIXED_ZERO:
             gibbs_update_base_class_v0(slice(None), block)
         else:
             rj_update_base_class(slice(None), block)
             rj_accept += block.n_accepted
-        col_changes += (block.labels != before).any(axis=1).sum(axis=1)
+        col_changes += (block.columns != before).any(axis=2).sum(axis=1)
 
         # memberships change only at the top of the sweep, so the carried
         # counts are still current when a draw is retained
@@ -606,8 +600,7 @@ def run_lockstep(lanes, config: McmcConfig) -> list:
         for k, (data, prior, _) in enumerate(lanes):
             state = states[k]
             if v_mode == V_FREE:
-                _, n_evals, _ = gibbs_update_theta(items, state, data, prior, rngs[k],
-                                                   block.counts(k))
+                _, n_evals, _ = gibbs_update_theta(items, state, rngs[k], block.counts(k))
                 theta_evals[k] += n_evals
                 _, n_evals = metropolis_update_v(state, prior, rngs[k])
                 v_evals[k] += n_evals
@@ -615,7 +608,7 @@ def run_lockstep(lanes, config: McmcConfig) -> list:
                 if config.store_c_every and len(kept[k]) % config.store_c_every == 0:
                     memberships[k][main_iter] = state.memberships.copy()
                 kept[k].append((main_iter, full_log_joint(state, data, prior, block.counts(k)),
-                                state.v, state.pi.copy(), state.base.labels.T.copy(),
+                                state.v, state.pi.copy(), state.columns.copy(),
                                 state.theta_prime.copy()))
 
     moved = n_items * n_sweeps  # base moves per lane
@@ -659,7 +652,6 @@ def concat_draws(chains) -> PosteriorDraws:
         pi=np.concatenate([d.pi for d in chains]),
         base_columns=np.concatenate([d.base_columns for d in chains]),
         theta_prime=np.concatenate([d.theta_prime for d in chains]),
-        stats={"chains": [d.stats for d in chains]},
     )
 
 

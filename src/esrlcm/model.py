@@ -44,6 +44,19 @@ def is_canonical(column) -> bool:
     return bool(np.array_equal(column, canonicalize(column)))
 
 
+def check_columns(columns, what="base column") -> np.ndarray:
+    """``columns`` as an int64 (J, C) block of canonical columns, one per
+    row; else ``ValueError``, naming the first bad column as ``what``."""
+    columns = np.asarray(columns, dtype=np.int64)
+    if columns.ndim != 2 or columns.size == 0:
+        raise ValueError(f"base columns must be a nonempty items x classes block, "
+                         f"got shape {columns.shape}")
+    bad = (columns != canonicalize(columns)).any(axis=1)
+    if bad.any():
+        raise ValueError(f"{what} {columns[bad][0].tolist()} is not canonical")
+    return columns
+
+
 @lru_cache(maxsize=None)
 def _stirling_row(n: int) -> tuple:
     # S(n, k) for k = 0..n, exact integers
@@ -144,18 +157,13 @@ class Dataset:
 
 @dataclass
 class BaseClassMatrix:
-    """Classes-by-items matrix of equivalence set labels, columns canonical."""
+    """Classes-by-items matrix of equivalence set labels, columns canonical:
+    the identifiability search's layout; all else holds the (J, C) transpose."""
 
     labels: np.ndarray
 
     def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=np.int64)
-        if labels.ndim != 2 or labels.shape[0] < 1 or labels.shape[1] < 1:
-            raise ValueError(f"labels must be a C x J matrix, got shape {labels.shape}")
-        bad = np.flatnonzero((labels != canonicalize(labels.T).T).any(axis=0))
-        if bad.size:
-            raise ValueError(f"column {bad[0]} is not in canonical form: {labels[:, bad[0]]}")
-        self.labels = labels
+        self.labels = check_columns(np.asarray(self.labels).T).T
 
     @classmethod
     def from_raw(cls, raw) -> "BaseClassMatrix":
@@ -176,9 +184,6 @@ class BaseClassMatrix:
     def n_base(self, j: int) -> int:
         """Number of equivalence sets for item j."""
         return int(self.labels[:, j].max())
-
-    def n_base_all(self) -> np.ndarray:
-        return self.labels.max(axis=0)
 
     def __eq__(self, other):
         return isinstance(other, BaseClassMatrix) and np.array_equal(self.labels, other.labels)
@@ -301,24 +306,26 @@ def theta_matrix(columns, theta_prime) -> np.ndarray:
 class ModelState:
     """One MCMC state.
 
-    ``memberships`` are 0-based class indices. ``theta_prime`` is a (J, C)
-    float array: ``theta_prime[j, k]`` is the response probability of set
-    k + 1 of item j, and entries past item j's set count are NaN. The state
-    owns a copy of the block it is given. The per-class response matrix is
-    always derived, never stored.
+    ``memberships`` are 0-based class indices. ``columns`` is the (J, C)
+    int64 block of canonical base class columns, one row per item, and
+    ``theta_prime`` a (J, C) float array: ``theta_prime[j, k]`` is the
+    response probability of set k + 1 of item j, and entries past item j's
+    set count are NaN. The state owns a copy of the theta' block it is
+    given. The per-class response matrix is always derived, never stored.
     """
 
     pi: np.ndarray
     memberships: np.ndarray
-    base: BaseClassMatrix
+    columns: np.ndarray
     theta_prime: np.ndarray
     v: float = 0.0
 
     def __post_init__(self):
+        self.columns = check_columns(self.columns)
         self.pi = np.asarray(self.pi, dtype=np.float64)
         self.memberships = np.asarray(self.memberships, dtype=np.int64)
         self.theta_prime = np.array(self.theta_prime, dtype=np.float64)
-        n_classes = self.base.n_classes
+        n_classes = self.columns.shape[1]
         if self.pi.shape != (n_classes,):
             raise ValueError("pi length must equal the number of classes")
         if abs(self.pi.sum() - 1.0) > 1e-8 or np.any(self.pi <= 0):
@@ -327,7 +334,7 @@ class ModelState:
             self.memberships.min() < 0 or self.memberships.max() >= n_classes
         ):
             raise ValueError("memberships out of range")
-        past = np.arange(n_classes) >= self.base.n_base_all()[:, None]
+        past = np.arange(n_classes) >= self.columns.max(axis=1)[:, None]
         if not np.array_equal(np.isnan(self.theta_prime), past):  # False on a wrong shape too
             raise ValueError("theta_prime must be an items x classes block holding one value "
                              "per set of each item, NaN past them")
@@ -336,7 +343,7 @@ class ModelState:
 
     def theta_matrix(self) -> np.ndarray:
         """Per-class response probabilities, classes by items."""
-        return theta_matrix(self.base.labels.T, self.theta_prime)
+        return theta_matrix(self.columns, self.theta_prime)
 
 
 def _log_dirichlet_pdf(x, alpha) -> float:
@@ -358,13 +365,13 @@ def full_log_joint(state: ModelState, data: Dataset, prior: PriorConfig,
     ``counts`` are the ``kernels.class_counts`` of the state's memberships;
     they are recounted when not given.
     """
-    n_classes = state.base.n_classes
-    if data.n_items != state.base.n_items or prior.n_classes != n_classes:
+    n_items, n_classes = state.columns.shape
+    if data.n_items != n_items or prior.n_classes != n_classes:
         raise ValueError("state, data, and prior dimensions are inconsistent")
     if data.n != state.memberships.size:
         raise ValueError("memberships length does not match the dataset")
 
-    per_item = np.column_stack([base_vector_log_prior(state.base.labels.T, prior),
+    per_item = np.column_stack([base_vector_log_prior(state.columns, prior),
                                 repelled_beta.log_density_all_ones(state.theta_prime, state.v)])
     # a running sum in item order, the order a per-item loop would add in
     out = float(np.cumsum(np.append(_log_dirichlet_pdf(state.pi, prior.alpha_c), per_item))[-1])

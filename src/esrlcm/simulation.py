@@ -9,31 +9,30 @@ equally likely a priori.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
 
-from .model import BaseClassMatrix, Dataset, pad_theta_prime, theta_matrix
+from .model import Dataset, ModelState, canonicalize, check_columns, pad_theta_prime
 
 SUPPORTED_CLASS_COUNTS = (4, 5, 8, 11, 16)
 HOLDOUT_SEED_OFFSET = 2 ** 32
 
 
 def _load_fixture_table(n_classes: int) -> np.ndarray:
+    if n_classes not in SUPPORTED_CLASS_COUNTS:
+        raise ValueError(f"supported class counts are {SUPPORTED_CLASS_COUNTS}")
     name = "sim_base_classes_c5.csv" if n_classes <= 5 else "sim_base_classes_c16.csv"
     path = resources.files("esrlcm.data").joinpath(name)
     with path.open() as fh:
         table = np.loadtxt(fh, delimiter=",", skiprows=1, dtype=np.int64)
-    return table[:, 1:]  # drop the item index column; rows are items
+    return table[:, 1:n_classes + 1]  # printed labels; rows are items
 
 
-def fixture_base_matrix(n_classes: int) -> BaseClassMatrix:
-    """The 32-item generation fixture truncated to its first ``n_classes`` columns."""
-    if n_classes not in SUPPORTED_CLASS_COUNTS:
-        raise ValueError(f"supported class counts are {SUPPORTED_CLASS_COUNTS}")
-    table = _load_fixture_table(n_classes)[:, :n_classes]
-    return BaseClassMatrix.from_raw(table.T)
+def fixture_columns(n_classes: int) -> np.ndarray:
+    """The 32-item generation fixture's first ``n_classes`` classes, (32, C) canonical columns."""
+    return canonicalize(_load_fixture_table(n_classes))
 
 
 def _even_spacing(label, n_sets) -> np.ndarray:
@@ -42,17 +41,16 @@ def _even_spacing(label, n_sets) -> np.ndarray:
     return (2.0 * np.asarray(label) + 1.0) / (2.0 * np.asarray(n_sets))
 
 
-def _fixture_theta_prime(n_classes: int) -> np.ndarray:
+def _fixture_theta_prime(printed, columns) -> np.ndarray:
     """Truth theta' as a (J, C) block indexed by canonical label, NaN past
-    each item's set count.
+    each item's set count, from the fixture's printed labels and their
+    canonical ``columns``.
 
     The evenly spaced values attach to the fixture's printed labels (printed
     label t gets (2t + 1) / (2B), see :func:`_even_spacing`), then follow
     each label through canonicalization, so an item's B sets take the values (2b - 1) / (2B),
     b = 1..B, in some order.
     """
-    printed = _load_fixture_table(n_classes)[:, :n_classes]
-    columns = fixture_base_matrix(n_classes).labels.T
     values = _even_spacing(printed, columns.max(axis=1)[:, None])
     theta = np.full(columns.shape, np.nan)
     # classes sharing a printed label share a canonical one, so repeats agree
@@ -61,26 +59,20 @@ def _fixture_theta_prime(n_classes: int) -> np.ndarray:
 
 
 @dataclass
-class SimulationTruth:
-    """Generating parameters of one synthetic dataset. ``theta_prime`` is laid
-    out like ``ModelState.theta_prime``; the truth JSON stores it unpadded."""
+class SimulationTruth(ModelState):
+    """Generating parameters of one synthetic dataset: a ``ModelState`` at
+    v = 0, with its checks, plus the data ``seed``. The truth JSON stores
+    the columns as ``B`` and theta' unpadded."""
 
-    base: BaseClassMatrix
-    theta_prime: np.ndarray
-    pi: np.ndarray
-    memberships: np.ndarray
-    seed: int
-
-    def theta_matrix(self) -> np.ndarray:
-        return theta_matrix(self.base.labels.T, self.theta_prime)
+    seed: int = field(kw_only=True)
 
     def to_json(self, path) -> None:
         rec = {
             "seed": int(self.seed),
             "pi": self.pi.tolist(),
-            "B": self.base.labels.T.tolist(),
+            "B": self.columns.tolist(),
             "theta_prime": [t[:n].tolist()
-                            for t, n in zip(self.theta_prime, self.base.n_base_all())],
+                            for t, n in zip(self.theta_prime, self.columns.max(axis=1))],
             "c": self.memberships.tolist(),
         }
         # one dumps call runs the C encoder; json.dump streams through the
@@ -92,12 +84,12 @@ class SimulationTruth:
     def from_json(cls, path) -> "SimulationTruth":
         with open(path) as fh:
             rec = json.load(fh)
-        base = BaseClassMatrix(np.array(rec["B"]).T)
+        columns = check_columns(rec["B"])  # before theta' is padded to its set counts
         return cls(
-            base=base,
-            theta_prime=pad_theta_prime(base.labels.T, rec["theta_prime"]),
-            pi=np.asarray(rec["pi"], dtype=np.float64),
-            memberships=np.asarray(rec["c"], dtype=np.int64),
+            pi=rec["pi"],
+            memberships=rec["c"],
+            columns=columns,
+            theta_prime=pad_theta_prime(columns, rec["theta_prime"]),
             seed=int(rec["seed"]),
         )
 
@@ -112,12 +104,13 @@ def simulate(n_classes: int, n: int, seed: int):
     """Generate one dataset from the fixture truth; deterministic given seed."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    base = fixture_base_matrix(n_classes)
+    printed = _load_fixture_table(n_classes)
+    columns = canonicalize(printed)
     truth = SimulationTruth(
-        base=base,
-        theta_prime=_fixture_theta_prime(n_classes),
         pi=np.full(n_classes, 1.0 / n_classes),
         memberships=np.empty(0, dtype=np.int64),
+        columns=columns,
+        theta_prime=_fixture_theta_prime(printed, columns),
         seed=seed,
     )
     rng = np.random.default_rng(seed)

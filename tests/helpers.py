@@ -83,16 +83,15 @@ def random_canonical_column(rng, n_classes):
 
 def random_state(rng, n_classes, n_items, n, v_mode="free", max_v=2.0):
     """A random consistent model state, prior, and dataset."""
-    columns = [random_canonical_column(rng, n_classes) for _ in range(n_items)]
-    base = BaseClassMatrix(np.column_stack(columns))
-    theta_prime = pad_theta_prime(base.labels.T, [
-        np.sort(rng.uniform(0.05, 0.95, size=base.n_base(j))) for j in range(n_items)
+    columns = np.array([random_canonical_column(rng, n_classes) for _ in range(n_items)])
+    theta_prime = pad_theta_prime(columns, [
+        np.sort(rng.uniform(0.05, 0.95, size=column.max())) for column in columns
     ])
     pi = rng.dirichlet(np.ones(n_classes))
     state = ModelState(
         pi=pi,
         memberships=rng.integers(0, n_classes, size=n),
-        base=base,
+        columns=columns,
         theta_prime=theta_prime,
         v=rng.uniform(0.05, max_v * 0.95) if v_mode == "free" else 0.0,
     )
@@ -103,10 +102,10 @@ def random_state(rng, n_classes, n_items, n, v_mode="free", max_v=2.0):
 
 def oracle_full_log_joint(state, data, prior):
     """Second, loop-based implementation of the joint density for cross-checks."""
-    n_classes = state.base.n_classes
+    n_items, n_classes = state.columns.shape
     out = sp_dirichlet.logpdf(state.pi / state.pi.sum(), prior.alpha_c)
-    for j in range(state.base.n_items):
-        col = state.base.column(j)
+    for j in range(n_items):
+        col = state.columns[j]
         n_sets = int(col.max())
         if prior.lam is not None:
             norm = sum(
@@ -316,5 +315,5 @@ def rj_log_acceptance_terms(col_old, theta_old, col_new, theta_new, succ_j, tota
 def one_lane(state, data, prior, rng):
     """A one-lane ``mcmc.Lanes`` block of ``state`` with the class counts of
     its memberships on ``data``; the state views the block from then on."""
-    counts = kernels.class_counts(data.x, state.memberships, state.base.n_classes)
+    counts = kernels.class_counts(data.x, state.memberships, state.columns.shape[1])
     return mcmc.Lanes([state], [prior], [rng], [counts])

@@ -20,7 +20,6 @@ from esrlcm.mcmc import (
     run_chain,
 )
 from esrlcm.model import (
-    BaseClassMatrix,
     Dataset,
     ModelState,
     PriorConfig,
@@ -115,7 +114,7 @@ def test_criterion_4_rj_gibbs_consistency(capsys):
         rng = np.random.default_rng(41 if kind == "gibbs" else 42)
         state = ModelState(
             pi=np.array([0.5, 0.5]), memberships=memberships,
-            base=BaseClassMatrix(np.array([[1], [2]])),
+            columns=np.array([[1, 2]]),
             theta_prime=np.array([[0.4, 0.6]]),
             v=0.0 if kind == "gibbs" else 1e-6,
         )
@@ -126,8 +125,8 @@ def test_criterion_4_rj_gibbs_consistency(capsys):
                 gibbs_update_base_class_v0(0, lanes)
             else:
                 rj_update_base_class(0, lanes)
-                gibbs_update_theta(0, state, data, prior, rng, counts)
-            merged += state.base.column(0)[1] == 1
+                gibbs_update_theta(0, state, rng, counts)
+            merged += state.columns[0, 1] == 1
         return merged / sweeps
 
     gibbs_freq = chain("gibbs")
@@ -207,7 +206,7 @@ def test_criterion_7_desk_scale_recovery(capsys, recovery_run):
     mode = evaluation.mode_restrictions(draws)
     _, theta_bar = evaluation.posterior_mean_parameters(draws)
     alignment = evaluation.align_classes(truth.theta_matrix(), theta_bar)
-    sens, spec = evaluation.restriction_sensitivity_specificity(truth.base, mode, alignment)
+    sens, spec = evaluation.restriction_sensitivity_specificity(truth.columns, mode, alignment)
 
     oos = evaluation.predictive_loglik(draws, holdout)
     oos_unrestricted = evaluation.predictive_loglik(recovery_run["unrestricted"], holdout)

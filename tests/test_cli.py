@@ -310,6 +310,20 @@ class TestCheckIdCommand:
             cli.main(["check-id"])
         assert err.value.code == 2
 
+    def test_negative_verify_trials_rejected_at_parse(self, tmp_path, capsys):
+        # the worked example of test_identifiability: identifiable at 3 levels,
+        # so a witness exists and a negative count would verify nothing
+        path, out = tmp_path / "b.csv", tmp_path / "r.json"
+        np.savetxt(path, np.array([[1, 1, 1, 1, 1, 1], [2, 2, 2, 2, 1, 2], [3, 3, 3, 1, 1, 3],
+                                   [2, 1, 4, 3, 2, 3], [1, 4, 4, 2, 3, 3]]),
+                   fmt="%d", delimiter=",")
+        with pytest.raises(SystemExit) as err:
+            cli.main(["check-id", "--matrix", str(path), "--levels", "3",
+                      "--verify-trials", "-3", "--out", str(out)])
+        assert err.value.code == 2
+        assert "must be at least 0, got -3" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestMetricsCommand:
     def test_metrics_pipeline(self, tmp_path):
@@ -381,6 +395,21 @@ class TestMetricsCommand:
         with pytest.raises(ValueError) as err:
             PosteriorDraws.from_jsonl(draws)
         assert message in str(err.value)
+        assert cli.main(["metrics", "--truth", str(truth_json), "--draws", str(draws)]) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda rec: rec["B"].__setitem__(0, [2, 1, 1, 1]),
+         "base column [2, 1, 1, 1] is not canonical"),
+        (lambda rec: rec["theta_prime"][3].append(0.5), "do not match the set counts"),
+        (lambda rec: rec.__setitem__("pi", [0.5] * 4),
+         "pi must be a strictly positive probability vector"),
+    ])
+    def test_malformed_truth_file_rejected(self, small_fit, capsys, corrupt, message):
+        _, truth_json, draws = small_fit
+        rec = json.loads(truth_json.read_text())
+        corrupt(rec)
+        truth_json.write_text(json.dumps(rec))
         assert cli.main(["metrics", "--truth", str(truth_json), "--draws", str(draws)]) == 1
         assert message in capsys.readouterr().err
 

@@ -14,7 +14,7 @@ from esrlcm.identifiability import (
     q_matrix_to_base,
 )
 from esrlcm.model import BaseClassMatrix
-from esrlcm.simulation import fixture_base_matrix
+from esrlcm.simulation import fixture_columns
 
 from helpers import is_merged_of, random_canonical_column
 
@@ -301,7 +301,7 @@ class TestGoldenWitnesses:
     def test_fixture_greedy_reports(self, n_classes):
         part1, part2, digest = GOLDEN_FIXTURES[n_classes]
         part3 = sorted(set(range(32)) - set(part1) - set(part2))
-        base = fixture_base_matrix(n_classes)
+        base = BaseClassMatrix(fixture_columns(n_classes).T)
         report = greedy_search(base, np.full(base.n_items, 2))
         payload = report.to_dict()
         assert payload["witness"]["tripartition"] == [part1, part2, part3]

@@ -15,7 +15,6 @@ from esrlcm.mcmc import (
     run_chain,
 )
 from esrlcm.model import (
-    BaseClassMatrix,
     Dataset,
     ModelState,
     PriorConfig,
@@ -40,15 +39,15 @@ from helpers import (
 
 
 def make_state(columns, theta_prime, memberships, pi=None, v=0.0):
-    base = BaseClassMatrix(np.column_stack([np.asarray(c) for c in columns]))
-    n_classes = base.n_classes
+    columns = np.array(columns)
+    n_classes = columns.shape[1]
     if pi is None:
         pi = np.full(n_classes, 1.0 / n_classes)
     return ModelState(
         pi=pi,
         memberships=np.asarray(memberships, dtype=np.int64),
-        base=base,
-        theta_prime=pad_theta_prime(base.labels.T, theta_prime),
+        columns=columns,
+        theta_prime=pad_theta_prime(columns, theta_prime),
         v=v,
     )
 
@@ -161,7 +160,7 @@ class TestBaseClassGibbsV0:
         lanes = one_lane(state, data, prior, rng)
         for _ in range(20_000):
             gibbs_update_base_class_v0(0, lanes)
-            seen.append(state.base.column(0).tolist())
+            seen.append(state.columns[0].tolist())
         freq = partition_distribution(seen, 3)
         for col, target in exact_prior(prior, 3).items():
             assert freq.get(col, 0.0) == pytest.approx(target, abs=0.03)
@@ -183,10 +182,10 @@ class TestBaseClassGibbsV0:
         for _ in range(n_sweeps):
             gibbs_update_base_class_v0(np.arange(3), lanes)
             for j in range(3):
-                key = tuple(state.base.column(j).tolist())
+                key = tuple(state.columns[j].tolist())
                 seen[j][key] = seen[j].get(key, 0) + 1
                 theta_sums[j][key] = (theta_sums[j].get(key, 0.0)
-                                      + state.theta_prime[j, :state.base.n_base(j)])
+                                      + state.theta_prime[j, :state.columns[j].max()])
         for j in range(3):
             weights = {}
             for col in all_partition_columns(3):
@@ -211,7 +210,7 @@ class TestBaseClassGibbsV0:
         lanes = one_lane(state, data, prior, rng)
         for _ in range(20_000):
             gibbs_update_base_class_v0(0, lanes)
-            seen.append(state.base.column(0).tolist())
+            seen.append(state.columns[0].tolist())
         freq = partition_distribution(seen, 2)
         assert freq[(1, 1)] == pytest.approx(2 / 5, abs=0.02)
         assert freq[(1, 2)] == pytest.approx(3 / 5, abs=0.02)
@@ -229,8 +228,8 @@ class TestReversibleJump:
         lanes = one_lane(state, data, prior, rng)
         for _ in range(30_000):
             rj_update_base_class(0, lanes)
-            gibbs_update_theta(0, state, data, prior, rng, lanes.counts(0))
-            seen.append(state.base.column(0).tolist())
+            gibbs_update_theta(0, state, rng, lanes.counts(0))
+            seen.append(state.columns[0].tolist())
         freq = partition_distribution(seen, 3)
         for col, target in exact_prior(prior, 3).items():
             assert freq.get(col, 0.0) == pytest.approx(target, abs=0.02)
@@ -253,10 +252,10 @@ class TestReversibleJump:
         for _ in range(30_000):
             rj_update_base_class(items, lanes)
             for j in items:
-                seen[j].append(state.base.column(j).tolist())
-                if state.base.n_base(j) == 2:
+                seen[j].append(state.columns[j].tolist())
+                if state.columns[j].max() == 2:
                     two_set_draws[j].append(np.sort(state.theta_prime[j, :2]))
-            gibbs_update_theta(items, state, data, prior, rng, lanes.counts(0))
+            gibbs_update_theta(items, state, rng, lanes.counts(0))
         expected = [expected_rho(2, v, k) for k in (1, 2)]
         for j in items:
             freq = partition_distribution(seen[j], 3)
@@ -279,9 +278,9 @@ class TestReversibleJump:
         lanes = one_lane(state, data, prior, rng)
         for sweep in range(4_400):
             rj_update_base_class(items, lanes)
-            gibbs_update_theta(items, state, data, prior, rng, lanes.counts(0))
+            gibbs_update_theta(items, state, rng, lanes.counts(0))
             if sweep >= 400:
-                n_one_set.append(np.sum(state.base.labels.max(axis=0) == 1))
+                n_one_set.append(np.sum(state.columns.max(axis=1) == 1))
         p = np.exp(base_vector_log_prior(np.array([1, 1, 1]), prior))
         assert np.var(n_one_set) / (n_items * p * (1 - p)) == pytest.approx(1.0, abs=0.3)
 
@@ -297,15 +296,15 @@ class TestReversibleJump:
         lanes = one_lane(state, data, prior, rng)
         for _ in range(25_000):
             gibbs_update_base_class_v0(0, lanes)
-            gibbs_seen.append(state.base.column(0).tolist())
+            gibbs_seen.append(state.columns[0].tolist())
 
         state = make_state([[1, 2]], [[0.4, 0.6]], memberships, v=1e-6)
         rj_seen = []
         lanes = one_lane(state, data, prior, rng)
         for _ in range(25_000):
             rj_update_base_class(0, lanes)
-            gibbs_update_theta(0, state, data, prior, rng, lanes.counts(0))
-            rj_seen.append(state.base.column(0).tolist())
+            gibbs_update_theta(0, state, rng, lanes.counts(0))
+            rj_seen.append(state.columns[0].tolist())
 
         gibbs_freq = partition_distribution(gibbs_seen, 2)
         rj_freq = partition_distribution(rj_seen, 2)
@@ -323,8 +322,8 @@ class TestReversibleJump:
         lanes = one_lane(state, data, prior, rng)
         for _ in range(30_000):
             rj_update_base_class(0, lanes)
-            gibbs_update_theta(0, state, data, prior, rng, lanes.counts(0))
-            if state.base.n_base(0) == 2:
+            gibbs_update_theta(0, state, rng, lanes.counts(0))
+            if state.columns[0].max() == 2:
                 two_set_draws.append(np.sort(state.theta_prime[0, :2]))
         two_set_draws = np.asarray(two_set_draws)
         assert two_set_draws.shape[0] > 5_000
@@ -390,12 +389,12 @@ class TestReversibleJumpRatio:
             gibbs_update_base_class_v0(items, gibbs)
             _, n_accepted = rj_update_base_class(items, rj)
             assert n_accepted == n_items
-            proposed = mcmc._propose_columns(states[2].base.labels.T, succ.T, rows, staircase,
+            proposed = mcmc._propose_columns(states[2].columns, succ.T, rows, staircase,
                                              [rngs[2]])
-            states[2].base.labels[:] = proposed.T
+            states[2].columns[:] = proposed
             states[2].theta_prime = mcmc._conjugate_theta(proposed, succ.T, totals, [rngs[2]])
         for state, gen in zip(states[1:], rngs[1:]):
-            assert np.array_equal(state.base.labels, states[0].base.labels)
+            assert np.array_equal(state.columns, states[0].columns)
             assert np.array_equal(state.theta_prime, states[0].theta_prime, equal_nan=True)
             assert gen.bit_generator.state == rngs[0].bit_generator.state
 
@@ -516,13 +515,12 @@ class TestSetCounts:
 class TestThetaGibbs:
     def test_prior_draw_is_uniform_at_v_zero(self):
         rng = np.random.default_rng(21)
-        prior = PriorConfig.default(2, lam=1.0, v_mode="fixed_zero")
         data = Dataset(np.empty((0, 1), dtype=int))
         state = make_state([[1, 2]], [[0.4, 0.6]], [])
         draws = []
-        counts = kernels.class_counts(data.x, state.memberships, state.base.n_classes)
+        counts = kernels.class_counts(data.x, state.memberships, state.columns.shape[1])
         for _ in range(20_000):
-            gibbs_update_theta(0, state, data, prior, rng, counts)
+            gibbs_update_theta(0, state, rng, counts)
             draws.append(state.theta_prime[0].copy())
         draws = np.asarray(draws)
         assert stats.kstest(draws[:, 0], stats.uniform.cdf).pvalue > 0.01
@@ -530,13 +528,12 @@ class TestThetaGibbs:
     def test_conjugate_counts(self):
         # three successes and one failure in one set: Beta(4, 2)
         rng = np.random.default_rng(22)
-        prior = PriorConfig.default(2, lam=1.0, v_mode="fixed_zero")
         data = Dataset(np.array([[1], [1], [1], [0]]))
         state = make_state([[1, 1]], [[0.5]], [0, 1, 0, 1])
         draws = []
-        counts = kernels.class_counts(data.x, state.memberships, state.base.n_classes)
+        counts = kernels.class_counts(data.x, state.memberships, state.columns.shape[1])
         for _ in range(30_000):
-            gibbs_update_theta(0, state, data, prior, rng, counts)
+            gibbs_update_theta(0, state, rng, counts)
             draws.append(state.theta_prime[0][0])
         assert stats.kstest(np.asarray(draws), stats.beta(4, 2).cdf).pvalue > 0.01
 
@@ -557,7 +554,7 @@ class TestThetaGibbs:
 
         state = make_state(np.tile(np.arange(1, n_sets + 1), (n_items, 1)), exact(), [], v=v)
         counts = (np.tile(succ[:, None], (1, n_items)), totals)
-        _, n_evals, fell_back = gibbs_update_theta(np.arange(n_items), state, None, None, rng,
+        _, n_evals, fell_back = gibbs_update_theta(np.arange(n_items), state, rng,
                                                    counts=counts)
         assert n_evals >= 2 * n_items and not fell_back
         moved, fresh = np.sort(state.theta_prime, axis=1), np.sort(exact(), axis=1)
@@ -585,10 +582,9 @@ class TestThetaGibbs:
                 return rng.random(size)
 
         data = Dataset(np.array([[1, 0], [0, 1], [1, 1]]))
-        prior = PriorConfig.default(3, lam=1.0, v_mode="free")
         state = make_state([[1, 2, 3], [1, 2, 2]], [[0.2, 0.5, 0.8], [0.3, 0.6]], [0, 1, 2],
                            v=1.0)
-        gibbs_update_theta(np.arange(2), state, data, prior, EndsFirst(),
+        gibbs_update_theta(np.arange(2), state, EndsFirst(),
                            kernels.class_counts(data.x, state.memberships, 3))
         used = ~np.isnan(state.theta_prime)
         assert np.array_equal(used, [[True] * 3, [True, True, False]])
@@ -614,13 +610,12 @@ class TestThetaGibbs:
     def test_success_orientation(self):
         # successes must land in the first shape slot: posterior mean above 1/2
         rng = np.random.default_rng(23)
-        prior = PriorConfig.default(1, lam=1.0, v_mode="fixed_zero")
         data = Dataset(np.array([[1]] * 9 + [[0]]))
         state = make_state([[1]], [[0.5]], [0] * 10)
         draws = []
-        counts = kernels.class_counts(data.x, state.memberships, state.base.n_classes)
+        counts = kernels.class_counts(data.x, state.memberships, state.columns.shape[1])
         for _ in range(5_000):
-            gibbs_update_theta(0, state, data, prior, rng, counts)
+            gibbs_update_theta(0, state, rng, counts)
             draws.append(state.theta_prime[0][0])
         assert np.mean(draws) == pytest.approx(10 / 12, abs=0.02)
 
@@ -768,7 +763,7 @@ class TestRunChain:
             state = ModelState(
                 pi=draws.pi[d],
                 memberships=c,
-                base=BaseClassMatrix(draws.base_columns[d].T),
+                columns=draws.base_columns[d],
                 theta_prime=draws.theta_prime[d],
                 v=draws.v[d],
             )
@@ -785,7 +780,7 @@ class TestRunChain:
         for it, c in draws.memberships.items():
             d = int(np.flatnonzero(draws.iters == it)[0])
             state = ModelState(pi=draws.pi[d], memberships=c,
-                               base=BaseClassMatrix(draws.base_columns[d].T),
+                               columns=draws.base_columns[d],
                                theta_prime=draws.theta_prime[d], v=draws.v[d])
             assert full_log_joint(state, data, prior) == draws.log_joint[d]
 

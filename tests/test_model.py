@@ -258,8 +258,22 @@ class TestTypes:
         with pytest.raises(ValueError):
             PriorConfig(alpha_c=np.ones(2), lam=0.5, zeta=np.array([0.5, 0.5]))
 
+    @pytest.mark.parametrize("columns, message", [
+        ([[2, 1]], "base column [2, 1] is not canonical"),
+        ([[1, 2], [1, 3]], "base column [1, 3] is not canonical"),
+        ([1, 2], "nonempty items x classes block, got shape (2,)"),
+        ([[[1, 2]]], "nonempty items x classes block, got shape (1, 1, 2)"),
+        (np.empty((0, 2)), "nonempty items x classes block, got shape (0, 2)"),
+        ([[1, 2, 3]], "pi length must equal the number of classes"),
+    ])
+    def test_model_state_requires_canonical_columns(self, columns, message):
+        with pytest.raises(ValueError) as err:
+            ModelState(pi=np.array([0.5, 0.5]), memberships=np.array([0]),
+                       columns=np.array(columns), theta_prime=np.array([[0.5, 0.6]]))
+        assert message in str(err.value)
+
     def test_model_state_validates_theta_lengths(self):
-        base = BaseClassMatrix(np.array([[1], [2]]))
+        columns = np.array([[1, 2]])
         # theta' is a J x C block with one value per set and NaN past them:
         # reject a wrong shape, a NaN where the column has a set, and a value
         # past the column's set count
@@ -268,13 +282,13 @@ class TestTypes:
                 ModelState(
                     pi=np.array([0.5, 0.5]),
                     memberships=np.array([0]),
-                    base=base,
+                    columns=columns,
                     theta_prime=np.array(theta_prime),
                     v=0.0,
                 )
         with pytest.raises(ValueError, match="NaN past them"):
             ModelState(pi=np.array([0.5, 0.5]), memberships=np.array([0]),
-                       base=BaseClassMatrix(np.array([[1], [1]])),
+                       columns=np.array([[1, 1]]),
                        theta_prime=np.array([[0.5, 0.6]]))
 
 
@@ -283,7 +297,7 @@ class TestFullLogJoint:
         state = ModelState(
             pi=np.array([1.0]),
             memberships=np.array([0]),
-            base=BaseClassMatrix(np.array([[1]])),
+            columns=np.array([[1]]),
             theta_prime=np.array([[0.7]]),
             v=0.0,
         )

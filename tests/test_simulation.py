@@ -9,6 +9,13 @@ from esrlcm import simulation as sim
 
 from helpers import theta_from_base
 
+
+def fixture_truth(n_classes):
+    """The fixture's canonical columns and its truth theta'."""
+    columns = sim.fixture_columns(n_classes)
+    return columns, sim._fixture_theta_prime(sim._load_fixture_table(n_classes), columns)
+
+
 # transcription guard: the generation fixtures are pinned byte for byte
 FIXTURE_SHA256 = {
     "sim_base_classes_c5.csv": "8d9b45ed6098f55e0e22cca6acdf0848ce37bac046248d047e9ff9793c901a28",
@@ -23,28 +30,24 @@ class TestFixtureTables:
             assert hashlib.sha256(blob).hexdigest() == expected
 
     def test_item3_c4(self):
-        base = sim.fixture_base_matrix(4)
-        assert base.column(2).tolist() == [1, 2, 2, 1]
+        assert sim.fixture_columns(4)[2].tolist() == [1, 2, 2, 1]
 
     def test_item1_c5(self):
-        base = sim.fixture_base_matrix(5)
-        assert base.column(0).tolist() == [1, 2, 3, 3, 1]
+        assert sim.fixture_columns(5)[0].tolist() == [1, 2, 3, 3, 1]
 
     def test_item4_c8(self):
-        base = sim.fixture_base_matrix(8)
-        assert base.column(3).tolist() == [1, 2, 2, 1, 1, 1, 2, 2]
+        assert sim.fixture_columns(8)[3].tolist() == [1, 2, 2, 1, 1, 1, 2, 2]
 
     def test_unsupported_class_counts(self):
         with pytest.raises(ValueError):
-            sim.fixture_base_matrix(6)
+            sim.fixture_columns(6)
 
     def test_shapes(self):
         for n_classes in sim.SUPPORTED_CLASS_COUNTS:
-            base = sim.fixture_base_matrix(n_classes)
-            assert (base.n_classes, base.n_items) == (n_classes, 32)
+            assert sim.fixture_columns(n_classes).shape == (32, n_classes)
 
     def test_c4_set_counts(self):
-        counts = sim.fixture_base_matrix(4).n_base_all()
+        counts = sim.fixture_columns(4).max(axis=1)
         assert set(counts.tolist()) <= {2, 3, 4}
         assert counts.min() >= 2
 
@@ -62,10 +65,9 @@ class TestGenTheta:
 
     def test_increasing_and_symmetric_on_all_fixture_columns(self):
         for n_classes in sim.SUPPORTED_CLASS_COUNTS:
-            base = sim.fixture_base_matrix(n_classes)
-            theta_prime = sim._fixture_theta_prime(n_classes)
-            for j in range(base.n_items):
-                theta = np.sort(theta_prime[j, :base.n_base(j)])
+            columns, theta_prime = fixture_truth(n_classes)
+            for j, column in enumerate(columns):
+                theta = np.sort(theta_prime[j, :column.max()])
                 assert np.all(np.diff(theta) > 0)
                 assert np.allclose(theta + theta[::-1], 1.0)
 
@@ -74,9 +76,8 @@ class TestTruthTheta:
     def test_theta_attaches_to_printed_labels(self):
         # item 2 of the five-class table reads 2,3,1,0,3: printed label 0
         # gets the smallest probability regardless of canonical order
-        theta_prime = sim._fixture_theta_prime(5)
-        base = sim.fixture_base_matrix(5)
-        col = base.column(1)
+        columns, theta_prime = fixture_truth(5)
+        col = columns[1]
         theta = theta_from_base(theta_prime[1, :col.max()], col)
         assert theta[3] == pytest.approx(1 / 8)   # class 4 printed 0
         assert theta[1] == pytest.approx(7 / 8)   # class 2 printed 3
@@ -87,16 +88,23 @@ class TestTruthTheta:
         assert truth.theta_matrix()[0, 2] == pytest.approx(0.25)
         # every item's B sets take (2b - 1) / (2B), b = 1..B, at every class count
         for n_classes in sim.SUPPORTED_CLASS_COUNTS:
-            base = sim.fixture_base_matrix(n_classes)
-            theta_prime = sim._fixture_theta_prime(n_classes)
-            for j in range(base.n_items):
-                n_sets = base.n_base(j)
+            columns, theta_prime = fixture_truth(n_classes)
+            for j, column in enumerate(columns):
+                n_sets = column.max()
                 expected = (2.0 * np.arange(1, n_sets + 1) - 1.0) / (2.0 * n_sets)
                 assert np.allclose(np.sort(theta_prime[j, :n_sets]), expected)
                 assert np.isnan(theta_prime[j, n_sets:]).all()
 
 
 class TestSimulate:
+    def test_fixture_read_once_per_call(self, monkeypatch):
+        calls = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: calls.append(1)
+                            or loadtxt(*args, **kwargs))
+        sim.simulate(4, 5, seed=0)
+        assert len(calls) == 1
+
     def test_deterministic(self):
         a, _ = sim.simulate(4, 200, seed=42)
         b, _ = sim.simulate(4, 200, seed=42)
@@ -129,7 +137,7 @@ class TestSimulate:
         path = tmp_path / "truth.json"
         truth.to_json(path)
         again = sim.SimulationTruth.from_json(path)
-        assert np.array_equal(again.base.labels, truth.base.labels)
+        assert np.array_equal(again.columns, truth.columns)
         assert np.array_equal(again.memberships, truth.memberships)
         assert np.array_equal(again.theta_prime, truth.theta_prime, equal_nan=True)
         rec = json.loads(path.read_text())
