@@ -253,7 +253,7 @@ def build_parser():
     p_sim = sub.add_parser("simulate", help="generate a synthetic dataset")
     p_sim.add_argument("--classes", type=int, required=True,
                        choices=simulation.SUPPORTED_CLASS_COUNTS)
-    p_sim.add_argument("--n", type=int, required=True)
+    p_sim.add_argument("--n", type=_int_at_least(1), required=True)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--out", required=True)
     p_sim.add_argument("--truth")
@@ -263,7 +263,7 @@ def build_parser():
 
     p_cv = sub.add_parser("cv", help="K-fold cross-validated predictive fit")
     p_cv.add_argument("--config", required=True)
-    p_cv.add_argument("--k", type=int, default=20)
+    p_cv.add_argument("--k", type=_int_at_least(2), default=20)
     p_cv.add_argument("--fold-seed", type=int, default=0)
     p_cv.add_argument("--grid-lambda", type=float, nargs="*")
     p_cv.add_argument("--out")
@@ -275,7 +275,7 @@ def build_parser():
     p_id.add_argument("--q-matrix", action="store_true")
     p_id.add_argument("--levels", type=int, default=2)
     p_id.add_argument("--exhaustive", action="store_true")
-    p_id.add_argument("--budget", type=int, default=5_000_000)
+    p_id.add_argument("--budget", type=_int_at_least(1), default=5_000_000)
     p_id.add_argument("--verify-trials", type=_int_at_least(0), default=0)
     p_id.add_argument("--seed", type=int, default=0)
     p_id.add_argument("--out")

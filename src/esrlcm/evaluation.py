@@ -119,12 +119,19 @@ def mode_restrictions(draws: PosteriorDraws, perms=None) -> np.ndarray:
     if perms is None:
         perms = _aligned_permutations(draws)
     aligned = np.take_along_axis(draws.base_columns, np.asarray(perms)[:, None, :], axis=2)
-    columns = []
-    for draws_j in canonicalize(aligned).transpose(1, 0, 2):
-        rows, counts = np.unique(draws_j, axis=0, return_counts=True)
-        # np.unique sorts rows lexicographically and lexsort is stable
-        columns.append(rows[np.lexsort((rows.max(axis=1), -counts))[0]])
-    return np.array(columns)
+    n_draws, n_items, n_classes = aligned.shape
+    # one row per (item, draw): the item, then its canonical column; sorted
+    # by item, then lexicographically, equal rows are runs
+    rows = np.column_stack([np.repeat(np.arange(n_items), n_draws),
+                            canonicalize(aligned).transpose(1, 0, 2).reshape(-1, n_classes)])
+    rows = rows[np.lexsort(rows.T[::-1])]
+    starts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)])
+    counts = np.diff(np.r_[starts, len(rows)])
+    items, columns = rows[starts, 0], rows[starts, 1:]
+    # per item: most frequent, then fewest sets; lexsort is stable, so then
+    # lexicographically first
+    best = np.lexsort((columns.max(axis=1), -counts, items))
+    return columns[best[np.r_[True, np.diff(items[best]) != 0]]]
 
 
 def restriction_sensitivity_specificity(truth, estimate, alignment=None):

@@ -1,7 +1,8 @@
 """Hot numeric kernels of the sweep, in plain numpy.
 
-``x`` is the float64, C-contiguous response matrix that ``Dataset`` keeps,
-so each kernel reads it once without a cast. The kernels are class-major:
+``x`` is the float64, F-contiguous (item-major) response matrix that
+``Dataset`` keeps, so each kernel reads it once without a cast, and
+``x.T`` is C-contiguous. The kernels are class-major:
 log likelihoods, logits and counts are (C, n) or (C, J) blocks, one row per
 class, so a per-class term is one row add and the membership draw makes no
 transposing copy. ``categorical_rows`` consumes caller-supplied uniforms, so
@@ -21,7 +22,10 @@ def class_loglik(x, log_theta, log_one_minus_theta):
     One matmul: x log(theta) + (1 - x) log(1 - theta) regrouped as
     (log(theta) - log(1 - theta)) x' + sum_j log(1 - theta). Both parameter
     blocks are made C-contiguous first, so the result has the same bits
-    whatever the memory layout of the arguments. The result is C-contiguous
+    whatever the memory layout of the parameters; with the item-major ``x``
+    of ``Dataset`` the product is an untransposed (C, J) @ (J, n) GEMM. A
+    row-major ``x`` gives the same values, but BLAS may round the last bit
+    of some differently. The result is C-contiguous
     and the sum is added in place, one row per class, so the result is the
     only C x n temporary.
     """

@@ -13,8 +13,10 @@ from child k of ``SeedSequence(seed)``, so chains are reproducible given
 
 :func:`run_lockstep` advances several independent chains one sweep at a
 time and runs the base move once per sweep over all their items, stacked
-in a :class:`Lanes` block; every other phase runs chain by chain. Each
-chain's draws are those of a one-chain run (:func:`run_chain`), so
+in a :class:`Lanes` block; every other phase runs chain by chain, and
+each chain's retained draws are scored after its last sweep, in one
+stacked log-joint pass (:func:`model.log_joints`). Each chain's draws are
+those of a one-chain run (:func:`run_chain`), so
 ``kfold_cv`` runs its whole (prior, fold) grid as one group and
 ``run_chains`` runs a fit's chains as one group, each in this process.
 """
@@ -34,10 +36,12 @@ from .model import (
     base_vector_log_prior,
     canonicalize,
     check_columns,
-    full_log_joint,
+    log_joints,
     pad_theta_prime,
     theta_matrix,
 )
+# kept importable by this name: perfbench/tracing.py patches mcmc.full_log_joint
+from .model import full_log_joint  # noqa: F401
 
 @dataclass
 class McmcConfig:
@@ -136,8 +140,9 @@ class PosteriorDraws:
 # ---------------------------------------------------------------------------
 
 def _clip_unit(values):
-    # keep response probabilities strictly interior so logs stay finite
-    return np.clip(values, 1e-12, 1.0 - 1e-12)
+    # keep response probabilities strictly interior so logs stay finite;
+    # np.clip's argument handling costs more than the two passes
+    return np.minimum(np.maximum(values, 1e-12), 1.0 - 1e-12)
 
 
 def _set_counts(columns, succ, totals):
@@ -148,10 +153,8 @@ def _set_counts(columns, succ, totals):
     """
     n_rows, n_classes = columns.shape
     bins = (np.arange(n_rows)[:, None] * n_classes + columns - 1).ravel()
-    s = np.bincount(bins, succ.ravel(), minlength=bins.size).reshape(n_rows, n_classes)
-    t = np.bincount(bins, np.broadcast_to(totals, columns.shape).ravel(),
-                    minlength=bins.size).reshape(n_rows, n_classes)
-    return s, t - s
+    return tuple(np.bincount(bins, weights.ravel(), minlength=bins.size).reshape(n_rows, n_classes)
+                 for weights in (succ, totals - succ))
 
 
 def _log_prior_by_n_sets(prior):
@@ -188,22 +191,24 @@ def _column_menu(columns, targets, succ, totals, log_prior_by_n_sets):
     labels = np.arange(1, n_classes + 2)
     others = columns.copy()
     others[rows, targets] = 0
-    member = (others[:, :, None] == labels).astype(np.float64)  # row, class, label
-    # each candidate set's successes and rows, one stacked product
-    s, t = (np.stack([succ, totals], axis=1) @ member).swapaxes(0, 1)
-    f = t - s
-    present = member.any(axis=1)
-    valid = present | (labels == columns.max(axis=1)[:, None] + 1)
+    # members, successes and failures binned by (row, label): bin 0 holds
+    # the target alone, bins 1..C + 1 the candidate sets without it, C + 1
+    # the fresh set; the sums are of integers, so exact in any order
+    width = n_classes + 2
+    bins = (rows[:, None] * width + others).ravel()
+    members, s, f = (np.bincount(bins, weights, minlength=n_rows * width).reshape(n_rows, width)
+                     for weights in (None, succ.ravel(), (totals - succ).ravel()))
+    present = members[:, 1:] > 0
+    invalid = ~(present | (labels == columns.max(axis=1)[:, None] + 1))
     n_sets = present.sum(axis=1)[:, None] + ~present  # a fresh set adds one
     by_n_sets = log_prior_by_n_sets[rows[:, None], n_sets - 1]
-    sets = betaln(1.0 + s, 1.0 + f)
-    s_t = succ[rows, targets][:, None]
-    f_t = totals[rows, targets][:, None] - s_t
+    a, b = 1.0 + s[:, 1:], 1.0 + f[:, 1:]
+    sets = betaln(a, b)
     log_w = (by_n_sets + (sets.sum(axis=1)[:, None] - sets)
-             + betaln(1.0 + s + s_t, 1.0 + f + f_t))
-    log_w[~valid] = -np.inf
+             + betaln(a + s[:, :1], b + f[:, :1]))
+    log_w[invalid] = -np.inf
     # valid labels first, in label order; padding after them
-    order = np.argsort(~valid, axis=1, kind="stable")
+    order = np.argsort(invalid, axis=1, kind="stable")
     return labels[order], log_w[rows[:, None], order]
 
 
@@ -238,10 +243,13 @@ class Lanes:
     base class columns and NaN-padded theta', laid out as ``ModelState``
     keeps them; ``succ`` (K, C, J) and ``totals`` (K, C) are its class
     counts, as ``kernels.class_counts`` returns them, and lane k draws from
-    ``rngs[k]``. The blocks are copied from the states once; each state's
-    columns and theta' then view its lane of them, so a move that writes
-    the blocks moves every state, and a slice update of a state's theta'
-    rows writes the block. All lanes share C and J.
+    ``rngs[k]``. ``staircase`` (K, J, C) repeats lane k's
+    :func:`_log_prior_by_n_sets` once per item. The blocks are copied from
+    the states once; each state's columns and theta' then view its lane of
+    them, so a move that writes the blocks moves every state, and a slice
+    update of a state's theta' rows writes the block. All lanes share C and
+    J. A base move sets ``n_accepted`` and ``n_changed``, the number of
+    items per lane whose move was accepted and whose column changed.
     """
 
     def __init__(self, states, priors, rngs, counts):
@@ -252,8 +260,9 @@ class Lanes:
             state.columns, state.theta_prime = columns, theta
         self.succ = np.stack([succ for succ, _ in counts])
         self.totals = np.stack([totals for _, totals in counts])
-        self.log_prior_by_n_sets = np.stack([_log_prior_by_n_sets(prior) for prior in priors])
-        self.n_accepted = np.zeros(len(self.states), dtype=np.int64)
+        self.staircase = np.repeat(np.stack([_log_prior_by_n_sets(prior) for prior in priors])
+                                   [:, None], self.columns.shape[1], axis=1)
+        self.n_accepted, self.n_changed = np.zeros((2, len(self.states)), dtype=np.int64)
 
     def counts(self, k):
         """Lane k's class counts, views of the blocks."""
@@ -261,12 +270,13 @@ class Lanes:
 
     def rows(self, items):
         """The ``items`` of every lane as rows, lane after lane: their
-        (K, I, C) canonical columns, and their successes and class totals
-        as (K·I, C) blocks."""
+        (K, I, C) canonical columns, and their successes, class totals and
+        prior staircases as (K·I, C) blocks."""
         columns = self.columns[:, items]
         n_items, n_classes = columns.shape[1:]
         succ = self.succ[:, :, items].swapaxes(1, 2).reshape(-1, n_classes)
-        return columns, succ, np.repeat(self.totals, n_items, axis=0)
+        return (columns, succ, np.repeat(self.totals, n_items, axis=0),
+                self.staircase[:, items].reshape(-1, n_classes))
 
 
 def _conjugate_theta(columns, succ, totals, rngs):
@@ -281,12 +291,12 @@ def _conjugate_theta(columns, succ, totals, rngs):
     """
     s, f = _set_counts(columns, succ, totals)
     used = np.arange(columns.shape[1]) < columns.max(axis=1)[:, None]
+    # the used sets in row order, so each stream's rows are one run of them
+    a, b = 1.0 + s[used], 1.0 + f[used]
+    bounds = np.cumsum([0, *used.reshape(len(rngs), -1).sum(axis=1)])
     block = np.full(columns.shape, np.nan)
-    n_items = len(columns) // len(rngs)
-    for k, rng in enumerate(rngs):
-        lane = slice(k * n_items, (k + 1) * n_items)
-        a, b, lane_used = s[lane], f[lane], used[lane]
-        block[lane][lane_used] = _clip_unit(rng.beta(1.0 + a[lane_used], 1.0 + b[lane_used]))
+    block[used] = _clip_unit(np.concatenate([rng.beta(a[lo:hi], b[lo:hi]) for rng, lo, hi
+                                             in zip(rngs, bounds[:-1], bounds[1:])]))
     return block
 
 
@@ -323,15 +333,16 @@ def _base_move(items, lanes):
     no uniform is drawn, which makes this the collapsed Gibbs move. Lanes
     share no draw and every row is computed on its own, so each lane's
     stream and state follow exactly as in a one-lane block. Sets
-    ``lanes.n_accepted``, the number accepted per lane.
+    ``lanes.n_accepted`` and ``lanes.n_changed``, the numbers of items
+    accepted and of columns changed per lane.
     """
     if not isinstance(items, slice):
         items = np.atleast_1d(items)
-    old_columns, succ, totals = lanes.rows(items)
+    old_columns, succ, totals, staircase = lanes.rows(items)
     old_theta = lanes.theta[:, items]
     n_lanes, n_items, n_classes = old_columns.shape
-    columns = _propose_columns(old_columns.reshape(-1, n_classes), succ, totals,
-                               np.repeat(lanes.log_prior_by_n_sets, n_items, axis=0), lanes.rngs)
+    columns = _propose_columns(old_columns.reshape(-1, n_classes), succ, totals, staircase,
+                               lanes.rngs)
     theta = _conjugate_theta(columns, succ, totals, lanes.rngs).reshape(old_theta.shape)
     columns = columns.reshape(old_columns.shape)
     n_accepted = np.full(n_lanes, n_items)
@@ -343,6 +354,9 @@ def _base_move(items, lanes):
             columns[k] = np.where(keep, columns[k], old_columns[k])
             theta[k] = np.where(keep, theta[k], old_theta[k])
             n_accepted[k] = keep.sum()
+    # compared before the write-back, which a slice of items makes to the
+    # memory old_columns views
+    lanes.n_changed = (columns != old_columns).any(axis=2).sum(axis=1)
     lanes.columns[:, items], lanes.theta[:, items] = columns, theta
     lanes.n_accepted = n_accepted
 
@@ -487,7 +501,7 @@ def gibbs_update_pi(state, prior, rng, totals):
     """Redraw the class weights from their Dirichlet full conditional, given
     ``totals``, the number of rows in each class."""
     pi = rng.dirichlet(prior.alpha_c + totals)
-    state.pi = np.clip(pi, 1e-300, None)
+    state.pi = np.maximum(pi, 1e-300)
     state.pi /= state.pi.sum()
     return state
 
@@ -547,7 +561,10 @@ def run_lockstep(lanes, config: McmcConfig) -> list:
     counts are counted in full once, before the first sweep; each sweep then
     updates them from the rows whose class its membership draw changed, with
     the bits of a full recount. Warmup sweeps are discarded and every
-    ``thin``-th main sweep is retained.
+    ``thin``-th main sweep is retained with a copy of its carried counts;
+    after the last sweep, each lane's retained draws are scored in one
+    :func:`model.log_joints` pass, with the bits of one ``full_log_joint``
+    call per draw.
 
     Per lane, ``stats["rj_accept_rate"]`` is accepted moves over items times
     free-v sweeps; ``stats["column_change_rate"]`` is the share of items
@@ -585,13 +602,12 @@ def run_lockstep(lanes, config: McmcConfig) -> list:
             block.succ[k], block.totals[k] = _class_count_cache(data, old, state.memberships,
                                                                 block.counts(k))
             gibbs_update_pi(state, prior, rngs[k], block.totals[k])
-        before = block.columns.copy()
         if v_mode == V_FIXED_ZERO:
             gibbs_update_base_class_v0(slice(None), block)
         else:
             rj_update_base_class(slice(None), block)
             rj_accept += block.n_accepted
-        col_changes += (block.columns != before).any(axis=2).sum(axis=1)
+        col_changes += block.n_changed
 
         # memberships change only at the top of the sweep, so the carried
         # counts are still current when a draw is retained
@@ -607,20 +623,18 @@ def run_lockstep(lanes, config: McmcConfig) -> list:
             if retain:
                 if config.store_c_every and len(kept[k]) % config.store_c_every == 0:
                     memberships[k][main_iter] = state.memberships.copy()
-                kept[k].append((main_iter, full_log_joint(state, data, prior, block.counts(k)),
-                                state.v, state.pi.copy(), state.columns.copy(),
-                                state.theta_prime.copy()))
+                kept[k].append((main_iter, state.v, state.pi.copy(), state.columns.copy(),
+                                state.theta_prime.copy(), block.succ[k].copy(),
+                                block.totals[k].copy()))
 
     moved = n_items * n_sweeps  # base moves per lane
     n_updates = n_sweeps if v_mode == V_FREE else 0  # slice updates of v per lane
     out = []
-    for k, (_, _, chain_index) in enumerate(lanes):
-        iters, log_joint, vs, pis, base_columns, theta_prime = zip(*kept[k])
+    for k, (_, prior, chain_index) in enumerate(lanes):
+        iters, vs, pis, base_columns, theta_prime, succ, totals = map(np.array, zip(*kept[k]))
         out.append(PosteriorDraws(
-            iters=np.array(iters, dtype=np.int64), log_joint=np.array(log_joint, dtype=np.float64),
-            v=np.array(vs, dtype=np.float64), pi=np.array(pis, dtype=np.float64),
-            base_columns=np.array(base_columns, dtype=np.int64),
-            theta_prime=np.array(theta_prime, dtype=np.float64),
+            iters=iters, v=vs, pi=pis, base_columns=base_columns, theta_prime=theta_prime,
+            log_joint=log_joints(pis, base_columns, theta_prime, vs, (succ, totals), prior),
             memberships=memberships[k],
             stats={
                 "chain_index": chain_index,

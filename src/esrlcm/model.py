@@ -33,10 +33,11 @@ def canonicalize(raw_columns) -> np.ndarray:
     raw = np.asarray(raw_columns)
     if raw.ndim == 0 or raw.shape[-1] == 0:
         raise ValueError("a column must be a nonempty vector of labels")
+    flat = raw.reshape(-1, raw.shape[-1])
     # each entry takes the rank of its label's first occurrence
-    first = (raw[..., :, None] == raw[..., None, :]).argmax(axis=-1)
-    opened = np.cumsum(first == np.arange(raw.shape[-1]), axis=-1, dtype=np.int64)
-    return np.take_along_axis(opened, first, axis=-1)
+    first = (flat[:, :, None] == flat[:, None, :]).argmax(axis=2)
+    opened = np.cumsum(first == np.arange(flat.shape[1]), axis=1, dtype=np.int64)
+    return opened[np.arange(len(flat))[:, None], first].reshape(raw.shape)
 
 
 def is_canonical(column) -> bool:
@@ -97,7 +98,9 @@ class Dataset:
     The canonical CSV layout has a header ``item1,...,itemJ`` and one 0/1
     row per observation. Empty datasets (n = 0) are allowed so that
     prior-only chains can run. ``x`` is checked once here and kept as one
-    float64, C-contiguous matrix: the dtype every kernel computes in.
+    float64, F-contiguous (item-major) matrix: the dtype every kernel
+    computes in, and a layout whose transpose ``x.T`` is C-contiguous, so
+    the class-major likelihood product reads it untransposed.
     """
 
     x: np.ndarray
@@ -108,7 +111,7 @@ class Dataset:
             raise ValueError(f"x must be a 2-d matrix with at least one item, got shape {x.shape}")
         if not ((x == 0) | (x == 1)).all():
             raise ValueError("all responses must be 0 or 1")
-        self.x = np.ascontiguousarray(x, dtype=np.float64)
+        self.x = np.asfortranarray(x, dtype=np.float64)
 
     @property
     def n(self) -> int:
@@ -298,8 +301,10 @@ def theta_matrix(columns, theta_prime) -> np.ndarray:
     """Per-class response probabilities, a C-contiguous classes-by-items
     matrix, from the (J, C) canonical columns and the (J, C) padded theta'.
     A (..., J, C) stack of both gives the (..., C, J) stack of matrices."""
-    theta = np.take_along_axis(theta_prime, columns - 1, axis=-1)
-    return np.ascontiguousarray(theta.swapaxes(-1, -2))
+    n_classes = columns.shape[-1]
+    flat = theta_prime.reshape(-1, n_classes)
+    theta = flat[np.arange(len(flat))[:, None], columns.reshape(-1, n_classes) - 1]
+    return np.ascontiguousarray(theta.reshape(columns.shape).swapaxes(-1, -2))
 
 
 @dataclass
@@ -346,13 +351,44 @@ class ModelState:
         return theta_matrix(self.columns, self.theta_prime)
 
 
-def _log_dirichlet_pdf(x, alpha) -> float:
+def log_joints(pi, columns, theta_prime, v, counts, prior: PriorConfig) -> np.ndarray:
+    """The full log joint density of D draws, one value per draw, in one
+    stacked pass: :func:`full_log_joint` is its one-draw case.
+
+    ``pi`` is (D, C), ``columns`` and ``theta_prime`` are (D, J, C), each
+    draw laid out as ``ModelState`` keeps it, ``v`` is (D,), and ``counts``
+    are each draw's ``kernels.class_counts`` stacked, (D, C, J) successes
+    and (D, C) totals. A draw's terms are summed as a one-draw pass sums
+    them: the priors in a running sum along its row, in item order; then
+    the v prior; then its ``totals @ log pi``; then its likelihood terms in
+    one sum over its contiguous (C, J) block. So every value has the bits a
+    one-draw call gives it, whatever the other draws are.
+    """
     # imported here: scipy.special costs about 0.28 s, which simulate never needs
     from scipy.special import gammaln
 
-    return float(
-        np.sum((alpha - 1.0) * np.log(x)) + gammaln(alpha.sum()) - gammaln(alpha).sum()
-    )
+    v = np.asarray(v, dtype=np.float64)
+    successes, totals = counts
+    n_draws, n_items, _ = columns.shape
+    log_pi = np.log(pi)
+    priors = np.empty((n_draws, 1 + 2 * n_items))
+    alpha = prior.alpha_c
+    priors[:, 0] = (((alpha - 1.0) * log_pi).sum(axis=1) + gammaln(alpha.sum())
+                    - gammaln(alpha).sum())
+    priors[:, 1::2] = base_vector_log_prior(columns, prior)
+    priors[:, 2::2] = repelled_beta.log_density_all_ones(theta_prime, v[:, None])
+    out = np.cumsum(priors, axis=1)[:, -1]
+    if prior.v_mode == V_FREE:
+        in_range = (0.0 < v) & (v < prior.max_v)
+        inside = np.where(in_range, v, 1.0)  # the log of v is taken only in range
+        out += prior.d1 * np.log(inside) + prior.d2 * inside
+        out[~in_range] = -np.inf  # the terms added below are finite
+    out += [t @ lp for t, lp in zip(totals, log_pi)]
+    theta = theta_matrix(columns, theta_prime)
+    failures = totals[:, :, None] - successes
+    terms = successes * np.log(theta) + failures * np.log1p(-theta)
+    out += terms.reshape(n_draws, -1).sum(axis=1)
+    return out
 
 
 def full_log_joint(state: ModelState, data: Dataset, prior: PriorConfig,
@@ -361,7 +397,8 @@ def full_log_joint(state: ModelState, data: Dataset, prior: PriorConfig,
 
     Sums the Dirichlet prior on pi, per-item partition priors and normalized
     repelled beta priors on theta', the (unnormalized) prior on v when v is
-    free, the membership probabilities, and the Bernoulli likelihood.
+    free (-inf when v is outside (0, max_v)), the membership probabilities,
+    and the Bernoulli likelihood: the one-draw case of :func:`log_joints`.
     ``counts`` are the ``kernels.class_counts`` of the state's memberships;
     they are recounted when not given.
     """
@@ -370,21 +407,8 @@ def full_log_joint(state: ModelState, data: Dataset, prior: PriorConfig,
         raise ValueError("state, data, and prior dimensions are inconsistent")
     if data.n != state.memberships.size:
         raise ValueError("memberships length does not match the dataset")
-
-    per_item = np.column_stack([base_vector_log_prior(state.columns, prior),
-                                repelled_beta.log_density_all_ones(state.theta_prime, state.v)])
-    # a running sum in item order, the order a per-item loop would add in
-    out = float(np.cumsum(np.append(_log_dirichlet_pdf(state.pi, prior.alpha_c), per_item))[-1])
-    if prior.v_mode == V_FREE:
-        if not 0.0 < state.v < prior.max_v:
-            return -np.inf
-        out += prior.d1 * float(np.log(state.v)) + prior.d2 * state.v
-
     if counts is None:
         counts = kernels.class_counts(data.x, state.memberships, n_classes)
     successes, totals = counts
-    out += float(totals @ np.log(state.pi))
-    theta = state.theta_matrix()
-    failures = totals[:, None] - successes
-    out += float(np.sum(successes * np.log(theta) + failures * np.log1p(-theta)))
-    return out
+    return float(log_joints(state.pi[None], state.columns[None], state.theta_prime[None],
+                            [state.v], (successes[None], totals[None]), prior)[0])

@@ -24,28 +24,36 @@ class SamplingError(RuntimeError):
     """Rejection sampling exhausted its attempt budget."""
 
 
-def log_gap_term(rho, v: float):
+def log_gap_term(rho, v):
     """The repulsion term v * sum(log gaps) of the sorted components.
 
-    ``rho`` is one vector, giving one value, or a matrix of rows padded with
-    NaN past their component counts, giving one value per row. Zero when
-    v = 0 or there is a single component, -inf when v > 0 and two components
-    coincide. Unvalidated: callers pass components inside (0, 1).
+    ``rho`` is one vector, giving one value, or a stack of rows padded with
+    NaN past their component counts, giving one value per row. ``v`` is one
+    exponent, or an array of them that broadcasts against the rows' values.
+    Zero where v = 0, even where two components coincide, or where there is
+    a single component; -inf where v > 0 and two components coincide.
+    Unvalidated: callers pass components inside (0, 1).
     """
-    if v == 0.0:
+    n_nonzero = np.count_nonzero(v)
+    if not n_nonzero:
         return 0.0
     # NaN sorts last, so a padded row's NaN gaps follow its real ones; real
     # gaps are below one, so fmin with 0 keeps their logs and zeroes each NaN
     ordered = np.sort(rho)
     with np.errstate(divide="ignore"):  # coinciding components give -inf
-        return v * np.fmin(np.log(ordered[..., 1:] - ordered[..., :-1]), 0.0).sum(axis=-1)
+        logs = np.fmin(np.log(ordered[..., 1:] - ordered[..., :-1]), 0.0).sum(axis=-1)
+    if n_nonzero == np.size(v):
+        return v * logs
+    # some exponents are zero: their rows take 0, not 0 * -inf
+    return np.multiply(v, logs, out=np.zeros(np.broadcast(v, logs).shape), where=v != 0.0)
 
 
-def log_normalizer_all_ones(m, v: float):
+def log_normalizer_all_ones(m, v):
     """Log normalizing constant for the all-ones shape matrix.
 
     The constant is Gamma((M-1)(v+1)+2) / (M! Gamma(v+1)^(M-1)). ``m`` is one
-    component count, giving one value, or an array of them, giving an array.
+    component count, giving one value, or an array of them, giving an array;
+    ``v`` is one exponent or an array of them that broadcasts against ``m``.
     A sampler hot path, unvalidated: callers pass counts m >= 1 and v >= 0.
     """
     # imported here: scipy.special costs about 0.28 s, which simulate never needs
@@ -54,13 +62,14 @@ def log_normalizer_all_ones(m, v: float):
     return gammaln((m - 1) * (v + 1.0) + 2.0) - gammaln(m + 1) - (m - 1) * gammaln(v + 1.0)
 
 
-def log_density_all_ones(rho, v: float):
+def log_density_all_ones(rho, v):
     """Normalized log density for the all-ones shape matrix.
 
-    ``rho`` is one vector, giving one value, or a matrix of rows padded with
-    NaN past their component counts, giving one value per row. A sampler hot
-    path: the components are already inside (0, 1), so only the normalizer
-    and the gap term are left to compute.
+    ``rho`` is one vector, giving one value, or a stack of rows padded with
+    NaN past their component counts, giving one value per row; ``v`` is as
+    in :func:`log_gap_term`. A sampler hot path: the components are already
+    inside (0, 1), so only the normalizer and the gap term are left to
+    compute.
     """
     return (log_normalizer_all_ones(rho.shape[-1] - np.isnan(rho).sum(axis=-1), v)
             + log_gap_term(rho, v))

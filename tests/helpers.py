@@ -137,6 +137,19 @@ def oracle_full_log_joint(state, data, prior):
     return float(out)
 
 
+def oracle_mode_restrictions(base_columns, perms):
+    """Per item, the most frequent of the (D, J, C) draws' aligned canonical
+    columns, by one ``np.unique`` per item: ties go to fewer sets, then to
+    the lexicographically first column."""
+    aligned = np.take_along_axis(base_columns, np.asarray(perms)[:, None, :], axis=2)
+    modes = []
+    for draws_j in canonicalize(aligned).transpose(1, 0, 2):
+        rows, counts = np.unique(draws_j, axis=0, return_counts=True)
+        # np.unique sorts rows lexicographically and lexsort is stable
+        modes.append(rows[np.lexsort((rows.max(axis=1), -counts))[0]])
+    return np.array(modes)
+
+
 def predictive_loglik_per_draw(draws, holdout) -> float:
     """Posterior-mean predictive log likelihood, one draw at a time.
 

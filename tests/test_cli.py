@@ -92,6 +92,15 @@ class TestSimulateCommand:
         assert "--holdout" in capsys.readouterr().err
         assert not out.exists() and not truth.exists()
 
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    def test_nonpositive_n_rejected_at_parse(self, tmp_path, capsys, n):
+        out = tmp_path / "sim.csv"
+        with pytest.raises(SystemExit) as err:
+            cli.main(["simulate", "--classes", "4", "--n", n, "--out", str(out)])
+        assert err.value.code == 2
+        assert f"must be at least 1, got {n}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFitCommand:
     def test_smoke_files_and_summary(self, toy_run):
@@ -299,6 +308,18 @@ class TestCheckIdCommand:
         assert err.startswith("error: ") and "exceeded its budget of 1 steps" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_nonpositive_budget_rejected_at_parse(self, tmp_path, capsys, budget):
+        path = tmp_path / "b.csv"
+        np.savetxt(path, np.array([[1, 1], [2, 2], [3, 3]]), fmt="%d", delimiter=",")
+        out = tmp_path / "r.json"
+        with pytest.raises(SystemExit) as err:
+            cli.main(["check-id", "--matrix", str(path), "--exhaustive", "--budget", budget,
+                      "--out", str(out)])
+        assert err.value.code == 2
+        assert f"must be at least 1, got {budget}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_levels_below_two_rejected(self, tmp_path, capsys):
         path = tmp_path / "b.csv"
         np.savetxt(path, np.array([[1, 1], [2, 2], [3, 3]]), fmt="%d", delimiter=",")
@@ -470,6 +491,17 @@ class TestCvCommand:
         assert len(table["results"]) == 2
         for row in table["results"]:
             assert np.isfinite(row["mean_predictive_loglik"])
+
+    @pytest.mark.parametrize("k", ["1", "0"])
+    def test_fewer_than_two_folds_rejected_at_parse(self, tmp_path, capsys, k):
+        data_path, out = tmp_path / "d.csv", tmp_path / "cv.json"
+        Dataset(np.zeros((6, 2), dtype=np.int64)).to_csv(data_path)
+        config = write_config(tmp_path / "c.json", data_path, tmp_path / "o")
+        with pytest.raises(SystemExit) as err:
+            cli.main(["cv", "--config", str(config), "--k", k, "--out", str(out)])
+        assert err.value.code == 2
+        assert f"must be at least 2, got {k}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_lcm_config_with_a_lambda_grid(self, tmp_path):
         # the grid's LCM lanes and lambda lanes run as one lockstep group

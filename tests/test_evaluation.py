@@ -7,7 +7,7 @@ from esrlcm import evaluation as ev
 from esrlcm.mcmc import McmcConfig, PosteriorDraws, run_chain
 from esrlcm.model import Dataset, PriorConfig, canonicalize, pad_theta_prime
 
-from helpers import predictive_loglik_per_draw
+from helpers import oracle_mode_restrictions, predictive_loglik_per_draw
 
 
 def draws_from_states(states):
@@ -150,6 +150,27 @@ class TestModeRestrictions:
         cols = [[[1, 1]]] * 5 + [[[1, 2]]] * 5
         draws = self.constant_theta_states(cols)
         assert ev.mode_restrictions(draws)[0].tolist() == [1, 1]
+
+    @pytest.mark.parametrize("n_classes", [2, 3, 4, 8, 16])
+    def test_matches_the_per_item_unique_oracle(self, n_classes):
+        rng = np.random.default_rng(n_classes)
+        for trial in range(20):
+            n_draws, n_items = int(rng.integers(1, 40)), int(rng.integers(1, 12))
+            # few distinct labels per item, so columns repeat and counts tie
+            raw = rng.integers(0, rng.integers(1, 4, size=n_items)[:, None],
+                               size=(n_draws, n_items, n_classes))
+            if trial % 2:
+                # two columns per item, each drawn equally often: every mode is a tie
+                pair = canonicalize(rng.integers(0, 3, size=(2, n_items, n_classes)))
+                raw = np.tile(pair, (int(rng.integers(1, 6)), 1, 1))
+            columns = canonicalize(raw)
+            draws = PosteriorDraws(
+                iters=np.arange(len(columns)), log_joint=np.zeros(len(columns)),
+                v=np.zeros(len(columns)), pi=np.full((len(columns), n_classes), 1 / n_classes),
+                base_columns=columns, theta_prime=np.zeros(columns.shape))
+            perms = [rng.permutation(n_classes) for _ in range(len(columns))]
+            want = oracle_mode_restrictions(columns, perms)
+            assert np.array_equal(ev.mode_restrictions(draws, perms), want)
 
     def test_output_canonical(self):
         draws = self.constant_theta_states([[[1, 2]], [[1, 2]]])

@@ -17,6 +17,7 @@ from esrlcm.model import (
     bell,
     canonicalize,
     full_log_joint,
+    log_joints,
     stirling2,
 )
 
@@ -170,7 +171,7 @@ class TestCsvReader:
         Dataset(np.random.default_rng(sum(shape)).integers(0, 2, size=shape)).to_csv(path)
         got = Dataset.from_csv(path)
         assert loadtxt_calls == []
-        assert got.x.dtype == np.float64 and got.x.flags.c_contiguous
+        assert got.x.dtype == np.float64 and got.x.flags.f_contiguous
         assert np.array_equal(got.x, Dataset(self.loadtxt_reference(path)).x)
 
     @pytest.mark.parametrize("text", [
@@ -220,9 +221,11 @@ class TestTypes:
         again = Dataset.from_csv(path)
         assert np.array_equal(again.x, data.x)
 
-    def test_dataset_x_is_float64_c_contiguous(self):
-        data = Dataset(np.array([[0, 1, 1], [1, 0, 0]], dtype=np.int8).T)
-        assert data.x.dtype == np.float64 and data.x.flags["C_CONTIGUOUS"]
+    def test_dataset_x_is_float64_f_contiguous(self):
+        # item-major, so the likelihood product reads x.T as a C-contiguous block
+        data = Dataset(np.array([[0, 1], [1, 0], [1, 0]], dtype=np.int8))
+        assert data.x.dtype == np.float64 and data.x.flags["F_CONTIGUOUS"]
+        assert data.x.T.flags["C_CONTIGUOUS"]
         assert data.x.tolist() == [[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]]
 
     def test_dataset_csv_roundtrip_byte_identical(self, tmp_path):
@@ -354,3 +357,72 @@ class TestFullLogJoint:
         state, data, prior = random_state(rng, 3, 2, 5)
         with pytest.raises(ValueError):
             full_log_joint(state, Dataset(np.zeros((5, 9))), prior)
+
+
+class TestLogJoints:
+    """The stacked pass gives every draw the bits of a one-draw call."""
+
+    @staticmethod
+    def stacked_and_single(states, data, prior):
+        counts = [kernels.class_counts(data.x, state.memberships, prior.n_classes)
+                  for state in states]
+        stacked = log_joints(np.array([state.pi for state in states]),
+                             np.array([state.columns for state in states]),
+                             np.array([state.theta_prime for state in states]),
+                             [state.v for state in states],
+                             tuple(map(np.array, zip(*counts))), prior)
+        return stacked, np.array([full_log_joint(state, data, prior) for state in states])
+
+    @staticmethod
+    def random_draws(rng, n_draws, v_mode, n_classes=4):
+        """``n_draws`` random states that share one data set, and a prior."""
+        n_items, n = int(rng.integers(1, 9)), int(rng.integers(0, 60))
+        first, data, prior = random_state(rng, n_classes, n_items, n, v_mode)
+        states = [first] + [random_state(rng, n_classes, n_items, n, v_mode)[0]
+                            for _ in range(n_draws - 1)]
+        return states, data, prior
+
+    @pytest.mark.parametrize("v_mode", ["fixed_zero", "free"])
+    def test_bit_equal_to_one_draw_calls(self, v_mode):
+        rng = np.random.default_rng(31)
+        for n_classes in (1, 2, 4, 9, 16):
+            states, data, prior = self.random_draws(rng, 7, v_mode, n_classes)
+            stacked, single = self.stacked_and_single(states, data, prior)
+            assert np.isfinite(single).all()
+            assert np.array_equal(stacked, single)
+
+    @pytest.mark.parametrize("v_mode", ["fixed_zero", "free"])
+    def test_tied_theta(self, v_mode):
+        # two coinciding sets give -inf at v > 0; at v = 0 the gap term is 0
+        rng = np.random.default_rng(37)
+        states, data, prior = self.random_draws(rng, 4, v_mode)
+        for state in states[1:3]:
+            state.columns[0] = np.arange(1, 5)
+            state.theta_prime[0] = 0.5
+        stacked, single = self.stacked_and_single(states, data, prior)
+        assert np.array_equal(stacked, single)
+        assert np.isfinite(single).tolist() == [True, v_mode != "free", v_mode != "free", True]
+
+    def test_zeta_with_zero_mass_set_counts(self):
+        rng = np.random.default_rng(41)
+        states, data, _ = self.random_draws(rng, 6, "fixed_zero")
+        prior = PriorConfig(alpha_c=np.ones(4), zeta=np.array([0.5, 0.0, 0.5, 0.0]),
+                            v_mode="fixed_zero")
+        for state, n_sets in zip(states, (1, 2, 3, 4, 1, 3)):
+            state.columns[:] = np.minimum(np.arange(1, 5), n_sets)
+            state.theta_prime[:] = np.where(np.arange(4) < n_sets, 0.3, np.nan)
+            state.theta_prime[:, :n_sets] += np.arange(n_sets) / 10
+        stacked, single = self.stacked_and_single(states, data, prior)
+        assert np.array_equal(stacked, single)
+        assert np.isfinite(single).tolist() == [True, False, True, False, True, True]
+
+    def test_v_outside_its_support(self):
+        rng = np.random.default_rng(43)
+        states, data, prior = self.random_draws(rng, 5, "free")
+        for state, v in zip(states, (0.0, 0.5, prior.max_v, 3 * prior.max_v, 1e-9)):
+            state.v = v
+        states[0].columns[0] = np.arange(1, 5)  # tied theta' at v = 0 too
+        states[0].theta_prime[0] = 0.5
+        stacked, single = self.stacked_and_single(states, data, prior)
+        assert np.array_equal(stacked, single)
+        assert np.isfinite(single).tolist() == [False, True, False, False, True]
