@@ -8,7 +8,6 @@ checking, simulation, and cross-validated evaluation.
 
 from .kernels import ACTIVE_BACKEND
 from .model import (
-    BaseClassMatrix,
     Dataset,
     ModelState,
     PriorConfig,
@@ -25,7 +24,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ACTIVE_BACKEND",
-    "BaseClassMatrix",
     "Dataset",
     "McmcConfig",
     "ModelState",

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, identifiability, mcmc, simulation
-from .model import BaseClassMatrix, Dataset, PriorConfig
+from .model import Dataset, PriorConfig, canonicalize
 
 PRIOR_KEYS = {"lambda", "zeta", "alpha_c", "d1", "d2", "max_v", "v_mode"}
 MCMC_DEFAULTS = {"n_main": 1000, "n_warmup": 1000, "n_chains": 1, "seed": 0, "thin": 1,
@@ -120,7 +120,7 @@ def cmd_fit(args):
             draws.write_memberships(out_dir / f"memberships_chain{k}.jsonl")
 
     pooled = mcmc.concat_draws(chains)
-    perms = evaluation._aligned_permutations(pooled)
+    perms = evaluation.aligned_permutations(pooled)
     pi_bar, theta_bar = evaluation.posterior_mean_parameters(pooled, perms)
     mode = evaluation.mode_restrictions(pooled, perms)
     summary = {
@@ -180,20 +180,18 @@ def cmd_cv(args):
 
 def cmd_check_id(args):
     raw = np.loadtxt(args.matrix, delimiter=",", dtype=np.int64, ndmin=2)
-    if args.q_matrix:
-        base = identifiability.q_matrix_to_base(raw)
-    else:
-        base = BaseClassMatrix.from_raw(raw)
-    levels = np.full(base.n_items, args.levels, dtype=np.int64)
+    # a class-by-item file; the search takes one canonical column per item
+    columns = identifiability.q_matrix_to_base(raw) if args.q_matrix else canonicalize(raw.T)
+    levels = np.full(len(columns), args.levels, dtype=np.int64)
     if args.exhaustive:
-        report = identifiability.exhaustive_search(base, levels, budget=args.budget)
+        report = identifiability.exhaustive_search(columns, levels, budget=args.budget)
     else:
-        report = identifiability.greedy_search(base, levels)
+        report = identifiability.greedy_search(columns, levels)
     payload = report.to_dict()
     if report.witness is not None and args.verify_trials:
         rng = np.random.default_rng(args.seed)
         payload["numeric_verify"] = identifiability.numeric_verify(
-            base, levels, report.witness.tripartition, rng, trials=args.verify_trials
+            columns, levels, report.witness.tripartition, rng, trials=args.verify_trials
         )
     return _emit(payload, args.out)
 
@@ -202,7 +200,7 @@ def cmd_metrics(args):
     truth = simulation.SimulationTruth.from_json(args.truth)
     draws = mcmc.PosteriorDraws.from_jsonl(args.draws)
     holdout = Dataset.from_csv(args.holdout) if args.holdout else None
-    perms = evaluation._aligned_permutations(draws)
+    perms = evaluation.aligned_permutations(draws)
     mode = evaluation.mode_restrictions(draws, perms)
     n_items, n_classes = mode.shape
     if truth.columns.shape != mode.shape:
@@ -254,7 +252,7 @@ def build_parser():
     p_sim.add_argument("--classes", type=int, required=True,
                        choices=simulation.SUPPORTED_CLASS_COUNTS)
     p_sim.add_argument("--n", type=_int_at_least(1), required=True)
-    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--seed", type=_int_at_least(0), default=0)
     p_sim.add_argument("--out", required=True)
     p_sim.add_argument("--truth")
     p_sim.add_argument("--holdout", type=_int_at_least(0), default=0)
@@ -277,7 +275,7 @@ def build_parser():
     p_id.add_argument("--exhaustive", action="store_true")
     p_id.add_argument("--budget", type=_int_at_least(1), default=5_000_000)
     p_id.add_argument("--verify-trials", type=_int_at_least(0), default=0)
-    p_id.add_argument("--seed", type=int, default=0)
+    p_id.add_argument("--seed", type=_int_at_least(0), default=0)
     p_id.add_argument("--out")
     p_id.set_defaults(func=cmd_check_id)
 

@@ -87,7 +87,7 @@ def predictive_loglik(draws: PosteriorDraws, holdout: Dataset,
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _aligned_permutations(draws: PosteriorDraws):
+def aligned_permutations(draws: PosteriorDraws):
     """Permutation per draw onto the highest log-joint draw's labeling."""
     if draws.n_draws == 0:
         raise ValueError("draws must be nonempty")
@@ -99,11 +99,11 @@ def _aligned_permutations(draws: PosteriorDraws):
 def posterior_mean_parameters(draws: PosteriorDraws, perms=None):
     """Posterior-mean class weights and response matrix of aligned draws.
 
-    ``perms`` are the draws' :func:`_aligned_permutations`, computed when
+    ``perms`` are the draws' :func:`aligned_permutations`, computed when
     not given.
     """
     if perms is None:
-        perms = _aligned_permutations(draws)
+        perms = aligned_permutations(draws)
     perms = np.asarray(perms)
     pi = np.take_along_axis(draws.pi, perms, axis=1).mean(axis=0)
     theta = np.take_along_axis(draws.theta_matrices(), perms[:, :, None], axis=1).mean(axis=0)
@@ -117,7 +117,7 @@ def mode_restrictions(draws: PosteriorDraws, perms=None) -> np.ndarray:
     ``perms`` are as in :func:`posterior_mean_parameters`.
     """
     if perms is None:
-        perms = _aligned_permutations(draws)
+        perms = aligned_permutations(draws)
     aligned = np.take_along_axis(draws.base_columns, np.asarray(perms)[:, None, :], axis=2)
     n_draws, n_items, n_classes = aligned.shape
     # one row per (item, draw): the item, then its canonical column; sorted

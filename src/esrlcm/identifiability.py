@@ -1,9 +1,11 @@
-"""Generic identifiability certification for a fixed base class matrix.
+"""Generic identifiability certification for fixed base class columns.
 
-A model is certified by exhibiting a tripartition of the items and, for the
-first two parts, merged base class matrices whose columns stay within the
-response level counts and whose rows are all distinct. The search is sound
-but not complete: a failed search reports Unknown, never non-identifiable.
+The input is an int64 (J, C) block of canonical columns, one per item, as
+``ModelState.columns`` holds them. A model is certified by exhibiting a
+tripartition of the items and, for the first two parts, merged columns that
+stay within the response level counts and leave no two classes alike. The
+search is sound but not complete: a failed search reports Unknown, never
+non-identifiable.
 """
 
 import itertools
@@ -11,24 +13,30 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import BaseClassMatrix, canonicalize
+from .model import canonicalize, check_columns
 
 
 class BudgetExceededError(RuntimeError):
     """Exhaustive search exceeded its work budget."""
 
 
-def _levels_array(m, n_items) -> np.ndarray:
+def _checked(columns, m):
+    """``columns`` as checked (J, C) canonical columns, ``m`` as one level
+    count per item; else ``ValueError``."""
+    columns = check_columns(columns)
     m = np.asarray(m, dtype=np.int64)
-    if m.shape != (n_items,):
-        raise ValueError(f"levels must have one entry per item ({n_items})")
+    if m.shape != (len(columns),):
+        raise ValueError(f"levels must have one entry per item ({len(columns)})")
     if np.any(m < 2):
         raise ValueError("every item needs at least 2 response levels")
-    return m
+    return columns, m
 
 
 @dataclass
 class Witness:
+    """A tripartition and the merged columns of its first two parts, one
+    (|part|, C) block each, rows in the part's item order."""
+
     tripartition: tuple
     merged1: np.ndarray
     merged2: np.ndarray
@@ -49,8 +57,8 @@ class IdentifiabilityReport:
         if self.witness is not None:
             out["witness"] = {
                 "tripartition": [list(map(int, part)) for part in self.witness.tripartition],
-                "merged1": self.witness.merged1.tolist(),
-                "merged2": self.witness.merged2.tolist(),
+                "merged1": self.witness.merged1.T.tolist(),
+                "merged2": self.witness.merged2.T.tolist(),
             }
         return out
 
@@ -78,11 +86,6 @@ def _refine(codes, column) -> tuple:
     return tuple(seen.setdefault((c, b), len(seen) + 1) for c, b in zip(codes, column.tolist()))
 
 
-def _stack(columns, n_classes) -> np.ndarray:
-    """Columns side by side; a (C, 0) matrix when there are none."""
-    return np.column_stack(columns) if columns else np.empty((n_classes, 0), dtype=np.int64)
-
-
 @dataclass
 class ConditionCheck:
     """Outcome of the four witness conditions, with per-condition detail."""
@@ -94,39 +97,39 @@ class ConditionCheck:
         return self.ok
 
 
-def check_conditions(base: BaseClassMatrix, m, partition, merged1, merged2) -> ConditionCheck:
+def check_conditions(columns, m, partition, merged1, merged2) -> ConditionCheck:
     """Exact check of a candidate witness.
 
     ``partition`` is three disjoint item index sequences covering all items;
-    ``merged1``/``merged2`` are the merged matrices restricted to the first
-    two parts, with columns ordered as in the partition lists.
+    ``merged1``/``merged2`` are the merged columns of the first two parts,
+    one row per item in the order of the partition lists.
     """
-    m = _levels_array(m, base.n_items)
+    columns, m = _checked(columns, m)
+    n_items, n_classes = columns.shape
     parts = [np.asarray(part, dtype=np.int64) for part in partition]
     if len(parts) != 3:
         raise ValueError("partition must have exactly three parts")
-    if sorted(np.concatenate(parts).tolist()) != list(range(base.n_items)):
+    if sorted(np.concatenate(parts).tolist()) != list(range(n_items)):
         raise ValueError("partition must cover all items disjointly")
     merged = [np.asarray(merged1, dtype=np.int64), np.asarray(merged2, dtype=np.int64)]
     for k in (0, 1):
-        if merged[k].shape != (base.n_classes, parts[k].size):
+        if merged[k].shape != (parts[k].size, n_classes):
             raise ValueError(f"merged{k + 1} shape does not match part {k + 1}")
 
     diag = {}
     diag["merge_relation"] = [
-        all(_is_column_merge(base.column(j), merged[k][:, i])
-            for i, j in enumerate(parts[k]))
+        all(_is_column_merge(columns[j], merged[k][i]) for i, j in enumerate(parts[k]))
         for k in (0, 1)
     ]
     diag["level_bounds"] = [
-        all(len(set(merged[k][:, i].tolist())) <= m[j] for i, j in enumerate(parts[k]))
+        all(len(set(merged[k][i].tolist())) <= m[j] for i, j in enumerate(parts[k]))
         for k in (0, 1)
     ]
-    diag["unique_rows"] = [_rows_unique(merged[k]) for k in (0, 1)]
+    diag["unique_rows"] = [_rows_unique(merged[k].T) for k in (0, 1)]
     diag["pattern_capacity"] = [
-        int(np.prod(m[parts[k]], dtype=object)) >= base.n_classes for k in (0, 1)
+        int(np.prod(m[parts[k]], dtype=object)) >= n_classes for k in (0, 1)
     ]
-    diag["third_part_rows_unique"] = _rows_unique(base.labels[:, parts[2]])
+    diag["third_part_rows_unique"] = _rows_unique(columns[parts[2]].T)
     ok = (
         all(diag["merge_relation"])
         and all(diag["level_bounds"])
@@ -167,7 +170,7 @@ def _merge_column(column, max_sets, codes):
     return canonicalize(col)
 
 
-def _greedy_assign(base, m, third_first):
+def _greedy_assign(columns, m, third_first):
     """One greedy pass over items in decreasing set count order.
 
     Each item is merged for the first part and kept there if it strictly
@@ -178,34 +181,35 @@ def _greedy_assign(base, m, third_first):
     Q-matrix imports among them) whose high set count items are needed as
     raw columns.
     """
-    n_classes = base.n_classes
-    order = sorted(range(base.n_items), key=lambda j: -base.n_base(j))
-    columns = ({}, {}, {})  # per part: item -> the column it contributes
+    n_classes = columns.shape[1]
+    order = sorted(range(len(columns)), key=lambda j: -columns[j].max())
+    chosen = ({}, {}, {})  # per part: item -> the column it contributes
     codes = [(0,) * n_classes] * 3
 
     def take(k, j, column):
         refined = _refine(codes[k], column)
         if len(set(refined)) <= len(set(codes[k])):
             return False
-        columns[k][j] = column
+        chosen[k][j] = column
         codes[k] = refined
         return True
 
     for j in order:
-        if third_first and len(set(codes[2])) < n_classes and take(2, j, base.column(j)):
+        if third_first and len(set(codes[2])) < n_classes and take(2, j, columns[j]):
             continue
-        if not any(take(k, j, _merge_column(base.column(j), m[j], codes[k])) for k in (0, 1)):
+        if not any(take(k, j, _merge_column(columns[j], m[j], codes[k])) for k in (0, 1)):
             # part 3's codes are left as they are: they are read only under
             # third_first while below C, and then this column just failed to
             # split any of part 3's rows
-            columns[2][j] = base.column(j)
+            chosen[2][j] = columns[j]
 
-    tripartition = tuple(tuple(sorted(part)) for part in columns)
-    merged = [_stack([columns[k][j] for j in sorted(columns[k])], n_classes) for k in (0, 1)]
+    tripartition = tuple(tuple(sorted(part)) for part in chosen)
+    merged = [np.array([chosen[k][j] for j in tripartition[k]], dtype=np.int64)
+              .reshape(-1, n_classes) for k in (0, 1)]
     return tripartition, merged
 
 
-def greedy_search(base: BaseClassMatrix, m) -> IdentifiabilityReport:
+def greedy_search(columns, m) -> IdentifiabilityReport:
     """Deterministic greedy witness search followed by the exact check.
 
     Two complementary passes are tried: one that feeds the first two parts
@@ -213,11 +217,11 @@ def greedy_search(base: BaseClassMatrix, m) -> IdentifiabilityReport:
     The first pass whose result passes the exact check wins; when neither
     does the verdict is Unknown, never a claim of non-identifiability.
     """
-    m = _levels_array(m, base.n_items)
+    columns, m = _checked(columns, m)
     attempts = {}
     for third_first in (False, True):
-        tripartition, merged = _greedy_assign(base, m, third_first)
-        check = check_conditions(base, m, tripartition, merged[0], merged[1])
+        tripartition, merged = _greedy_assign(columns, m, third_first)
+        check = check_conditions(columns, m, tripartition, merged[0], merged[1])
         attempts["third_first" if third_first else "parts12_first"] = check.diagnostics
         if check.ok:
             return IdentifiabilityReport(
@@ -273,13 +277,13 @@ class _WorkMeter:
             )
 
 
-def _separating_merges(base, items, candidates, meter):
-    """Merged columns for ``items`` making all rows distinct, or None.
+def _separating_merges(n_classes, items, candidates, meter):
+    """Merged columns for ``items``, one row each, that leave no two classes
+    alike, or None.
 
     Depth-first over per-column merge choices with memoization on the
     induced row partition; the state space is tiny for desk-scale matrices.
     """
-    n_classes = base.n_classes
     memo = {}
 
     def dfs(pos, state):
@@ -308,10 +312,10 @@ def _separating_merges(base, items, candidates, meter):
         j = items[len(chosen)]
         # _set_partitions yields the one-group partition first
         chosen.append(candidates[j][0])
-    return chosen
+    return np.array(chosen, dtype=np.int64).reshape(len(items), n_classes)
 
 
-def exhaustive_search(base: BaseClassMatrix, m, budget: int = 5_000_000) -> IdentifiabilityReport:
+def exhaustive_search(columns, m, budget: int = 5_000_000) -> IdentifiabilityReport:
     """Enumerate tripartitions and per-column merges until a witness passes.
 
     Feasibility of an item subset as a first or second part is computed once
@@ -319,12 +323,11 @@ def exhaustive_search(base: BaseClassMatrix, m, budget: int = 5_000_000) -> Iden
     Intended for small problems; raises :class:`BudgetExceededError` when the
     work budget runs out.
     """
-    m = _levels_array(m, base.n_items)
-    n_items = base.n_items
-    n_classes = base.n_classes
+    columns, m = _checked(columns, m)
+    n_items, n_classes = columns.shape
     meter = _WorkMeter(budget)
 
-    candidates = [_column_merge_candidates(base.column(j), m[j]) for j in range(n_items)]
+    candidates = [_column_merge_candidates(column, m_j) for column, m_j in zip(columns, m)]
     full_mask = (1 << n_items) - 1
 
     def items_of(mask):
@@ -338,7 +341,7 @@ def exhaustive_search(base: BaseClassMatrix, m, budget: int = 5_000_000) -> Iden
             if int(np.prod(m[items], dtype=object)) < n_classes:
                 feas12[mask] = None
             else:
-                feas12[mask] = _separating_merges(base, items, candidates, meter)
+                feas12[mask] = _separating_merges(n_classes, items, candidates, meter)
         return feas12[mask]
 
     feas3 = {}
@@ -346,7 +349,7 @@ def exhaustive_search(base: BaseClassMatrix, m, budget: int = 5_000_000) -> Iden
     def part3_ok(mask):
         if mask not in feas3:
             meter.spend()
-            feas3[mask] = _rows_unique(base.labels[:, items_of(mask)])
+            feas3[mask] = _rows_unique(columns[items_of(mask)].T)
         return feas3[mask]
 
     for mask1 in range(full_mask + 1):
@@ -360,12 +363,11 @@ def exhaustive_search(base: BaseClassMatrix, m, budget: int = 5_000_000) -> Iden
             merges2 = part12_merges(mask2)
             if merges2 is not None and part3_ok(rest & ~mask2):
                 parts = (items_of(mask1), items_of(mask2), items_of(rest & ~mask2))
-                merged1, merged2 = _stack(merges1, n_classes), _stack(merges2, n_classes)
-                check = check_conditions(base, m, parts, merged1, merged2)
+                check = check_conditions(columns, m, parts, merges1, merges2)
                 if check.ok:
                     return IdentifiabilityReport(
                         status="Identifiable",
-                        witness=Witness(tuple(map(tuple, parts)), merged1, merged2),
+                        witness=Witness(tuple(map(tuple, parts)), merges1, merges2),
                         diagnostics=check.diagnostics,
                     )
             if mask2 == 0:
@@ -403,20 +405,21 @@ def kruskal_rank(matrix, tol: float = 1e-10) -> int:
 PATTERN_CAP = 4096
 
 
-def pattern_probability_matrix(base: BaseClassMatrix, items, item_probs) -> np.ndarray:
+def pattern_probability_matrix(columns, items, item_probs) -> np.ndarray:
     """Classes-by-patterns probability matrix for a subset of items.
 
     ``item_probs[j]`` holds one distribution over levels per equivalence set
     of item j; conditional independence makes each row an outer product.
     """
-    out = np.ones((base.n_classes, 1))
+    n_classes = columns.shape[1]
+    out = np.ones((n_classes, 1))
     for j in items:
-        probs = item_probs[j][base.column(j) - 1]
-        out = (out[:, :, None] * probs[:, None, :]).reshape(base.n_classes, -1)
+        probs = item_probs[j][columns[j] - 1]
+        out = (out[:, :, None] * probs[:, None, :]).reshape(n_classes, -1)
     return out
 
 
-def numeric_verify(base: BaseClassMatrix, m, partition, rng, trials: int = 10) -> bool:
+def numeric_verify(columns, m, partition, rng, trials: int = 10) -> bool:
     """Monte Carlo check that the Kruskal rank bound holds for a tripartition.
 
     Each trial draws response probabilities respecting the equal-probability
@@ -424,20 +427,20 @@ def numeric_verify(base: BaseClassMatrix, m, partition, rng, trials: int = 10) -
     the Kruskal ranks (over class columns) to sum to at least 2C + 2. This is
     probabilistic evidence only and never upgrades an Unknown verdict.
     """
-    m = _levels_array(m, base.n_items)
+    columns, m = _checked(columns, m)
     parts = [np.asarray(p, dtype=np.int64) for p in partition]
     for part in parts:
         if int(np.prod(m[part], dtype=object)) > PATTERN_CAP:
             raise ValueError(
                 f"pattern space {np.prod(m[part])} exceeds the {PATTERN_CAP} guard"
             )
-    need = 2 * base.n_classes + 2
+    need = 2 * columns.shape[1] + 2
     for _ in range(trials):
-        item_probs = [rng.dirichlet(np.ones(m[j]), size=base.n_base(j))
-                      for j in range(base.n_items)]
+        item_probs = [rng.dirichlet(np.ones(m_j), size=column.max())
+                      for column, m_j in zip(columns, m)]
         total = 0
         for part in parts:
-            t_matrix = pattern_probability_matrix(base, part, item_probs)
+            t_matrix = pattern_probability_matrix(columns, part, item_probs)
             total += kruskal_rank(t_matrix.T)
         if total < need:
             return False
@@ -448,8 +451,8 @@ def numeric_verify(base: BaseClassMatrix, m, partition, rng, trials: int = 10) -
 # Q-matrix import
 # ---------------------------------------------------------------------------
 
-def q_matrix_to_base(q) -> BaseClassMatrix:
-    """Translate a binary Q-matrix into an equivalent base class matrix.
+def q_matrix_to_base(q) -> np.ndarray:
+    """Translate a binary Q-matrix into equivalent (J, C) base class columns.
 
     Classes enumerate the attribute bit vectors (class 1 has no attributes,
     class 2 has only the first, ...); two classes share an equivalence set
@@ -465,4 +468,4 @@ def q_matrix_to_base(q) -> BaseClassMatrix:
     bits = (np.arange(n_classes)[:, None] >> np.arange(n_attr)[None, :]) & 1
     # a class's code packs the bits of the attributes the item loads on
     codes = (bits[None] * q[:, None]) @ (1 << np.arange(n_attr))  # item, class
-    return BaseClassMatrix(canonicalize(codes).T)
+    return canonicalize(codes)

@@ -61,6 +61,8 @@ class McmcConfig:
             raise ValueError("n_warmup must be >= 0")
         if self.thin < 1:
             raise ValueError("thin must be >= 1")
+        if self.store_c_every < 0:
+            raise ValueError("store_c_every must be >= 0")
         if self.thin > self.n_main:
             raise ValueError(f"thin ({self.thin}) exceeds n_main ({self.n_main}): "
                              "no draw would be retained")

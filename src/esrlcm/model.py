@@ -1,9 +1,10 @@
-"""Core data model: datasets, base class matrices, priors, and the joint density.
+"""Core data model: datasets, base class columns, priors, and the joint density.
 
-A base class matrix assigns every (class, item) pair an equivalence set
-label; classes sharing a label for an item share that item's response
-probability. Columns are kept in canonical form (labels ordered by first
-occurrence, starting at 1) so equal partitions always compare equal.
+An item's base class column gives every class an equivalence set label;
+classes sharing a label share that item's response probability. The columns
+of all items form an int64 (J, C) block, one canonical column per row
+(labels ordered by first occurrence, starting at 1), so equal partitions
+always compare equal.
 """
 
 from dataclasses import dataclass
@@ -156,40 +157,6 @@ class Dataset:
         with open(path, "wb") as fh:
             fh.write(header.encode() + b"\n")
             fh.write(rows.tobytes())
-
-
-@dataclass
-class BaseClassMatrix:
-    """Classes-by-items matrix of equivalence set labels, columns canonical:
-    the identifiability search's layout; all else holds the (J, C) transpose."""
-
-    labels: np.ndarray
-
-    def __post_init__(self):
-        self.labels = check_columns(np.asarray(self.labels).T).T
-
-    @classmethod
-    def from_raw(cls, raw) -> "BaseClassMatrix":
-        """Build from arbitrary labels, canonicalizing every column."""
-        return cls(canonicalize(np.atleast_2d(np.asarray(raw)).T).T)
-
-    @property
-    def n_classes(self) -> int:
-        return self.labels.shape[0]
-
-    @property
-    def n_items(self) -> int:
-        return self.labels.shape[1]
-
-    def column(self, j: int) -> np.ndarray:
-        return self.labels[:, j]
-
-    def n_base(self, j: int) -> int:
-        """Number of equivalence sets for item j."""
-        return int(self.labels[:, j].max())
-
-    def __eq__(self, other):
-        return isinstance(other, BaseClassMatrix) and np.array_equal(self.labels, other.labels)
 
 
 @dataclass

@@ -9,7 +9,6 @@ from scipy.stats import dirichlet as sp_dirichlet
 from esrlcm import kernels, mcmc
 from esrlcm.identifiability import _is_column_merge
 from esrlcm.model import (
-    BaseClassMatrix,
     Dataset,
     ModelState,
     PriorConfig,
@@ -261,17 +260,17 @@ def theta_from_base(theta_prime_j, column) -> np.ndarray:
     return theta_prime_j[column - 1]
 
 
-def is_merged_of(base: BaseClassMatrix, merged: BaseClassMatrix) -> bool:
-    """True when every column of ``merged`` coarsens the same column of ``base``.
+def is_merged_of(columns, merged) -> bool:
+    """True when every row of the (J, C) block ``merged`` coarsens the same
+    item's column of ``columns``.
 
-    Per item there must be a single-valued label map g with
-    merged[c] = g(base[c]) for every class.
+    Per item j there must be a single-valued label map g with
+    merged[j, c] = g(columns[j, c]) for every class.
     """
-    if (base.n_classes, base.n_items) != (merged.n_classes, merged.n_items):
-        raise ValueError("matrices must have identical dimensions")
-    return all(
-        _is_column_merge(base.column(j), merged.column(j)) for j in range(base.n_items)
-    )
+    columns, merged = np.asarray(columns), np.asarray(merged)
+    if columns.shape != merged.shape:
+        raise ValueError("blocks must have identical shapes")
+    return all(map(_is_column_merge, columns, merged))
 
 
 def _set_counts(column, succ_j, totals):

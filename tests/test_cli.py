@@ -101,6 +101,15 @@ class TestSimulateCommand:
         assert f"must be at least 1, got {n}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_seed_rejected_at_parse(self, tmp_path, capsys):
+        out = tmp_path / "sim.csv"
+        with pytest.raises(SystemExit) as err:
+            cli.main(["simulate", "--classes", "4", "--n", "50", "--seed", "-1",
+                      "--out", str(out)])
+        assert err.value.code == 2
+        assert "--seed: must be at least 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFitCommand:
     def test_smoke_files_and_summary(self, toy_run):
@@ -174,6 +183,7 @@ class TestFitCommand:
     @pytest.mark.parametrize("mcmc, message", [
         ({"n_main": 0}, "mcmc.n_main must be >= 1"),
         ({"n_chains": 0}, "mcmc.n_chains must be >= 1"),
+        ({"n_main": 5, "store_c_every": -2}, "mcmc.store_c_every must be >= 0"),
     ])
     def test_mcmc_errors_named_by_their_config_key(self, toy_run, capsys, mcmc, message):
         tmp_path, _ = toy_run
@@ -344,6 +354,39 @@ class TestCheckIdCommand:
         assert err.value.code == 2
         assert "must be at least 0, got -3" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_negative_seed_rejected_at_parse(self, tmp_path, capsys, monkeypatch):
+        path, out = tmp_path / "b.csv", tmp_path / "r.json"
+        np.savetxt(path, np.array([[1, 1], [2, 2], [3, 3]]), fmt="%d", delimiter=",")
+        monkeypatch.setattr(cli.identifiability, "greedy_search", None)  # must not run
+        with pytest.raises(SystemExit) as err:
+            cli.main(["check-id", "--matrix", str(path), "--seed", "-5",
+                      "--verify-trials", "2", "--out", str(out)])
+        assert err.value.code == 2
+        assert "--seed: must be at least 0, got -5" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_class_by_item_labels_read_in_any_labeling(self, tmp_path):
+        # the worked example's class-by-item labels, then the same partitions
+        # with each item's labels permuted and shifted to start at 0
+        canonical = np.array([[1, 1, 1, 1, 1, 1], [2, 2, 2, 2, 1, 2], [3, 3, 3, 1, 1, 3],
+                              [2, 1, 4, 3, 2, 3], [1, 4, 4, 2, 3, 3]])
+        relabel = np.array([[0, 2, 0, 1, 3], [0, 3, 1, 2, 0], [0, 1, 0, 3, 2],
+                            [0, 0, 2, 1, 0], [0, 1, 2, 0, 0], [0, 2, 1, 0, 0]])
+        raw = np.column_stack([relabel[j][canonical[:, j]] for j in range(6)])
+        assert not (raw == canonical).all() and raw.min() == 0
+        reports = {}
+        for name, labels in (("canonical", canonical), ("raw", raw)):
+            path = tmp_path / f"{name}.csv"
+            np.savetxt(path, labels, fmt="%d", delimiter=",")
+            for mode in ([], ["--exhaustive"]):
+                out = tmp_path / f"{name}{len(mode)}.json"
+                assert cli.main(["check-id", "--matrix", str(path), "--levels", "3",
+                                 "--verify-trials", "2", "--out", str(out), *mode]) == 0
+                reports[name, len(mode)] = out.read_bytes()
+        for mode in (0, 1):
+            assert reports["raw", mode] == reports["canonical", mode]
+        assert json.loads(reports["raw", 0])["status"] == "Identifiable"
 
 
 class TestMetricsCommand:

@@ -13,37 +13,32 @@ from esrlcm.identifiability import (
     numeric_verify,
     q_matrix_to_base,
 )
-from esrlcm.model import BaseClassMatrix
 from esrlcm.simulation import fixture_columns
 
 from helpers import is_merged_of, random_canonical_column
 
-# Six-item, five-class worked example: two ternary items then four binary ones.
-EXAMPLE_B = BaseClassMatrix(np.array([
-    [1, 1, 1, 1, 1, 1],
-    [2, 2, 2, 2, 1, 2],
-    [3, 3, 3, 1, 1, 3],
-    [2, 1, 4, 3, 2, 3],
-    [1, 4, 4, 2, 3, 3],
-]))
+# Six-item, five-class worked example as (J, C) base columns, one row per
+# item: two ternary items then four binary ones.
+EXAMPLE_B = np.array([
+    [1, 2, 3, 2, 1],
+    [1, 2, 3, 1, 4],
+    [1, 2, 3, 4, 4],
+    [1, 2, 1, 3, 2],
+    [1, 1, 1, 2, 3],
+    [1, 2, 3, 3, 3],
+])
 EXAMPLE_M = np.array([3, 3, 2, 2, 2, 2])
 EXAMPLE_PARTITION = ((0, 3), (1, 2), (4, 5))
-EXAMPLE_MERGED1 = np.array([[1, 1], [2, 2], [3, 1], [2, 1], [1, 2]])
-EXAMPLE_MERGED2 = np.array([[1, 1], [2, 1], [3, 1], [1, 2], [3, 2]])
+EXAMPLE_MERGED1 = np.array([[1, 2, 3, 2, 1], [1, 2, 1, 1, 2]])
+EXAMPLE_MERGED2 = np.array([[1, 2, 3, 1, 3], [1, 1, 1, 2, 2]])
 
 # Six-class merge pair used for the ordering relation.
-MERGE_LEFT = BaseClassMatrix(np.array(
-    [[1, 1, 1], [1, 2, 1], [2, 1, 1], [2, 3, 2], [3, 1, 2], [3, 4, 2]]
-))
-MERGE_RIGHT = BaseClassMatrix(np.array(
-    [[1, 1, 1], [1, 2, 1], [1, 1, 1], [1, 3, 2], [2, 1, 2], [2, 2, 2]]
-))
+MERGE_LEFT = np.array([[1, 1, 2, 2, 3, 3], [1, 2, 1, 3, 1, 4], [1, 1, 1, 2, 2, 2]])
+MERGE_RIGHT = np.array([[1, 1, 1, 1, 2, 2], [1, 2, 1, 3, 1, 2], [1, 1, 1, 2, 2, 2]])
 
 
 def random_base(rng, n_classes, n_items):
-    return BaseClassMatrix(np.column_stack(
-        [random_canonical_column(rng, n_classes) for _ in range(n_items)]
-    ))
+    return np.array([random_canonical_column(rng, n_classes) for _ in range(n_items)])
 
 
 class TestIsMergedOf:
@@ -51,7 +46,7 @@ class TestIsMergedOf:
         assert is_merged_of(EXAMPLE_B, EXAMPLE_B)
 
     def test_total_merge(self):
-        ones = BaseClassMatrix(np.ones((5, 6), dtype=int))
+        ones = np.ones((6, 5), dtype=int)
         assert is_merged_of(EXAMPLE_B, ones)
 
     def test_worked_pair_and_reverse(self):
@@ -68,13 +63,11 @@ class TestIsMergedOf:
             assert is_merged_of(base, base)
             # coarsen twice by clipping labels: base -> mid -> top
             mid_cols, top_cols = [], []
-            for j in range(base.n_items):
-                col = base.column(j)
+            for col in base:
                 mid = canonicalize(np.clip(col, 1, int(rng.integers(1, col.max() + 1))))
                 mid_cols.append(mid)
                 top_cols.append(canonicalize(np.clip(mid, 1, max(1, int(mid.max()) - 1))))
-            mid_m = BaseClassMatrix(np.column_stack(mid_cols))
-            top_m = BaseClassMatrix(np.column_stack(top_cols))
+            mid_m, top_m = np.array(mid_cols), np.array(top_cols)
             assert is_merged_of(base, mid_m)
             assert is_merged_of(mid_m, top_m)
             assert is_merged_of(base, top_m)
@@ -93,11 +86,8 @@ class TestCheckConditions:
         assert check.diagnostics["unique_rows"][0] is False
 
     def test_small_identity_case(self):
-        base = BaseClassMatrix(np.array([[1, 1, 1], [2, 2, 2]]))
-        check = check_conditions(
-            base, [2, 2, 2], ((0,), (1,), (2,)),
-            base.labels[:, :1], base.labels[:, 1:2],
-        )
+        base = np.array([[1, 2], [1, 2], [1, 2]])
+        check = check_conditions(base, [2, 2, 2], ((0,), (1,), (2,)), base[:1], base[1:2])
         assert bool(check)
 
     def test_malformed_partition(self):
@@ -115,7 +105,7 @@ class TestGreedySearch:
         assert bool(check)
 
     def test_too_few_items_unknown(self):
-        base = BaseClassMatrix(np.array([[1, 1], [2, 2], [3, 3]]))
+        base = np.array([[1, 2, 3], [1, 2, 3]])
         report = greedy_search(base, [2, 2])
         assert report.status == "Unknown"
 
@@ -134,7 +124,7 @@ class TestExhaustiveSearch:
         assert bool(check)
 
     def test_single_item_unknown(self):
-        base = BaseClassMatrix(np.array([[1], [2]]))
+        base = np.array([[1, 2]])
         assert exhaustive_search(base, [2]).status == "Unknown"
 
     def test_budget_guard(self):
@@ -199,17 +189,17 @@ class TestNumericVerify:
         assert numeric_verify(EXAMPLE_B, EXAMPLE_M, EXAMPLE_PARTITION, rng, trials=5)
 
     def test_duplicate_classes_fail(self):
-        base = BaseClassMatrix(np.array([[1, 1], [1, 1], [2, 2]]))
+        base = np.array([[1, 1, 2], [1, 1, 2]])
         rng = np.random.default_rng(5)
         assert not numeric_verify(base, [3, 3], ((0,), (1,), ()), rng, trials=2)
 
     def test_one_item_per_part(self):
-        base = BaseClassMatrix(np.array([[1, 1, 1], [2, 2, 2]]))
+        base = np.array([[1, 2], [1, 2], [1, 2]])
         rng = np.random.default_rng(6)
         assert numeric_verify(base, [2, 2, 2], ((0,), (1,), (2,)), rng, trials=5)
 
     def test_pattern_overflow_guard(self):
-        base = BaseClassMatrix(np.tile([[1], [2]], (1, 15)))
+        base = np.tile([1, 2], (15, 1))
         rng = np.random.default_rng(7)
         with pytest.raises(ValueError):
             numeric_verify(base, [3] * 15, (tuple(range(15)), (), ()), rng)
@@ -218,15 +208,15 @@ class TestNumericVerify:
 class TestQMatrixImport:
     def test_no_attributes_item(self):
         base = q_matrix_to_base(np.array([[0, 0]]))
-        assert base.column(0).tolist() == [1, 1, 1, 1]
+        assert base.tolist() == [[1, 1, 1, 1]]
 
     def test_first_attribute_item(self):
         base = q_matrix_to_base(np.array([[1, 0]]))
-        assert base.column(0).tolist() == [1, 2, 1, 2]
+        assert base.tolist() == [[1, 2, 1, 2]]
 
     def test_both_attributes_item(self):
         base = q_matrix_to_base(np.array([[1, 1]]))
-        assert base.column(0).tolist() == [1, 2, 3, 4]
+        assert base.tolist() == [[1, 2, 3, 4]]
 
     def test_attribute_guard(self):
         with pytest.raises(ValueError):
@@ -249,10 +239,22 @@ class TestQMatrixImport:
 
 class TestItemLevels:
     def test_validation(self):
-        base = BaseClassMatrix(np.array([[1, 1], [2, 2]]))
+        base = np.array([[1, 2], [1, 2]])
         with pytest.raises(ValueError, match="at least 2"):
             greedy_search(base, [2, 1])
         assert greedy_search(base, [2, 3]) is not None
+
+    @pytest.mark.parametrize("search", [
+        greedy_search,
+        exhaustive_search,
+        lambda base, m: check_conditions(base, m, ((0,), (1,), ()), base[:1], base[1:]),
+        lambda base, m: numeric_verify(base, m, ((0,), (1,), ()), np.random.default_rng(0)),
+    ], ids=["greedy_search", "exhaustive_search", "check_conditions", "numeric_verify"])
+    def test_non_canonical_columns_rejected(self, search):
+        with pytest.raises(ValueError, match=r"base column \[2, 1\] is not canonical"):
+            search(np.array([[1, 2], [2, 1]]), [2, 2])
+        with pytest.raises(ValueError, match="items x classes block"):
+            search(np.array([1, 2]), [2, 2])
 
 
 # Recorded search reports: `check-id` output is part of the CLI contract, so
@@ -301,8 +303,8 @@ class TestGoldenWitnesses:
     def test_fixture_greedy_reports(self, n_classes):
         part1, part2, digest = GOLDEN_FIXTURES[n_classes]
         part3 = sorted(set(range(32)) - set(part1) - set(part2))
-        base = BaseClassMatrix(fixture_columns(n_classes).T)
-        report = greedy_search(base, np.full(base.n_items, 2))
+        base = fixture_columns(n_classes)
+        report = greedy_search(base, np.full(len(base), 2))
         payload = report.to_dict()
         assert payload["witness"]["tripartition"] == [part1, part2, part3]
         text = json.dumps(payload, sort_keys=True)

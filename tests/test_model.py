@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from esrlcm import kernels
 from esrlcm import model as em
 from esrlcm.model import (
-    BaseClassMatrix,
     Dataset,
     ModelState,
     PriorConfig,
@@ -248,12 +247,6 @@ class TestTypes:
 
     def test_empty_dataset_allowed(self):
         assert Dataset(np.empty((0, 3))).n == 0
-
-    def test_base_matrix_requires_canonical_columns(self):
-        with pytest.raises(ValueError):
-            BaseClassMatrix(np.array([[2], [1]]))
-        ok = BaseClassMatrix.from_raw(np.array([[2], [1]]))
-        assert ok.column(0).tolist() == [1, 2]
 
     def test_prior_requires_exactly_one_parameterization(self):
         with pytest.raises(ValueError):
