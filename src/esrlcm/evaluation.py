@@ -5,7 +5,6 @@ import hashlib
 
 import numpy as np
 
-from . import kernels
 from .mcmc import PosteriorDraws, run_lockstep
 # kept importable by this name: perfbench/tracing.py patches evaluation.run_chain
 from .mcmc import run_chain  # noqa: F401
@@ -21,27 +20,48 @@ def _mixture_obs_loglik(x, pi, theta):
 
     ``pi`` is (D, C) and ``theta`` (D, C, J). A row's density is
     (1/D) sum_d sum_c pi[d, c] p(x | theta[d, c]), so its log is one
-    log-sum-exp over all D * C class columns minus log D. Rows are scored in
-    blocks of at most ``BLOCK_ELEMENTS`` outputs, one matmul per block, so the
-    temporaries do not grow with the number of rows.
+    log-sum-exp over all D * C class columns minus log D.
+
+    A class's log term l = x log(theta) + (1 - x) log(1 - theta) + log(pi)
+    is regrouped as a dot product of one weight row, the item log-odds
+    log(theta) - log(1 - theta), the bias sum_j log(1 - theta) + log(pi) and
+    a 1, with the column (x', 1, -shift). Rows are scored in blocks of at
+    most ``BLOCK_ELEMENTS`` outputs through one reused (J + 2, rows) buffer of
+    such columns, so one GEMM gives a block of l - shift, which is
+    exponentiated in place and summed per row. A row's shift is the best of
+    draw 0's C terms, from one small product, so the block needs no max pass.
+    A row that has a class more than about 709 nats above that shift
+    overflows the exp; it is scored again with its exact max.
     """
     n_obs = x.shape[0]
     if n_obs == 0:
         raise ValueError("the holdout has no observations")
     n_draws, n_classes, n_items = theta.shape
     theta = theta.reshape(n_draws * n_classes, n_items)
-    log_theta, log_one_minus_theta = np.log(theta), np.log1p(-theta)
-    log_pi = np.log(pi).ravel()
-    rows = max(1, BLOCK_ELEMENTS // log_pi.size)
+    log_one_minus_theta = np.log1p(-theta)
+    weights = np.empty((len(theta), n_items + 2))
+    np.subtract(np.log(theta), log_one_minus_theta, out=weights[:, :n_items])
+    weights[:, n_items] = log_one_minus_theta.sum(axis=1) + np.log(pi).ravel()
+    weights[:, n_items + 1] = 1.0
+    rows = max(1, BLOCK_ELEMENTS // len(weights))
+    buffer = np.empty((n_items + 2, min(rows, n_obs)))
+    buffer[n_items] = 1.0
     total = 0.0
     for start in range(0, n_obs, rows):
-        logp = kernels.class_loglik(x[start:start + rows], log_theta, log_one_minus_theta)
-        logp += log_pi[:, None]
-        shift = logp.max(axis=0)
-        logp -= shift
-        np.exp(logp, out=logp)
-        total += float((np.log(logp.sum(axis=0)) + shift).sum())
-        del logp  # so the next block's array does not coexist with this one
+        block = buffer[:, :min(rows, n_obs - start)]
+        block[:n_items] = x[start:start + rows].T
+        shift = (weights[:n_classes, :-1] @ block[:-1]).max(axis=0)
+        block[-1] = -shift
+        dens = weights @ block
+        with np.errstate(over="ignore"):
+            np.exp(dens, out=dens)
+        dens = dens.sum(axis=0)
+        over = ~np.isfinite(dens)
+        if over.any():
+            logp = weights[:, :-1] @ block[:-1, over]
+            shift[over] = logp.max(axis=0)
+            dens[over] = np.exp(logp - shift[over]).sum(axis=0)
+        total += float((np.log(dens) + shift).sum())
     return total / n_obs - float(np.log(n_draws))
 
 

@@ -21,9 +21,12 @@ class BudgetExceededError(RuntimeError):
 
 
 def _checked(columns, m):
-    """``columns`` as checked (J, C) canonical columns, ``m`` as one level
-    count per item; else ``ValueError``."""
+    """``columns`` as checked (J, C) canonical columns of C >= 2 classes, ``m``
+    as one level count per item; else ``ValueError``."""
     columns = check_columns(columns)
+    if columns.shape[1] < 2:
+        raise ValueError(f"identifiability needs at least 2 classes, got {columns.shape[1]}: "
+                         "a witness separates classes")
     m = np.asarray(m, dtype=np.int64)
     if m.shape != (len(columns),):
         raise ValueError(f"levels must have one entry per item ({len(columns)})")

@@ -535,14 +535,21 @@ def _initial_state(data, prior, rng):
 
 
 def _check_start_reachable(prior):
-    """Reject a zeta prior under which the chain can never leave its start.
+    """Reject a zeta prior whose support the chain cannot cover.
 
     The chain starts with every column all-distinct (C sets), and one base
-    move reaches only columns with C or C - 1 sets.
+    move changes a column's set count by at most one, into a count with
+    mass. So the set counts with mass must be one unbroken run that reaches
+    C - 1 or C.
     """
-    if prior.zeta is not None and not prior.zeta[-2:].any():
-        raise ValueError(f"zeta {prior.zeta.tolist()} gives no mass to {prior.n_classes} or "
-                         f"{prior.n_classes - 1} sets, so the chain cannot leave its start")
+    if prior.zeta is None:
+        return
+    support = np.flatnonzero(prior.zeta) + 1
+    if support[-1] < prior.n_classes - 1 or support[-1] - support[0] >= len(support):
+        raise ValueError(f"zeta {prior.zeta.tolist()} must give mass to one unbroken run of set "
+                         f"counts that reaches {prior.n_classes - 1} or {prior.n_classes} sets: "
+                         "the chain starts at all-distinct columns, and a base move changes a "
+                         "column's set count by at most one")
 
 
 def run_lockstep(lanes, config: McmcConfig) -> list:

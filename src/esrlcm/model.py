@@ -250,18 +250,30 @@ def pad_theta_prime(columns, vectors) -> np.ndarray:
     n_sets = columns.max(axis=-1)
     draws = vectors if columns.ndim == 3 else [vectors]
     for draw_sets, draw in zip(n_sets.reshape(-1, columns.shape[-2]), draws):
-        for j, t in enumerate(draw):
-            # a list of floats is a vector; np.ndim, which copies, decides the rest
-            if not (type(t) is list and all(type(x) is float for x in t)) and np.ndim(t) != 1:
-                raise ValueError(f"theta' of item {j} must be a list of values, got {t!r}")
+        # a draw of lists passes as it is; its values are checked as they are read
+        if not all(type(t) is list for t in draw):
+            _check_vectors(draw)
         lengths = list(map(len, draw))
         if lengths != draw_sets.tolist():
             raise ValueError(f"theta' lengths {lengths} do not match the set counts "
                              f"{draw_sets.tolist()} of the base class columns")
     block = np.full(columns.shape, np.nan)
-    block[np.arange(columns.shape[-1]) < n_sets[..., None]] = np.fromiter(
-        chain.from_iterable(chain.from_iterable(draws)), dtype=np.float64)
+    try:
+        values = np.fromiter(chain.from_iterable(chain.from_iterable(draws)), dtype=np.float64)
+    except ValueError:
+        for draw in draws:  # name the item whose vector holds a sequence
+            _check_vectors(draw)
+        raise
+    block[np.arange(columns.shape[-1]) < n_sets[..., None]] = values
     return block
+
+
+def _check_vectors(draw):
+    """Raise ``ValueError`` naming the first item of ``draw`` whose theta' is
+    not one vector of values."""
+    for j, t in enumerate(draw):
+        if np.ndim(t) != 1:
+            raise ValueError(f"theta' of item {j} must be a list of values, got {t!r}")
 
 
 def theta_matrix(columns, theta_prime) -> np.ndarray:

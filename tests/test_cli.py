@@ -268,6 +268,21 @@ class TestFitCommand:
         assert "zeta" in capsys.readouterr().err
         assert not (tmp_path / "out" / "draws_chain0.jsonl").exists()
 
+    @pytest.mark.parametrize("command", ["fit", "cv"])
+    def test_zeta_with_a_gap_fails_before_sampling(self, toy_run, capsys, monkeypatch,
+                                                   command):
+        # mass on 1 and on 3-4 sets but none on 2: a base move cannot cross
+        tmp_path, _ = toy_run
+        config = write_config(tmp_path / "zeta.json", tmp_path / "data.csv", tmp_path / "out",
+                              classes=4, prior={"lambda": None, "zeta": [0.5, 0.0, 0.25, 0.25]})
+        monkeypatch.setattr(cli.mcmc, "_initial_state", None)  # must not run
+        args = ["--k", "2", "--out", str(tmp_path / "cv.json")] if command == "cv" else []
+        assert cli.main([command, "--config", str(config), *args]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: zeta [0.5, 0.0, 0.25, 0.25]") and "unbroken run" in err
+        assert not (tmp_path / "out" / "draws_chain0.jsonl").exists()
+        assert not (tmp_path / "cv.json").exists()
+
     @pytest.mark.parametrize("v_mode", ["fixed_zero", "free"])
     def test_thread_count_does_not_change_outputs(self, toy_run, v_mode):
         # the chains run as one lockstep group in one process, and chain k
@@ -335,6 +350,16 @@ class TestCheckIdCommand:
         np.savetxt(path, np.array([[1, 1], [2, 2], [3, 3]]), fmt="%d", delimiter=",")
         assert cli.main(["check-id", "--matrix", str(path), "--levels", "1"]) == 1
         assert "at least 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", [[], ["--exhaustive"]])
+    def test_one_class_matrix_rejected(self, tmp_path, capsys, mode):
+        # one class has no pair to separate: no witness can certify it
+        path, out = tmp_path / "c1.csv", tmp_path / "r.json"
+        np.savetxt(path, np.array([[1, 1, 1]]), fmt="%d", delimiter=",")
+        assert cli.main(["check-id", "--matrix", str(path), "--verify-trials", "2",
+                         "--out", str(out), *mode]) == 1
+        assert "at least 2 classes, got 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as err:

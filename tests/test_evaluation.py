@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -99,6 +100,54 @@ class TestPredictiveLoglik:
         monkeypatch.setattr(ev, "BLOCK_ELEMENTS", block_elements)
         assert ev.predictive_loglik(draws, holdout) == pytest.approx(
             predictive_loglik_per_draw(draws, holdout), rel=1e-12)
+
+    def test_class_far_above_draw_zero_is_rescored_exactly(self):
+        # each row's shift is the best of draw 0's classes; on the all-ones
+        # rows every draw-0 class is at least 40 * log(0.9 / 1e-10) ~ 917
+        # nats below draw 1's best, so exp(l - shift) overflows there and
+        # those rows must be scored again with their own max
+        rng = np.random.default_rng(8)
+        n_items = 40
+        states = [(np.array([0.5, 0.5]), [np.array([1, 2])] * n_items,
+                   [np.array([t, 2 * t]) for t in np.full(n_items, 1e-10)], 0.0, 0.0),
+                  (np.array([0.3, 0.7]), [np.array([1, 2])] * n_items,
+                   [rng.uniform(0.9, 0.99, 2) for _ in range(n_items)], 0.0, 0.0)]
+        draws = draws_from_states(states)
+        x = rng.integers(0, 2, size=(9, n_items))
+        x[::2] = 1
+        holdout = Dataset(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ev.predictive_loglik(draws, holdout)
+        assert got == pytest.approx(predictive_loglik_per_draw(draws, holdout), rel=1e-12)
+
+    def test_more_class_columns_than_block_elements(self):
+        # D * C above BLOCK_ELEMENTS: one row per block; D copies of one draw
+        # score as that draw alone
+        rng = np.random.default_rng(9)
+        one = random_draws(rng, 1, [2, 1, 4], n_classes=4)
+        n_draws = ev.BLOCK_ELEMENTS // 4 + 1
+        many = PosteriorDraws(
+            iters=np.arange(n_draws), log_joint=np.zeros(n_draws), v=np.zeros(n_draws),
+            pi=np.repeat(one.pi, n_draws, axis=0),
+            base_columns=np.repeat(one.base_columns, n_draws, axis=0),
+            theta_prime=np.repeat(one.theta_prime, n_draws, axis=0))
+        holdout = Dataset(rng.integers(0, 2, size=(5, 3)))
+        assert n_draws * 4 > ev.BLOCK_ELEMENTS
+        assert ev.predictive_loglik(many, holdout) == pytest.approx(
+            predictive_loglik_per_draw(one, holdout), rel=1e-12)
+
+    def test_plug_in_scores_the_posterior_mean_draw(self):
+        # plug_in is the one-draw (D = 1) scorer on the aligned mean parameters
+        rng = np.random.default_rng(10)
+        draws = random_draws(rng, 6, [2, 5, 1, 3])
+        holdout = Dataset(rng.integers(0, 2, size=(31, 4)))
+        pi_bar, theta_bar = ev.posterior_mean_parameters(draws)
+        mean_draw = PosteriorDraws(
+            iters=np.arange(1), log_joint=np.zeros(1), v=np.zeros(1), pi=pi_bar[None],
+            base_columns=np.tile(np.arange(1, 6), (1, 4, 1)), theta_prime=theta_bar.T[None])
+        assert ev.predictive_loglik(draws, holdout, "plug_in") == pytest.approx(
+            predictive_loglik_per_draw(mean_draw, holdout), rel=1e-12)
 
     def test_plug_in_equals_predictive_mean_on_one_draw(self):
         rng = np.random.default_rng(7)

@@ -947,6 +947,18 @@ class TestLockstep:
         with pytest.raises(ValueError, match="lockstep"):
             mcmc.run_lockstep([(data, prior, 0), (data, zero, 1)], config)
 
+    @pytest.mark.parametrize("zeta", [[0.5, 0.0, 0.25, 0.25], [0.5, 0.0, 0.0, 0.5]])
+    def test_zeta_with_a_gap_fails_before_sampling(self, monkeypatch, zeta):
+        # one base move changes a set count by at most one, so a chain started
+        # at 4 sets never reaches 1 set: such a prior-only chain read set-count
+        # frequencies [0, 0, 0.51, 0.49] against zeta = [0.5, 0, 0.25, 0.25]
+        monkeypatch.setattr(mcmc, "_initial_state", None)  # must not run
+        gapped = PriorConfig(alpha_c=np.ones(4), zeta=np.array(zeta))
+        lam = PriorConfig.default(4, lam=0.5)
+        data = Dataset(np.zeros((0, 3), dtype=np.int64))
+        with pytest.raises(ValueError, match=r"zeta .* one unbroken run"):
+            mcmc.run_lockstep([(data, lam, 0), (data, gapped, 1)], McmcConfig(n_main=2))
+
     def test_run_chains_in_one_worker_equals_chain_by_chain(self):
         data, prior, _ = self.lanes("free")[0]
         config = McmcConfig(n_main=8, n_warmup=3, seed=4, n_chains=3)
