@@ -18,7 +18,6 @@ from .model import (
     stirling2,
 )
 from .mcmc import McmcConfig, PosteriorDraws, run_chain, run_chains
-from .repelled_beta import SamplingError
 
 __version__ = "0.1.0"
 
@@ -29,7 +28,6 @@ __all__ = [
     "ModelState",
     "PosteriorDraws",
     "PriorConfig",
-    "SamplingError",
     "base_vector_log_prior",
     "bell",
     "canonicalize",

@@ -179,6 +179,9 @@ def cmd_cv(args):
 
 
 def cmd_check_id(args):
+    with open(args.matrix) as fh:  # loadtxt would only warn on a file with no rows
+        if not any(line.split("#")[0].strip() for line in fh):
+            raise ValueError(f"matrix file {args.matrix} holds no rows")
     raw = np.loadtxt(args.matrix, delimiter=",", dtype=np.int64, ndmin=2)
     # a class-by-item file; the search takes one canonical column per item
     columns = identifiability.q_matrix_to_base(raw) if args.q_matrix else canonicalize(raw.T)

@@ -3,13 +3,15 @@ move (the collapsed Gibbs move at v = 0), and shrinkage slice updates of
 theta' and the repulsion exponent v.
 
 Each sweep updates, in order: all memberships, the class weights, then the
-base class columns and theta'. The base move takes every item in one
-batched step and redraws theta' conjugately; with v free it accepts each
-item by its repelled beta density ratio and is followed by one
-hyperrectangle slice update of every item's theta' row (Neal 2003, §5.1)
-and one slice update of v, both by one shrinkage routine. Chain k draws
-from child k of ``SeedSequence(seed)``, so chains are reproducible given
-(seed, chain index) and no two (seed, chain index) pairs share a stream.
+base class columns and theta'. Every move acts on the whole block it is
+given, never on a subset of items. The base move takes every item of
+every chain in one batched step and redraws theta' conjugately; with v
+free it accepts each item by its repelled beta density ratio and is
+followed by one hyperrectangle slice update of every item's theta' row
+(Neal 2003, §5.1) and one slice update of v, both by one shrinkage
+routine. Chain k draws from child k of ``SeedSequence(seed)``, so chains
+are reproducible given (seed, chain index) and no two (seed, chain index)
+pairs share a stream.
 
 :func:`run_lockstep` advances several independent chains one sweep at a
 time and runs the base move once per sweep over all their items, stacked
@@ -38,6 +40,7 @@ from .model import (
     check_columns,
     log_joints,
     pad_theta_prime,
+    parameter_error,
     theta_matrix,
 )
 # kept importable by this name: perfbench/tracing.py patches mcmc.full_log_joint
@@ -116,20 +119,31 @@ class PosteriorDraws:
 
     @classmethod
     def from_jsonl(cls, path) -> "PosteriorDraws":
+        """Read a draws file with a model state's checks on every record; a
+        missing field or a bad value is named with its record."""
         with open(path) as fh:
             recs = [json.loads(line) for line in fh]
         if not recs:
             raise ValueError(f"draws file {path} holds no draws")
-        base_columns = np.array([rec["B"] for rec in recs], dtype=np.int64)
-        check_columns(base_columns.reshape(-1, base_columns.shape[-1]), "stored base column")
-        return cls(
-            iters=np.array([rec["iter"] for rec in recs], dtype=np.int64),
-            log_joint=np.array([rec["log_joint"] for rec in recs], dtype=np.float64),
-            v=np.array([rec["v"] for rec in recs], dtype=np.float64),
-            pi=np.array([rec["pi"] for rec in recs], dtype=np.float64),
-            base_columns=base_columns,
-            theta_prime=pad_theta_prime(base_columns, [rec["theta_prime"] for rec in recs]),
-        )
+        try:
+            base_columns = np.array([rec["B"] for rec in recs], dtype=np.int64)
+            check_columns(base_columns.reshape(-1, base_columns.shape[-1]), "stored base column")
+            draws = cls(
+                iters=np.array([rec["iter"] for rec in recs], dtype=np.int64),
+                log_joint=np.array([rec["log_joint"] for rec in recs], dtype=np.float64),
+                v=np.array([rec["v"] for rec in recs], dtype=np.float64),
+                pi=np.array([rec["pi"] for rec in recs], dtype=np.float64),
+                base_columns=base_columns,
+                theta_prime=pad_theta_prime(base_columns, [rec["theta_prime"] for rec in recs]),
+            )
+        except KeyError as err:
+            key = err.args[0]
+            d = next(d for d, rec in enumerate(recs) if key not in rec)
+            raise ValueError(f"draws file {path}, record {d + 1}: no field {key!r}") from None
+        error = parameter_error(draws.pi, base_columns, draws.theta_prime)
+        if error:
+            raise ValueError(f"draws file {path}, record {error[0] + 1}: {error[1]}")
+        return draws
 
     def write_memberships(self, path) -> None:
         with open(path, "w") as fh:
@@ -245,13 +259,14 @@ class Lanes:
     base class columns and NaN-padded theta', laid out as ``ModelState``
     keeps them; ``succ`` (K, C, J) and ``totals`` (K, C) are its class
     counts, as ``kernels.class_counts`` returns them, and lane k draws from
-    ``rngs[k]``. ``staircase`` (K, J, C) repeats lane k's
-    :func:`_log_prior_by_n_sets` once per item. The blocks are copied from
-    the states once; each state's columns and theta' then view its lane of
-    them, so a move that writes the blocks moves every state, and a slice
-    update of a state's theta' rows writes the block. All lanes share C and
-    J. A base move sets ``n_accepted`` and ``n_changed``, the number of
-    items per lane whose move was accepted and whose column changed.
+    ``rngs[k]``. ``staircase`` (K, C) is lane k's
+    :func:`_log_prior_by_n_sets`. The blocks are copied from the states
+    once; each state's columns and theta' then view its lane of them, and
+    every update writes them in place, so a base move of the blocks moves
+    every state and a slice update of a state's theta' writes the block.
+    All lanes share C and J. A base move sets ``n_accepted`` and
+    ``n_changed``, the number of items per lane whose move was accepted and
+    whose column changed.
     """
 
     def __init__(self, states, priors, rngs, counts):
@@ -262,23 +277,12 @@ class Lanes:
             state.columns, state.theta_prime = columns, theta
         self.succ = np.stack([succ for succ, _ in counts])
         self.totals = np.stack([totals for _, totals in counts])
-        self.staircase = np.repeat(np.stack([_log_prior_by_n_sets(prior) for prior in priors])
-                                   [:, None], self.columns.shape[1], axis=1)
+        self.staircase = np.stack([_log_prior_by_n_sets(prior) for prior in priors])
         self.n_accepted, self.n_changed = np.zeros((2, len(self.states)), dtype=np.int64)
 
     def counts(self, k):
         """Lane k's class counts, views of the blocks."""
         return self.succ[k], self.totals[k]
-
-    def rows(self, items):
-        """The ``items`` of every lane as rows, lane after lane: their
-        (K, I, C) canonical columns, and their successes, class totals and
-        prior staircases as (K·I, C) blocks."""
-        columns = self.columns[:, items]
-        n_items, n_classes = columns.shape[1:]
-        succ = self.succ[:, :, items].swapaxes(1, 2).reshape(-1, n_classes)
-        return (columns, succ, np.repeat(self.totals, n_items, axis=0),
-                self.staircase[:, items].reshape(-1, n_classes))
 
 
 def _conjugate_theta(columns, succ, totals, rngs):
@@ -319,10 +323,9 @@ def _propose_columns(columns, succ, totals, log_prior_by_n_sets, rngs):
     return _relabel(columns, targets, labels[np.arange(len(columns)), picks])
 
 
-def _base_move(items, lanes):
-    """The base move of both v modes on one item, an index array or a slice
-    of items of every lane of the :class:`Lanes` block, as one stacked step
-    over their rows.
+def _base_move(lanes):
+    """The base move of both v modes on every item of every lane of the
+    :class:`Lanes` block, as one stacked step over their (K·J, C) rows.
 
     Each item's column comes from :func:`_propose_columns` and every set of
     it takes a fresh theta' from :func:`_conjugate_theta`. In Green's
@@ -334,48 +337,43 @@ def _base_move(items, lanes):
     stream. At v = 0 the ratio is identically 1: every row is accepted and
     no uniform is drawn, which makes this the collapsed Gibbs move. Lanes
     share no draw and every row is computed on its own, so each lane's
-    stream and state follow exactly as in a one-lane block. Sets
-    ``lanes.n_accepted`` and ``lanes.n_changed``, the numbers of items
-    accepted and of columns changed per lane.
+    stream and state follow exactly as in a one-lane block. Writes the
+    blocks in place and sets ``lanes.n_accepted`` and ``lanes.n_changed``,
+    the numbers of items accepted and of columns changed per lane.
     """
-    if not isinstance(items, slice):
-        items = np.atleast_1d(items)
-    old_columns, succ, totals, staircase = lanes.rows(items)
-    old_theta = lanes.theta[:, items]
-    n_lanes, n_items, n_classes = old_columns.shape
-    columns = _propose_columns(old_columns.reshape(-1, n_classes), succ, totals, staircase,
+    n_lanes, n_items, n_classes = lanes.columns.shape
+    succ = lanes.succ.swapaxes(1, 2).reshape(-1, n_classes)
+    totals, staircase = (np.repeat(block, n_items, axis=0)
+                         for block in (lanes.totals, lanes.staircase))
+    columns = _propose_columns(lanes.columns.reshape(-1, n_classes), succ, totals, staircase,
                                lanes.rngs)
-    theta = _conjugate_theta(columns, succ, totals, lanes.rngs).reshape(old_theta.shape)
-    columns = columns.reshape(old_columns.shape)
+    theta = _conjugate_theta(columns, succ, totals, lanes.rngs).reshape(lanes.theta.shape)
+    columns = columns.reshape(lanes.columns.shape)
     n_accepted = np.full(n_lanes, n_items)
     for k, (state, rng) in enumerate(zip(lanes.states, lanes.rngs)):
         if state.v > 0:
             log_acc = (repelled_beta.log_density_all_ones(theta[k], state.v)
-                       - repelled_beta.log_density_all_ones(old_theta[k], state.v))
+                       - repelled_beta.log_density_all_ones(lanes.theta[k], state.v))
             keep = (np.log(rng.random(n_items)) < log_acc)[:, None]
-            columns[k] = np.where(keep, columns[k], old_columns[k])
-            theta[k] = np.where(keep, theta[k], old_theta[k])
+            columns[k] = np.where(keep, columns[k], lanes.columns[k])
+            theta[k] = np.where(keep, theta[k], lanes.theta[k])
             n_accepted[k] = keep.sum()
-    # compared before the write-back, which a slice of items makes to the
-    # memory old_columns views
-    lanes.n_changed = (columns != old_columns).any(axis=2).sum(axis=1)
-    lanes.columns[:, items], lanes.theta[:, items] = columns, theta
+    lanes.n_changed = (columns != lanes.columns).any(axis=2).sum(axis=1)
+    lanes.columns[...], lanes.theta[...] = columns, theta
     lanes.n_accepted = n_accepted
 
 
-def gibbs_update_base_class_v0(items, lanes):
-    """Collapsed Gibbs move on the partitions and theta' of the ``items``
-    (see :func:`_base_move`) of every lane of ``lanes``, valid at v = 0:
-    :func:`_base_move`, which accepts every proposal there. Returns
-    ``lanes``."""
-    _base_move(items, lanes)
+def gibbs_update_base_class_v0(lanes):
+    """Collapsed Gibbs move on the partitions and theta' of every item of
+    every lane of ``lanes``, valid at v = 0: :func:`_base_move`, which
+    accepts every proposal there. Returns ``lanes``."""
+    _base_move(lanes)
     return lanes
 
 
-def rj_update_base_class(items, lanes):
-    """Reversible jump move on the partitions and theta' of the ``items``
-    (see :func:`_base_move`) of every lane of ``lanes``, for v > 0:
-    :func:`_base_move`.
+def rj_update_base_class(lanes):
+    """Reversible jump move on the partitions and theta' of every item of
+    every lane of ``lanes``, for v > 0: :func:`_base_move`.
 
     Returns ``(lanes, n_accepted)``, the number accepted over all lanes;
     ``lanes.n_accepted`` has it per lane. Neither public move calls the
@@ -383,7 +381,7 @@ def rj_update_base_class(items, lanes):
     ``perfbench/tracing.py`` wraps both bindings by name and reads
     ``result[1]`` here.
     """
-    _base_move(items, lanes)
+    _base_move(lanes)
     return lanes, int(lanes.n_accepted.sum())
 
 
@@ -467,13 +465,14 @@ def metropolis_update_v(state, prior, rng):
     return state, n_evals
 
 
-def gibbs_update_theta(items, state, rng, counts):
-    """Slice update of the repelled beta theta' of one item or an index
-    array of items: given the columns and v the items are independent, so
-    each item's NaN-padded theta' row moves in its own box on (0, 1)^m, all
-    rows in one :func:`_shrinkage_slice` call. A row's target is its sets'
-    summed beta kernels plus its repulsion gap term. ``counts`` are the
-    ``kernels.class_counts`` of the state's memberships.
+def gibbs_update_theta(state, rng, counts):
+    """Slice update of the repelled beta theta' of every item: given the
+    columns and v the items are independent, so each item's NaN-padded
+    theta' row moves in its own box on (0, 1)^m, all rows in one
+    :func:`_shrinkage_slice` call, and the result is written into the
+    state's block in place. A row's target is its sets' summed beta kernels
+    plus its repulsion gap term. ``counts`` are the ``kernels.class_counts``
+    of the state's memberships.
 
     Returns ``(state, n_evals, False)``, ``n_evals`` counting one per row
     evaluation. The name and the three-tuple are kept because
@@ -481,8 +480,7 @@ def gibbs_update_theta(items, state, rng, counts):
     ``result[1]`` and ``result[2]``.
     """
     succ, totals = counts
-    items = np.atleast_1d(items)
-    s, f = _set_counts(state.columns[items], succ[:, items].T, totals)
+    s, f = _set_counts(state.columns, succ.T, totals)
 
     def logf(x, rows):
         # every real kernel term is <= 0 and padding gives NaN, so fmin with
@@ -490,8 +488,7 @@ def gibbs_update_theta(items, state, rng, counts):
         return (np.fmin(s[rows] * np.log(x) + f[rows] * np.log1p(-x), 0.0).sum(axis=1)
                 + repelled_beta.log_gap_term(x, state.v))
 
-    state.theta_prime[items], n_evals = _shrinkage_slice(logf, state.theta_prime[items],
-                                                         0.0, 1.0, rng)
+    state.theta_prime[...], n_evals = _shrinkage_slice(logf, state.theta_prime, 0.0, 1.0, rng)
     return state, n_evals, False
 
 
@@ -562,11 +559,11 @@ def run_lockstep(lanes, config: McmcConfig) -> list:
     lanes are. The lanes must share the item count, the class count and the
     v mode; their data and priors may differ.
 
-    Sweep order, per lane: memberships, class counts, pi; then one batched
-    base move of every lane's items (at v = 0 the collapsed move of every
-    column and theta', at free v the reversible jump move), as one stacked
-    step over the lanes' :class:`Lanes` block; then at free v, per lane, one
-    batched slice update of theta' and one slice update of v. The class
+    Sweep order, per lane: memberships, class counts, pi; then one base
+    move of the whole :class:`Lanes` block, every item of every lane in one
+    stacked step (at v = 0 the collapsed move of every column and theta', at
+    free v the reversible jump move); then at free v, per lane, one slice
+    update of every item's theta' row and one slice update of v. The class
     counts are counted in full once, before the first sweep; each sweep then
     updates them from the rows whose class its membership draw changed, with
     the bits of a full recount. Warmup sweeps are discarded and every
@@ -596,7 +593,6 @@ def run_lockstep(lanes, config: McmcConfig) -> list:
     # the class counts of the current memberships, carried across sweeps
     block = Lanes(states, [prior for _, prior, _ in lanes], rngs,
                   [_full_counts(state, data) for state, (data, _, _) in zip(states, lanes)])
-    items = np.arange(n_items)
 
     kept = [[] for _ in lanes]  # one tuple per retained draw
     memberships = [{} for _ in lanes]
@@ -612,9 +608,9 @@ def run_lockstep(lanes, config: McmcConfig) -> list:
                                                                 block.counts(k))
             gibbs_update_pi(state, prior, rngs[k], block.totals[k])
         if v_mode == V_FIXED_ZERO:
-            gibbs_update_base_class_v0(slice(None), block)
+            gibbs_update_base_class_v0(block)
         else:
-            rj_update_base_class(slice(None), block)
+            rj_update_base_class(block)
             rj_accept += block.n_accepted
         col_changes += block.n_changed
 
@@ -625,7 +621,7 @@ def run_lockstep(lanes, config: McmcConfig) -> list:
         for k, (data, prior, _) in enumerate(lanes):
             state = states[k]
             if v_mode == V_FREE:
-                _, n_evals, _ = gibbs_update_theta(items, state, rngs[k], block.counts(k))
+                _, n_evals, _ = gibbs_update_theta(state, rngs[k], block.counts(k))
                 theta_evals[k] += n_evals
                 _, n_evals = metropolis_update_v(state, prior, rngs[k])
                 v_evals[k] += n_evals

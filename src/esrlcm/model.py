@@ -276,6 +276,26 @@ def _check_vectors(draw):
             raise ValueError(f"theta' of item {j} must be a list of values, got {t!r}")
 
 
+def parameter_error(pi, columns, theta_prime):
+    """``(d, message)`` for the first of D stacked parameter sets ((D, C)
+    ``pi``, (D, J, C) ``columns`` and ``theta_prime``) whose pi is not a
+    strictly positive probability vector of C weights (its sum within 1e-8
+    of 1) or that has a real theta' value outside (0, 1), else None; NaN
+    fails both."""
+    if pi.shape[-1] != columns.shape[-1]:
+        return 0, f"pi must hold one weight per class, got {pi[0].tolist()}"
+    bad_pi = ~((np.abs(pi.sum(axis=-1) - 1.0) <= 1e-8) & (pi > 0).all(axis=-1))
+    real = np.arange(columns.shape[-1]) < columns.max(axis=-1)[..., None]
+    bad_theta = real & ~((theta_prime > 0) & (theta_prime < 1))
+    if bad_pi.any():
+        d = bad_pi.argmax()
+        return d, f"pi must be a strictly positive probability vector, got {pi[d].tolist()}"
+    if bad_theta.any():
+        d, j, k = np.argwhere(bad_theta)[0]
+        return d, f"theta_prime of item {j} holds {theta_prime[d, j, k]}, outside (0, 1)"
+    return None
+
+
 def theta_matrix(columns, theta_prime) -> np.ndarray:
     """Per-class response probabilities, a C-contiguous classes-by-items
     matrix, from the (J, C) canonical columns and the (J, C) padded theta'.
@@ -293,9 +313,10 @@ class ModelState:
     ``memberships`` are 0-based class indices. ``columns`` is the (J, C)
     int64 block of canonical base class columns, one row per item, and
     ``theta_prime`` a (J, C) float array: ``theta_prime[j, k]`` is the
-    response probability of set k + 1 of item j, and entries past item j's
-    set count are NaN. The state owns a copy of the theta' block it is
-    given. The per-class response matrix is always derived, never stored.
+    response probability of set k + 1 of item j, in (0, 1), and entries
+    past item j's set count are NaN. The state owns a copy of the theta'
+    block it is given. The per-class response matrix is always derived,
+    never stored.
     """
 
     pi: np.ndarray
@@ -312,8 +333,6 @@ class ModelState:
         n_classes = self.columns.shape[1]
         if self.pi.shape != (n_classes,):
             raise ValueError("pi length must equal the number of classes")
-        if abs(self.pi.sum() - 1.0) > 1e-8 or np.any(self.pi <= 0):
-            raise ValueError("pi must be a strictly positive probability vector")
         if self.memberships.size and (
             self.memberships.min() < 0 or self.memberships.max() >= n_classes
         ):
@@ -322,6 +341,9 @@ class ModelState:
         if not np.array_equal(np.isnan(self.theta_prime), past):  # False on a wrong shape too
             raise ValueError("theta_prime must be an items x classes block holding one value "
                              "per set of each item, NaN past them")
+        error = parameter_error(self.pi[None], self.columns[None], self.theta_prime[None])
+        if error:
+            raise ValueError(error[1])
         if self.v < 0:
             raise ValueError("v must be nonnegative")
 

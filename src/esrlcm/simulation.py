@@ -84,14 +84,17 @@ class SimulationTruth(ModelState):
     def from_json(cls, path) -> "SimulationTruth":
         with open(path) as fh:
             rec = json.load(fh)
-        columns = check_columns(rec["B"])  # before theta' is padded to its set counts
-        return cls(
-            pi=rec["pi"],
-            memberships=rec["c"],
-            columns=columns,
-            theta_prime=pad_theta_prime(columns, rec["theta_prime"]),
-            seed=int(rec["seed"]),
-        )
+        try:
+            columns = check_columns(rec["B"])  # before theta' is padded to its set counts
+            return cls(
+                pi=rec["pi"],
+                memberships=rec["c"],
+                columns=columns,
+                theta_prime=pad_theta_prime(columns, rec["theta_prime"]),
+                seed=int(rec["seed"]),
+            )
+        except KeyError as err:
+            raise ValueError(f"truth file {path}: its record has no field {err.args[0]!r}") from None
 
 
 def _draw(theta, pi, n, rng):

@@ -122,10 +122,10 @@ def test_criterion_4_rj_gibbs_consistency(capsys):
         merged = 0
         for _ in range(sweeps):
             if kind == "gibbs":
-                gibbs_update_base_class_v0(0, lanes)
+                gibbs_update_base_class_v0(lanes)
             else:
-                rj_update_base_class(0, lanes)
-                gibbs_update_theta(0, state, rng, counts)
+                rj_update_base_class(lanes)
+                gibbs_update_theta(state, rng, counts)
             merged += state.columns[0, 1] == 1
         return merged / sweeps
 

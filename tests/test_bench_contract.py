@@ -1,6 +1,7 @@
 """The benchmark's traced run patches package bindings by name; a renamed or
 deleted binding must fail here, not only in the benchmark."""
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -62,7 +63,14 @@ def test_traced_fit_runs_with_every_patch_installed(tmp_path, monkeypatch, v_mod
         # one batched theta' slice update per sweep, no rejection draw
         theta = [rec for rec in tracer.spans if rec[tracing.NAME] == "mcmc.theta"]
         assert len(theta) == 5
-        assert tracer.counts["rj.moves"] and tracer.counts["v.moves"]
+        assert tracer.counts["rj.moves"]
+        # the tracer reads the theta' and v updates' return tuples; its
+        # tallies agree with the chain's own stats over 3 items x 5 sweeps
+        stats = json.loads((tmp_path / "out" / "summary.json").read_text())["chains"][0]
+        assert tracer.counts["theta.updates"] == 5
+        assert tracer.counts["theta.attempts"] / (3 * 5) == stats["theta_evals_per_update"]
+        assert tracer.counts["theta.fallbacks"] == 0
+        assert tracer.counts["v.moves"] == 5
     else:
         # at v = 0 the base move also draws theta'
         assert "mcmc.theta" not in names

@@ -323,6 +323,14 @@ class TestCheckIdCommand:
         assert cli.main(["check-id", "--matrix", str(path), "--out", str(out)]) == 0
         assert json.loads(out.read_text())["status"] == "Unknown"
 
+    @pytest.mark.parametrize("text", ["", "\n\n", "# no rows\n"])
+    def test_matrix_without_rows_rejected(self, tmp_path, capsys, text):
+        # with only the error line: loadtxt would warn that the input has no data
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        assert cli.main(["check-id", "--matrix", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: matrix file {path} holds no rows\n"
+
     def test_exhaustive_budget_exceeded_fails(self, tmp_path, capsys):
         path = tmp_path / "b.csv"
         np.savetxt(path, np.array([[1, 1], [2, 2], [3, 3]]), fmt="%d", delimiter=",")
@@ -475,6 +483,17 @@ class TestMetricsCommand:
         (lambda recs: recs[1]["theta_prime"].__setitem__(2, 0.5),
          "theta' of item 2 must be a list of values"),
         (lambda recs: recs.clear(), "holds no draws"),
+        (lambda recs: recs[1].__setitem__("pi", [5, 5, 5, 5]),
+         "record 2: pi must be a strictly positive probability vector, "
+         "got [5.0, 5.0, 5.0, 5.0]"),
+        (lambda recs: recs[0]["pi"].__setitem__(0, float("nan")),
+         "record 1: pi must be a strictly positive probability vector"),
+        (lambda recs: [rec.__setitem__("pi", [0.5, 0.5]) for rec in recs],
+         "record 1: pi must hold one weight per class, got [0.5, 0.5]"),
+        (lambda recs: recs[0]["theta_prime"][2].__setitem__(0, 1.5),
+         "record 1: theta_prime of item 2 holds 1.5, outside (0, 1)"),
+        (lambda recs: recs[1]["theta_prime"][0].__setitem__(0, 0.0),
+         "record 2: theta_prime of item 0 holds 0.0, outside (0, 1)"),
     ])
     def test_malformed_draws_file_rejected(self, small_fit, capsys, corrupt, message):
         _, truth_json, draws = small_fit
@@ -487,12 +506,31 @@ class TestMetricsCommand:
         assert cli.main(["metrics", "--truth", str(truth_json), "--draws", str(draws)]) == 1
         assert message in capsys.readouterr().err
 
+    def test_draws_record_without_a_field_named(self, small_fit, capsys):
+        _, truth_json, draws = small_fit
+        recs = [json.loads(line) for line in draws.read_text().splitlines()]
+        del recs[1]["v"]
+        draws.write_text("".join(json.dumps(rec) + "\n" for rec in recs))
+        assert cli.main(["metrics", "--truth", str(truth_json), "--draws", str(draws)]) == 1
+        assert capsys.readouterr().err == f"error: draws file {draws}, record 2: no field 'v'\n"
+
+    def test_truth_without_a_field_named(self, small_fit, capsys):
+        _, truth_json, draws = small_fit
+        rec = json.loads(truth_json.read_text())
+        del rec["seed"]
+        truth_json.write_text(json.dumps(rec))
+        assert cli.main(["metrics", "--truth", str(truth_json), "--draws", str(draws)]) == 1
+        assert capsys.readouterr().err == (f"error: truth file {truth_json}: "
+                                           "its record has no field 'seed'\n")
+
     @pytest.mark.parametrize("corrupt, message", [
         (lambda rec: rec["B"].__setitem__(0, [2, 1, 1, 1]),
          "base column [2, 1, 1, 1] is not canonical"),
         (lambda rec: rec["theta_prime"][3].append(0.5), "do not match the set counts"),
         (lambda rec: rec.__setitem__("pi", [0.5] * 4),
          "pi must be a strictly positive probability vector"),
+        (lambda rec: rec["theta_prime"][3].__setitem__(0, 1.5),
+         "theta_prime of item 3 holds 1.5, outside (0, 1)"),
     ])
     def test_malformed_truth_file_rejected(self, small_fit, capsys, corrupt, message):
         _, truth_json, draws = small_fit

@@ -159,7 +159,7 @@ class TestBaseClassGibbsV0:
         seen = []
         lanes = one_lane(state, data, prior, rng)
         for _ in range(20_000):
-            gibbs_update_base_class_v0(0, lanes)
+            gibbs_update_base_class_v0(lanes)
             seen.append(state.columns[0].tolist())
         freq = partition_distribution(seen, 3)
         for col, target in exact_prior(prior, 3).items():
@@ -180,7 +180,7 @@ class TestBaseClassGibbsV0:
         n_sweeps = 30_000
         lanes = mcmc.Lanes([state], [prior], [rng], [(succ, totals)])
         for _ in range(n_sweeps):
-            gibbs_update_base_class_v0(np.arange(3), lanes)
+            gibbs_update_base_class_v0(lanes)
             for j in range(3):
                 key = tuple(state.columns[j].tolist())
                 seen[j][key] = seen[j].get(key, 0) + 1
@@ -209,7 +209,7 @@ class TestBaseClassGibbsV0:
         seen = []
         lanes = one_lane(state, data, prior, rng)
         for _ in range(20_000):
-            gibbs_update_base_class_v0(0, lanes)
+            gibbs_update_base_class_v0(lanes)
             seen.append(state.columns[0].tolist())
         freq = partition_distribution(seen, 2)
         assert freq[(1, 1)] == pytest.approx(2 / 5, abs=0.02)
@@ -227,8 +227,8 @@ class TestReversibleJump:
         seen = []
         lanes = one_lane(state, data, prior, rng)
         for _ in range(30_000):
-            rj_update_base_class(0, lanes)
-            gibbs_update_theta(0, state, rng, lanes.counts(0))
+            rj_update_base_class(lanes)
+            gibbs_update_theta(state, rng, lanes.counts(0))
             seen.append(state.columns[0].tolist())
         freq = partition_distribution(seen, 3)
         for col, target in exact_prior(prior, 3).items():
@@ -250,12 +250,12 @@ class TestReversibleJump:
         two_set_draws = [[] for _ in items]
         lanes = one_lane(state, data, prior, rng)
         for _ in range(30_000):
-            rj_update_base_class(items, lanes)
+            rj_update_base_class(lanes)
             for j in items:
                 seen[j].append(state.columns[j].tolist())
                 if state.columns[j].max() == 2:
                     two_set_draws[j].append(np.sort(state.theta_prime[j, :2]))
-            gibbs_update_theta(items, state, rng, lanes.counts(0))
+            gibbs_update_theta(state, rng, lanes.counts(0))
         expected = [expected_rho(2, v, k) for k in (1, 2)]
         for j in items:
             freq = partition_distribution(seen[j], 3)
@@ -273,12 +273,11 @@ class TestReversibleJump:
         prior = PriorConfig.default(3, lam=0.5, v_mode="free")
         data = Dataset(np.empty((0, n_items), dtype=int))
         state = make_state([[1, 2, 3]] * n_items, [[0.2, 0.5, 0.8]] * n_items, [], v=v)
-        items = np.arange(n_items)
         n_one_set = []
         lanes = one_lane(state, data, prior, rng)
         for sweep in range(4_400):
-            rj_update_base_class(items, lanes)
-            gibbs_update_theta(items, state, rng, lanes.counts(0))
+            rj_update_base_class(lanes)
+            gibbs_update_theta(state, rng, lanes.counts(0))
             if sweep >= 400:
                 n_one_set.append(np.sum(state.columns.max(axis=1) == 1))
         p = np.exp(base_vector_log_prior(np.array([1, 1, 1]), prior))
@@ -295,15 +294,15 @@ class TestReversibleJump:
         gibbs_seen = []
         lanes = one_lane(state, data, prior, rng)
         for _ in range(25_000):
-            gibbs_update_base_class_v0(0, lanes)
+            gibbs_update_base_class_v0(lanes)
             gibbs_seen.append(state.columns[0].tolist())
 
         state = make_state([[1, 2]], [[0.4, 0.6]], memberships, v=1e-6)
         rj_seen = []
         lanes = one_lane(state, data, prior, rng)
         for _ in range(25_000):
-            rj_update_base_class(0, lanes)
-            gibbs_update_theta(0, state, rng, lanes.counts(0))
+            rj_update_base_class(lanes)
+            gibbs_update_theta(state, rng, lanes.counts(0))
             rj_seen.append(state.columns[0].tolist())
 
         gibbs_freq = partition_distribution(gibbs_seen, 2)
@@ -321,8 +320,8 @@ class TestReversibleJump:
         two_set_draws = []
         lanes = one_lane(state, data, prior, rng)
         for _ in range(30_000):
-            rj_update_base_class(0, lanes)
-            gibbs_update_theta(0, state, rng, lanes.counts(0))
+            rj_update_base_class(lanes)
+            gibbs_update_theta(state, rng, lanes.counts(0))
             if state.columns[0].max() == 2:
                 two_set_draws.append(np.sort(state.theta_prime[0, :2]))
         two_set_draws = np.asarray(two_set_draws)
@@ -377,7 +376,6 @@ class TestReversibleJumpRatio:
         columns = [random_canonical_column(rng, n_classes) for _ in range(n_items)]
         memberships = rng.integers(0, n_classes, size=data.n)
         succ, totals = kernels.class_counts(data.x, memberships, n_classes)
-        items = np.arange(n_items)
         states = [make_state(columns, [np.full(c.max(), 0.5) for c in columns], memberships)
                   for _ in range(3)]
         rngs = [np.random.default_rng(99) for _ in range(3)]
@@ -386,8 +384,8 @@ class TestReversibleJumpRatio:
         rows = np.broadcast_to(totals, succ.T.shape)
         staircase = np.broadcast_to(mcmc._log_prior_by_n_sets(prior), succ.T.shape)
         for _ in range(20):
-            gibbs_update_base_class_v0(items, gibbs)
-            _, n_accepted = rj_update_base_class(items, rj)
+            gibbs_update_base_class_v0(gibbs)
+            _, n_accepted = rj_update_base_class(rj)
             assert n_accepted == n_items
             proposed = mcmc._propose_columns(states[2].columns, succ.T, rows, staircase,
                                              [rngs[2]])
@@ -520,7 +518,7 @@ class TestThetaGibbs:
         draws = []
         counts = kernels.class_counts(data.x, state.memberships, state.columns.shape[1])
         for _ in range(20_000):
-            gibbs_update_theta(0, state, rng, counts)
+            gibbs_update_theta(state, rng, counts)
             draws.append(state.theta_prime[0].copy())
         draws = np.asarray(draws)
         assert stats.kstest(draws[:, 0], stats.uniform.cdf).pvalue > 0.01
@@ -533,7 +531,7 @@ class TestThetaGibbs:
         draws = []
         counts = kernels.class_counts(data.x, state.memberships, state.columns.shape[1])
         for _ in range(30_000):
-            gibbs_update_theta(0, state, rng, counts)
+            gibbs_update_theta(state, rng, counts)
             draws.append(state.theta_prime[0][0])
         assert stats.kstest(np.asarray(draws), stats.beta(4, 2).cdf).pvalue > 0.01
 
@@ -554,8 +552,7 @@ class TestThetaGibbs:
 
         state = make_state(np.tile(np.arange(1, n_sets + 1), (n_items, 1)), exact(), [], v=v)
         counts = (np.tile(succ[:, None], (1, n_items)), totals)
-        _, n_evals, fell_back = gibbs_update_theta(np.arange(n_items), state, rng,
-                                                   counts=counts)
+        _, n_evals, fell_back = gibbs_update_theta(state, rng, counts=counts)
         assert n_evals >= 2 * n_items and not fell_back
         moved, fresh = np.sort(state.theta_prime, axis=1), np.sort(exact(), axis=1)
         for k in range(n_sets):
@@ -584,7 +581,7 @@ class TestThetaGibbs:
         data = Dataset(np.array([[1, 0], [0, 1], [1, 1]]))
         state = make_state([[1, 2, 3], [1, 2, 2]], [[0.2, 0.5, 0.8], [0.3, 0.6]], [0, 1, 2],
                            v=1.0)
-        gibbs_update_theta(np.arange(2), state, EndsFirst(),
+        gibbs_update_theta(state, EndsFirst(),
                            kernels.class_counts(data.x, state.memberships, 3))
         used = ~np.isnan(state.theta_prime)
         assert np.array_equal(used, [[True] * 3, [True, True, False]])
@@ -615,7 +612,7 @@ class TestThetaGibbs:
         draws = []
         counts = kernels.class_counts(data.x, state.memberships, state.columns.shape[1])
         for _ in range(5_000):
-            gibbs_update_theta(0, state, rng, counts)
+            gibbs_update_theta(state, rng, counts)
             draws.append(state.theta_prime[0][0])
         assert np.mean(draws) == pytest.approx(10 / 12, abs=0.02)
 

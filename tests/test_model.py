@@ -287,6 +287,19 @@ class TestTypes:
                        columns=np.array([[1, 1]]),
                        theta_prime=np.array([[0.5, 0.6]]))
 
+    @pytest.mark.parametrize("pi, theta_prime, message", [
+        ([5.0, 5.0], [[0.5, 0.6]], "pi must be a strictly positive probability vector"),
+        ([np.nan, 1.0], [[0.5, 0.6]], "pi must be a strictly positive probability vector"),
+        ([1.0, 0.0], [[0.5, 0.6]], "pi must be a strictly positive probability vector"),
+        ([0.5, 0.5], [[0.5, 1.5]], "theta_prime of item 0 holds 1.5, outside (0, 1)"),
+        ([0.5, 0.5], [[0.0, 0.6]], "theta_prime of item 0 holds 0.0, outside (0, 1)"),
+    ])
+    def test_model_state_rejects_values_outside_their_range(self, pi, theta_prime, message):
+        with pytest.raises(ValueError) as err:
+            ModelState(pi=np.array(pi), memberships=np.array([0]), columns=np.array([[1, 2]]),
+                       theta_prime=np.array(theta_prime))
+        assert message in str(err.value)
+
 
 class TestFullLogJoint:
     def test_degenerate_single_cell_model(self):
