@@ -37,10 +37,9 @@ from .model import (
     PriorConfig,
     base_vector_log_prior,
     canonicalize,
-    check_columns,
     log_joints,
-    pad_theta_prime,
-    parameter_error,
+    parameter_record,
+    read_parameters,
     theta_matrix,
 )
 # kept importable by this name: perfbench/tracing.py patches mcmc.full_log_joint
@@ -103,47 +102,24 @@ class PosteriorDraws:
         return theta_matrix(self.base_columns, self.theta_prime)
 
     def to_jsonl(self, path) -> None:
-        n_sets = self.base_columns.max(axis=2)
         with open(path, "w") as fh:
             for d in range(self.n_draws):
-                rec = {
-                    "iter": int(self.iters[d]),
-                    "log_joint": float(self.log_joint[d]),
-                    "v": float(self.v[d]),
-                    "pi": self.pi[d].tolist(),
-                    "B": self.base_columns[d].tolist(),
-                    "theta_prime": [tp[:n].tolist()
-                                    for tp, n in zip(self.theta_prime[d], n_sets[d])],
-                }
+                rec = {"iter": int(self.iters[d]), "log_joint": float(self.log_joint[d]),
+                       "v": float(self.v[d]),
+                       **parameter_record(self.pi[d], self.base_columns[d], self.theta_prime[d])}
                 fh.write(json.dumps(rec) + "\n")
 
     @classmethod
     def from_jsonl(cls, path) -> "PosteriorDraws":
-        """Read a draws file with a model state's checks on every record; a
-        missing field or a bad value is named with its record."""
+        """Read a draws file, every record checked by :func:`model.read_parameters`."""
         with open(path) as fh:
-            recs = [json.loads(line) for line in fh]
-        if not recs:
+            lines = fh.read().splitlines()
+        if not lines:
             raise ValueError(f"draws file {path} holds no draws")
-        try:
-            base_columns = np.array([rec["B"] for rec in recs], dtype=np.int64)
-            check_columns(base_columns.reshape(-1, base_columns.shape[-1]), "stored base column")
-            draws = cls(
-                iters=np.array([rec["iter"] for rec in recs], dtype=np.int64),
-                log_joint=np.array([rec["log_joint"] for rec in recs], dtype=np.float64),
-                v=np.array([rec["v"] for rec in recs], dtype=np.float64),
-                pi=np.array([rec["pi"] for rec in recs], dtype=np.float64),
-                base_columns=base_columns,
-                theta_prime=pad_theta_prime(base_columns, [rec["theta_prime"] for rec in recs]),
-            )
-        except KeyError as err:
-            key = err.args[0]
-            d = next(d for d, rec in enumerate(recs) if key not in rec)
-            raise ValueError(f"draws file {path}, record {d + 1}: no field {key!r}") from None
-        error = parameter_error(draws.pi, base_columns, draws.theta_prime)
-        if error:
-            raise ValueError(f"draws file {path}, record {error[0] + 1}: {error[1]}")
-        return draws
+        block = read_parameters(lines, lambda d: f"draws file {path}, record {d + 1}: ",
+                                {"iter": (int, 0), "log_joint": (float, 0), "v": (float, 0)})
+        return cls(iters=block["iter"], log_joint=block["log_joint"], v=block["v"],
+                   pi=block["pi"], base_columns=block["B"], theta_prime=block["theta_prime"])
 
     def write_memberships(self, path) -> None:
         with open(path, "w") as fh:
@@ -234,10 +210,6 @@ def _relabel(columns, targets, new_labels):
     moved = columns.copy()
     moved[np.arange(len(moved)), targets] = new_labels
     return canonicalize(moved)
-
-
-def _full_counts(state, data):
-    return kernels.class_counts(data.x, state.memberships, state.columns.shape[1])
 
 
 def _class_count_cache(data, old, new, counts):
@@ -592,7 +564,8 @@ def run_lockstep(lanes, config: McmcConfig) -> list:
     states = [_initial_state(data, prior, rng) for (data, prior, _), rng in zip(lanes, rngs)]
     # the class counts of the current memberships, carried across sweeps
     block = Lanes(states, [prior for _, prior, _ in lanes], rngs,
-                  [_full_counts(state, data) for state, (data, _, _) in zip(states, lanes)])
+                  [kernels.class_counts(data.x, state.memberships, state.columns.shape[1])
+                   for state, (data, _, _) in zip(states, lanes)])
 
     kept = [[] for _ in lanes]  # one tuple per retained draw
     memberships = [{} for _ in lanes]

@@ -7,6 +7,9 @@ of all items form an int64 (J, C) block, one canonical column per row
 always compare equal.
 """
 
+import json
+import reprlib
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
@@ -46,16 +49,17 @@ def is_canonical(column) -> bool:
     return bool(np.array_equal(column, canonicalize(column)))
 
 
-def check_columns(columns, what="base column") -> np.ndarray:
+def check_columns(columns, where=lambda r: "") -> np.ndarray:
     """``columns`` as an int64 (J, C) block of canonical columns, one per
-    row; else ``ValueError``, naming the first bad column as ``what``."""
+    row; else ``ValueError``, naming the first bad row r after ``where(r)``."""
     columns = np.asarray(columns, dtype=np.int64)
     if columns.ndim != 2 or columns.size == 0:
-        raise ValueError(f"base columns must be a nonempty items x classes block, "
+        raise ValueError(f"{where(0)}base columns must be a nonempty items x classes block, "
                          f"got shape {columns.shape}")
     bad = (columns != canonicalize(columns)).any(axis=1)
     if bad.any():
-        raise ValueError(f"{what} {columns[bad][0].tolist()} is not canonical")
+        raise ValueError(f"{where(bad.argmax())}base column {columns[bad][0].tolist()} "
+                         "is not canonical")
     return columns
 
 
@@ -241,59 +245,105 @@ def base_vector_log_prior(columns, prior: PriorConfig):
     return float(out) if columns.ndim == 1 else out
 
 
-def pad_theta_prime(columns, vectors) -> np.ndarray:
+def pad_theta_prime(columns, vectors, where=lambda d: "") -> np.ndarray:
     """Per-item theta' vectors as one block shaped like ``columns``, NaN past
     each item's set count. ``columns`` is (J, C) and ``vectors[j]`` needs one
     value per set of row j; for a (D, J, C) stack, ``vectors[d]`` holds the J
-    vectors of draw d. Every value is copied in one pass."""
+    vectors of draw d, and its faults follow ``where(d)``. Every value is
+    copied in one pass."""
     columns = np.asarray(columns)
     n_sets = columns.max(axis=-1)
     draws = vectors if columns.ndim == 3 else [vectors]
-    for draw_sets, draw in zip(n_sets.reshape(-1, columns.shape[-2]), draws):
-        # a draw of lists passes as it is; its values are checked as they are read
-        if not all(type(t) is list for t in draw):
-            _check_vectors(draw)
-        lengths = list(map(len, draw))
-        if lengths != draw_sets.tolist():
-            raise ValueError(f"theta' lengths {lengths} do not match the set counts "
-                             f"{draw_sets.tolist()} of the base class columns")
-    block = np.full(columns.shape, np.nan)
+    for d, (draw, counts) in enumerate(zip(draws, n_sets.reshape(-1, columns.shape[-2]).tolist())):
+        # a list passes as it is; its values are checked as they are copied
+        lengths = [len(t) if type(t) is list or np.ndim(t) == 1 else None
+                   for t in (draw if type(draw) in (list, np.ndarray) else [draw])]
+        if None in lengths:
+            raise ValueError(f"{where(d)}theta' of item {lengths.index(None)} "
+                             "must be a list of values")
+        if lengths != counts:
+            raise ValueError(f"{where(d)}theta' lengths {lengths} do not match the set counts "
+                             f"{counts} of the base class columns")
     try:
         values = np.fromiter(chain.from_iterable(chain.from_iterable(draws)), dtype=np.float64)
-    except ValueError:
-        for draw in draws:  # name the item whose vector holds a sequence
-            _check_vectors(draw)
-        raise
+    except (TypeError, ValueError) as err:  # name the first draw holding a non-number
+        d = next(d for d, draw in enumerate(draws)
+                 if not all(isinstance(x, (int, float)) for x in chain.from_iterable(draw)))
+        raise ValueError(f"{where(d)}theta' holds a value that is not a number: {err}") from None
+    block = np.full(columns.shape, np.nan)
     block[np.arange(columns.shape[-1]) < n_sets[..., None]] = values
     return block
 
 
-def _check_vectors(draw):
-    """Raise ``ValueError`` naming the first item of ``draw`` whose theta' is
-    not one vector of values."""
-    for j, t in enumerate(draw):
-        if np.ndim(t) != 1:
-            raise ValueError(f"theta' of item {j} must be a list of values, got {t!r}")
-
-
-def parameter_error(pi, columns, theta_prime):
-    """``(d, message)`` for the first of D stacked parameter sets ((D, C)
-    ``pi``, (D, J, C) ``columns`` and ``theta_prime``) whose pi is not a
-    strictly positive probability vector of C weights (its sum within 1e-8
-    of 1) or that has a real theta' value outside (0, 1), else None; NaN
-    fails both."""
+def check_parameters(pi, columns, theta_prime, where=lambda d: "") -> None:
+    """Raise ``ValueError`` after ``where(d)`` for the first d of D stacked
+    parameter sets ((D, C) ``pi``, (D, J, C) ``columns`` and ``theta_prime``)
+    whose pi is not a strictly positive probability vector of C weights (its
+    sum within 1e-8 of 1) or that has a real theta' value outside (0, 1);
+    NaN fails both."""
     if pi.shape[-1] != columns.shape[-1]:
-        return 0, f"pi must hold one weight per class, got {pi[0].tolist()}"
+        raise ValueError(f"{where(0)}pi must hold one weight per class, got {pi[0].tolist()}")
     bad_pi = ~((np.abs(pi.sum(axis=-1) - 1.0) <= 1e-8) & (pi > 0).all(axis=-1))
     real = np.arange(columns.shape[-1]) < columns.max(axis=-1)[..., None]
     bad_theta = real & ~((theta_prime > 0) & (theta_prime < 1))
     if bad_pi.any():
         d = bad_pi.argmax()
-        return d, f"pi must be a strictly positive probability vector, got {pi[d].tolist()}"
+        raise ValueError(f"{where(d)}pi must be a strictly positive probability vector, "
+                         f"got {pi[d].tolist()}")
     if bad_theta.any():
         d, j, k = np.argwhere(bad_theta)[0]
-        return d, f"theta_prime of item {j} holds {theta_prime[d, j, k]}, outside (0, 1)"
-    return None
+        raise ValueError(f"{where(d)}theta_prime of item {j} holds {theta_prime[d, j, k]}, "
+                         "outside (0, 1)")
+
+
+def parameter_record(pi, columns, theta_prime) -> dict:
+    """The stored fields of one parameter set as lists: ``pi``, the (J, C)
+    columns as ``B`` and each item's theta' unpadded; see :func:`read_parameters`."""
+    return {"pi": pi.tolist(), "B": columns.tolist(),
+            "theta_prime": [t[:n].tolist() for t, n in zip(theta_prime, columns.max(1).tolist())]}
+
+
+def read_parameters(texts, where, fields) -> dict:
+    """The D >= 1 JSON records of ``texts``, with a model state's checks, as
+    blocks: ``pi`` (D, C), ``B`` (D, J, C), the padded ``theta_prime`` (D, J, C)
+    and each ``fields`` entry, name: (``int`` or ``float``, dimensions per record),
+    each converted in one pass. A fault in record d raises ``ValueError`` after ``where(d)``."""
+    fields = {**fields, "pi": (float, 1), "B": (int, 2)}
+    recs = []
+    for d, text in enumerate(texts):
+        try:
+            rec = json.loads(text)
+        except ValueError as err:
+            raise ValueError(f"{where(d)}{err}") from None
+        for name in [*fields, "theta_prime"]:
+            if type(rec) is not dict or name not in rec:
+                raise ValueError(f"{where(d)}no field {name!r}")
+        recs.append(rec)
+    out = {}
+    for name, (kind, ndim) in fields.items():
+        values = [rec[name] for rec in recs]
+        out[name] = _block(values, kind, ndim)
+        if out[name] is None:  # the record at fault ends the shortest prefix that fails
+            d = bisect_left(range(len(values)), True,
+                            key=lambda n: _block(values[:n + 1], kind, ndim) is None)
+            shape = ("one {}", "a vector of {}s", "a 2-d block of {}s")[ndim].format(kind.__name__)
+            raise ValueError(f"{where(d)}field {name!r} must be {shape}"
+                             f"{' like the first record' * (d > 0)}, "
+                             f"got {reprlib.repr(values[d])}")
+    check_columns(np.concatenate(out["B"]), lambda r: where(r // out["B"].shape[1]))
+    out["theta_prime"] = pad_theta_prime(out["B"], [rec["theta_prime"] for rec in recs], where)
+    check_parameters(out["pi"], out["B"], out["theta_prime"], where)
+    return out
+
+
+def _block(values, kind, ndim):
+    """``values``, one per record, as one ``kind`` array of ``ndim`` + 1 dimensions, else None."""
+    try:
+        block = np.array(values)
+    except ValueError:  # ragged
+        return None
+    fits = block.size == 0 or block.dtype.kind in ("i" if kind is int else "if")
+    return block.astype(kind) if fits and block.ndim == ndim + 1 else None
 
 
 def theta_matrix(columns, theta_prime) -> np.ndarray:
@@ -333,17 +383,14 @@ class ModelState:
         n_classes = self.columns.shape[1]
         if self.pi.shape != (n_classes,):
             raise ValueError("pi length must equal the number of classes")
-        if self.memberships.size and (
-            self.memberships.min() < 0 or self.memberships.max() >= n_classes
-        ):
-            raise ValueError("memberships out of range")
+        c = self.memberships
+        if c.ndim != 1 or c.size and (c.min() < 0 or c.max() >= n_classes):
+            raise ValueError(f"memberships must be a vector of class indices below {n_classes}")
         past = np.arange(n_classes) >= self.columns.max(axis=1)[:, None]
         if not np.array_equal(np.isnan(self.theta_prime), past):  # False on a wrong shape too
             raise ValueError("theta_prime must be an items x classes block holding one value "
                              "per set of each item, NaN past them")
-        error = parameter_error(self.pi[None], self.columns[None], self.theta_prime[None])
-        if error:
-            raise ValueError(error[1])
+        check_parameters(self.pi[None], self.columns[None], self.theta_prime[None])
         if self.v < 0:
             raise ValueError("v must be nonnegative")
 

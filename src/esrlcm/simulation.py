@@ -14,7 +14,7 @@ from importlib import resources
 
 import numpy as np
 
-from .model import Dataset, ModelState, canonicalize, check_columns, pad_theta_prime
+from .model import Dataset, ModelState, canonicalize, parameter_record, read_parameters
 
 SUPPORTED_CLASS_COUNTS = (4, 5, 8, 11, 16)
 HOLDOUT_SEED_OFFSET = 2 ** 32
@@ -28,11 +28,6 @@ def _load_fixture_table(n_classes: int) -> np.ndarray:
     with path.open() as fh:
         table = np.loadtxt(fh, delimiter=",", skiprows=1, dtype=np.int64)
     return table[:, 1:n_classes + 1]  # printed labels; rows are items
-
-
-def fixture_columns(n_classes: int) -> np.ndarray:
-    """The 32-item generation fixture's first ``n_classes`` classes, (32, C) canonical columns."""
-    return canonicalize(_load_fixture_table(n_classes))
 
 
 def _even_spacing(label, n_sets) -> np.ndarray:
@@ -61,40 +56,24 @@ def _fixture_theta_prime(printed, columns) -> np.ndarray:
 @dataclass
 class SimulationTruth(ModelState):
     """Generating parameters of one synthetic dataset: a ``ModelState`` at
-    v = 0, with its checks, plus the data ``seed``. The truth JSON stores
-    the columns as ``B`` and theta' unpadded."""
+    v = 0, with its checks, plus the data ``seed``."""
 
     seed: int = field(kw_only=True)
 
     def to_json(self, path) -> None:
-        rec = {
-            "seed": int(self.seed),
-            "pi": self.pi.tolist(),
-            "B": self.columns.tolist(),
-            "theta_prime": [t[:n].tolist()
-                            for t, n in zip(self.theta_prime, self.columns.max(axis=1))],
-            "c": self.memberships.tolist(),
-        }
-        # one dumps call runs the C encoder; json.dump streams through the
-        # pure-Python one, which is slow over n membership ints
+        rec = {"seed": int(self.seed), **parameter_record(self.pi, self.columns, self.theta_prime),
+               "c": self.memberships.tolist()}
+        # json.dumps runs the C encoder; json.dump streams through the slow Python one
         with open(path, "w") as fh:
             fh.write(json.dumps(rec))
 
     @classmethod
     def from_json(cls, path) -> "SimulationTruth":
         with open(path) as fh:
-            rec = json.load(fh)
-        try:
-            columns = check_columns(rec["B"])  # before theta' is padded to its set counts
-            return cls(
-                pi=rec["pi"],
-                memberships=rec["c"],
-                columns=columns,
-                theta_prime=pad_theta_prime(columns, rec["theta_prime"]),
-                seed=int(rec["seed"]),
-            )
-        except KeyError as err:
-            raise ValueError(f"truth file {path}: its record has no field {err.args[0]!r}") from None
+            rec = read_parameters([fh.read()], lambda d: f"truth file {path}: ",
+                                  {"seed": (int, 0), "c": (int, 1)})
+        return cls(pi=rec["pi"][0], memberships=rec["c"][0], columns=rec["B"][0],
+                   theta_prime=rec["theta_prime"][0], seed=int(rec["seed"][0]))
 
 
 def _draw(theta, pi, n, rng):

@@ -6,7 +6,7 @@ from scipy.special import betaln, gammaln
 from scipy.stats import beta as sp_beta
 from scipy.stats import dirichlet as sp_dirichlet
 
-from esrlcm import kernels, mcmc
+from esrlcm import kernels, mcmc, simulation
 from esrlcm.identifiability import _is_column_merge
 from esrlcm.model import (
     Dataset,
@@ -69,6 +69,11 @@ def all_partition_columns(n_classes: int):
 
     grow([1], 1)
     return columns
+
+
+def fixture_columns(n_classes: int) -> np.ndarray:
+    """The 32-item generation fixture's first ``n_classes`` classes, (32, C) canonical columns."""
+    return canonicalize(simulation._load_fixture_table(n_classes))
 
 
 def lcm_prior(n_classes, v_mode="free"):

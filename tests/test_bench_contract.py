@@ -10,6 +10,7 @@ import pytest
 import esrlcm
 from esrlcm import cli, repelled_beta
 from esrlcm.model import Dataset
+from esrlcm.simulation import SimulationTruth
 
 from test_cli import write_config
 
@@ -83,6 +84,26 @@ def test_traced_multi_chain_fit_records_every_lane(tmp_path, monkeypatch):
     names = [rec[tracing.NAME] for rec in tracer.spans]
     assert names.count("mcmc.memberships") == 2 * 5
     assert names.count("mcmc.base_move") == 5
+
+
+def test_traced_metrics_reads_the_traced_fits_draws(tmp_path, monkeypatch):
+    # metrics reads the draws through the patched from_jsonl classmethod
+    tracing, _ = traced_fit(tmp_path, monkeypatch)
+    truth = tmp_path / "truth.json"
+    SimulationTruth(pi=[0.5, 0.5], memberships=np.zeros(40, dtype=np.int64),
+                    columns=np.ones((3, 2), dtype=np.int64),
+                    theta_prime=[[0.5, np.nan]] * 3, seed=0).to_json(truth)
+    tracer = tracing.Tracer(tmp_path)
+    try:
+        tracing.install(tracer)
+        assert cli.main(["metrics", "--truth", str(truth),
+                         "--draws", str(tmp_path / "out" / "draws_chain0.jsonl"),
+                         "--holdout", str(tmp_path / "data.csv")]) == 0
+    finally:
+        tracer.uninstall()
+    names = [rec[tracing.NAME] for rec in tracer.spans]
+    assert names.count("io.draws_read") == 1
+    assert names.count("evaluation.predictive_loglik") == 1
 
 
 def test_traced_sample_keeps_its_positional_contract(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -28,6 +29,15 @@ def write_config(path, data_path, out_dir, **overrides):
             config[key] = value
     path.write_text(json.dumps(config))
     return path
+
+
+def edit_record(d, change):
+    """A corruption of a list of JSON lines: ``change`` applied to record ``d``."""
+    def corrupt(lines):
+        rec = json.loads(lines[d])
+        change(rec)
+        lines[d] = json.dumps(rec)
+    return corrupt
 
 
 @pytest.fixture
@@ -135,6 +145,20 @@ class TestFitCommand:
             assert cli.main(["fit", "--config", str(config)]) == 0
             blobs.append((tmp_path / name / "draws_chain0.jsonl").read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_draws_jsonl_bytes_pinned(self, tmp_path):
+        # the draws writer's bytes for a fixed-seed free-v fit, recorded
+        # before the record fields moved behind model.parameter_record
+        sim_csv = tmp_path / "sim.csv"
+        assert cli.main(["simulate", "--classes", "4", "--n", "60", "--seed", "3",
+                         "--out", str(sim_csv)]) == 0
+        config = write_config(tmp_path / "run.json", sim_csv, tmp_path / "fit", classes=4,
+                              prior={"lambda": 0.5, "v_mode": "free"},
+                              mcmc={"n_warmup": 2, "n_main": 3})
+        assert cli.main(["fit", "--config", str(config)]) == 0
+        blob = (tmp_path / "fit" / "draws_chain0.jsonl").read_bytes()
+        assert hashlib.sha256(blob).hexdigest() == (
+            "af30c1a3f1526774d034999ec1365a06b4c98c829bd27568ea51cb66c63c1aed")
 
     def test_lcm_zeta_prior_fit(self, toy_run):
         # the plain latent class model: zeta puts all its mass on C sets
@@ -514,14 +538,55 @@ class TestMetricsCommand:
         assert cli.main(["metrics", "--truth", str(truth_json), "--draws", str(draws)]) == 1
         assert capsys.readouterr().err == f"error: draws file {draws}, record 2: no field 'v'\n"
 
+    @pytest.mark.parametrize("target, corrupt, message", [
+        ("draws", lambda lines: lines.insert(1, ""), ", record 2: Expecting value"),
+        ("draws", lambda lines: lines.__setitem__(1, "[1, 2]"), ", record 2: no field 'iter'"),
+        ("truth", lambda lines: lines.__setitem__(0, "[1, 2]"), ": no field 'seed'"),
+        ("draws", edit_record(1, lambda rec: rec.__setitem__("pi", [0.5, 0.5])),
+         ", record 2: field 'pi' must be a vector of floats like the first record, "
+         "got [0.5, 0.5]"),
+        ("draws", edit_record(1, lambda rec: rec["B"].pop()),
+         ", record 2: field 'B' must be a 2-d block of ints like the first record, got [["),
+        ("draws", edit_record(1, lambda rec: rec.__setitem__("v", "x")),
+         ", record 2: field 'v' must be one float like the first record, got 'x'"),
+        ("draws", edit_record(1, lambda rec: rec["theta_prime"][3].append(0.5)),
+         ", record 2: theta' lengths "),
+        ("draws", edit_record(0, lambda rec: rec["B"][5].__setitem__(1, 2.5)),
+         ", record 1: field 'B' must be a 2-d block of ints, got [["),
+        ("draws", edit_record(1, lambda rec: rec["B"][5].__setitem__(1, 1.5)),
+         ", record 2: field 'B' must be a 2-d block of ints like the first record, got [["),
+        ("draws", edit_record(1, lambda rec: rec.__setitem__("v", None)),
+         ", record 2: field 'v' must be one float like the first record, got None"),
+        ("draws", edit_record(0, lambda rec: rec.__setitem__("log_joint", None)),
+         ", record 1: field 'log_joint' must be one float, got None"),
+        ("draws", edit_record(1, lambda rec: rec["theta_prime"][3].__setitem__(0, "x")),
+         ", record 2: theta' holds a value that is not a number"),
+        ("draws", edit_record(1, lambda rec: rec.__setitem__("theta_prime", 5)),
+         ", record 2: theta' of item 0 must be a list of values"),
+        ("truth", edit_record(0, lambda rec: rec.__setitem__("c", [[1]])),
+         ": field 'c' must be a vector of ints, got [[1]]"),
+        ("truth", edit_record(0, lambda rec: rec.__setitem__("seed", [1, 2])),
+         ": field 'seed' must be one int, got [1, 2]"),
+    ])
+    def test_malformed_record_named(self, small_fit, capsys, target, corrupt, message):
+        # one error line naming the file, the record (draws) and the field
+        _, truth_json, draws = small_fit
+        path = {"draws": draws, "truth": truth_json}[target]
+        lines = path.read_text().splitlines()
+        corrupt(lines)
+        path.write_text("".join(line + "\n" for line in lines))
+        assert cli.main(["metrics", "--truth", str(truth_json), "--draws", str(draws)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {target} file {path}{message}")
+
     def test_truth_without_a_field_named(self, small_fit, capsys):
         _, truth_json, draws = small_fit
         rec = json.loads(truth_json.read_text())
         del rec["seed"]
         truth_json.write_text(json.dumps(rec))
         assert cli.main(["metrics", "--truth", str(truth_json), "--draws", str(draws)]) == 1
-        assert capsys.readouterr().err == (f"error: truth file {truth_json}: "
-                                           "its record has no field 'seed'\n")
+        assert capsys.readouterr().err == f"error: truth file {truth_json}: no field 'seed'\n"
 
     @pytest.mark.parametrize("corrupt, message", [
         (lambda rec: rec["B"].__setitem__(0, [2, 1, 1, 1]),

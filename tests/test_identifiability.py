@@ -13,9 +13,8 @@ from esrlcm.identifiability import (
     numeric_verify,
     q_matrix_to_base,
 )
-from esrlcm.simulation import fixture_columns
 
-from helpers import is_merged_of, random_canonical_column
+from helpers import fixture_columns, is_merged_of, random_canonical_column
 
 # Six-item, five-class worked example as (J, C) base columns, one row per
 # item: two ternary items then four binary ones.

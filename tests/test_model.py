@@ -268,6 +268,12 @@ class TestTypes:
                        columns=np.array(columns), theta_prime=np.array([[0.5, 0.6]]))
         assert message in str(err.value)
 
+    @pytest.mark.parametrize("memberships", [[[1]], 1, [[0, 1], [1, 0]]])
+    def test_model_state_requires_a_membership_vector(self, memberships):
+        with pytest.raises(ValueError, match="memberships must be a vector of class indices"):
+            ModelState(pi=np.array([0.5, 0.5]), memberships=memberships,
+                       columns=np.array([[1, 2]]), theta_prime=np.array([[0.5, 0.6]]))
+
     def test_model_state_validates_theta_lengths(self):
         columns = np.array([[1, 2]])
         # theta' is a J x C block with one value per set and NaN past them:

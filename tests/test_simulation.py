@@ -7,12 +7,12 @@ import pytest
 
 from esrlcm import simulation as sim
 
-from helpers import theta_from_base
+from helpers import fixture_columns, theta_from_base
 
 
 def fixture_truth(n_classes):
     """The fixture's canonical columns and its truth theta'."""
-    columns = sim.fixture_columns(n_classes)
+    columns = fixture_columns(n_classes)
     return columns, sim._fixture_theta_prime(sim._load_fixture_table(n_classes), columns)
 
 
@@ -30,24 +30,24 @@ class TestFixtureTables:
             assert hashlib.sha256(blob).hexdigest() == expected
 
     def test_item3_c4(self):
-        assert sim.fixture_columns(4)[2].tolist() == [1, 2, 2, 1]
+        assert fixture_columns(4)[2].tolist() == [1, 2, 2, 1]
 
     def test_item1_c5(self):
-        assert sim.fixture_columns(5)[0].tolist() == [1, 2, 3, 3, 1]
+        assert fixture_columns(5)[0].tolist() == [1, 2, 3, 3, 1]
 
     def test_item4_c8(self):
-        assert sim.fixture_columns(8)[3].tolist() == [1, 2, 2, 1, 1, 1, 2, 2]
+        assert fixture_columns(8)[3].tolist() == [1, 2, 2, 1, 1, 1, 2, 2]
 
     def test_unsupported_class_counts(self):
         with pytest.raises(ValueError):
-            sim.fixture_columns(6)
+            fixture_columns(6)
 
     def test_shapes(self):
         for n_classes in sim.SUPPORTED_CLASS_COUNTS:
-            assert sim.fixture_columns(n_classes).shape == (32, n_classes)
+            assert fixture_columns(n_classes).shape == (32, n_classes)
 
     def test_c4_set_counts(self):
-        counts = sim.fixture_columns(4).max(axis=1)
+        counts = fixture_columns(4).max(axis=1)
         assert set(counts.tolist()) <= {2, 3, 4}
         assert counts.min() >= 2
 
