@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, identifiability, mcmc, simulation
-from .model import Dataset, PriorConfig, canonicalize
+from .model import Dataset, PriorConfig, canonicalize, write_file
 
 PRIOR_KEYS = {"lambda", "zeta", "alpha_c", "d1", "d2", "max_v", "v_mode"}
 MCMC_DEFAULTS = {"n_main": 1000, "n_warmup": 1000, "n_chains": 1, "seed": 0, "thin": 1,
@@ -130,8 +130,7 @@ def cmd_fit(args):
         "v_mean": float(pooled.v.mean()),
         "chains": [draws.stats for draws in chains],
     }
-    with open(out_dir / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2)
+    write_file(out_dir / "summary.json", json.dumps(summary, indent=2))
     print(f"wrote {len(chains)} chain file(s) and summary.json to {out_dir}")
     return 0
 
@@ -153,7 +152,7 @@ def _emit(payload, out):
     """Write ``payload`` as indented JSON to the file ``out``, or to stdout."""
     text = json.dumps(payload, indent=2)
     if out:
-        Path(out).write_text(text)
+        write_file(out, text)
     else:
         print(text)
     return 0

@@ -41,6 +41,7 @@ from .model import (
     parameter_record,
     read_parameters,
     theta_matrix,
+    write_file,
 )
 # kept importable by this name: perfbench/tracing.py patches mcmc.full_log_joint
 from .model import full_log_joint  # noqa: F401
@@ -102,12 +103,12 @@ class PosteriorDraws:
         return theta_matrix(self.base_columns, self.theta_prime)
 
     def to_jsonl(self, path) -> None:
-        with open(path, "w") as fh:
-            for d in range(self.n_draws):
-                rec = {"iter": int(self.iters[d]), "log_joint": float(self.log_joint[d]),
-                       "v": float(self.v[d]),
-                       **parameter_record(self.pi[d], self.base_columns[d], self.theta_prime[d])}
-                fh.write(json.dumps(rec) + "\n")
+        write_file(path, "".join(
+            json.dumps({"iter": int(self.iters[d]), "log_joint": float(self.log_joint[d]),
+                        "v": float(self.v[d]),
+                        **parameter_record(self.pi[d], self.base_columns[d],
+                                           self.theta_prime[d])}) + "\n"
+            for d in range(self.n_draws)))
 
     @classmethod
     def from_jsonl(cls, path) -> "PosteriorDraws":
@@ -122,9 +123,8 @@ class PosteriorDraws:
                    pi=block["pi"], base_columns=block["B"], theta_prime=block["theta_prime"])
 
     def write_memberships(self, path) -> None:
-        with open(path, "w") as fh:
-            for it in sorted(self.memberships):
-                fh.write(json.dumps({"iter": int(it), "c": self.memberships[it].tolist()}) + "\n")
+        write_file(path, "".join(json.dumps({"iter": int(it), "c": self.memberships[it].tolist()})
+                                 + "\n" for it in sorted(self.memberships)))
 
 
 # ---------------------------------------------------------------------------

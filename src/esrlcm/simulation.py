@@ -14,7 +14,8 @@ from importlib import resources
 
 import numpy as np
 
-from .model import Dataset, ModelState, canonicalize, parameter_record, read_parameters
+from .model import (Dataset, ModelState, canonicalize, parameter_record, read_parameters,
+                    write_file)
 
 SUPPORTED_CLASS_COUNTS = (4, 5, 8, 11, 16)
 HOLDOUT_SEED_OFFSET = 2 ** 32
@@ -64,16 +65,18 @@ class SimulationTruth(ModelState):
         rec = {"seed": int(self.seed), **parameter_record(self.pi, self.columns, self.theta_prime),
                "c": self.memberships.tolist()}
         # json.dumps runs the C encoder; json.dump streams through the slow Python one
-        with open(path, "w") as fh:
-            fh.write(json.dumps(rec))
+        write_file(path, json.dumps(rec))
 
     @classmethod
     def from_json(cls, path) -> "SimulationTruth":
         with open(path) as fh:
             rec = read_parameters([fh.read()], lambda d: f"truth file {path}: ",
                                   {"seed": (int, 0), "c": (int, 1)})
-        return cls(pi=rec["pi"][0], memberships=rec["c"][0], columns=rec["B"][0],
-                   theta_prime=rec["theta_prime"][0], seed=int(rec["seed"][0]))
+        try:  # the state's own checks, such as memberships in range
+            return cls(pi=rec["pi"][0], memberships=rec["c"][0], columns=rec["B"][0],
+                       theta_prime=rec["theta_prime"][0], seed=int(rec["seed"][0]))
+        except ValueError as err:
+            raise ValueError(f"truth file {path}: {err}") from None
 
 
 def _draw(theta, pi, n, rng):

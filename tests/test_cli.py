@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from esrlcm import cli, evaluation
+from esrlcm import cli, evaluation, mcmc
 from esrlcm.mcmc import PosteriorDraws, run_chain
 from esrlcm.model import Dataset, PriorConfig
 
@@ -567,6 +567,14 @@ class TestMetricsCommand:
          ": field 'c' must be a vector of ints, got [[1]]"),
         ("truth", edit_record(0, lambda rec: rec.__setitem__("seed", [1, 2])),
          ": field 'seed' must be one int, got [1, 2]"),
+        ("draws", edit_record(1, lambda rec: rec["theta_prime"][3].__setitem__(0, "0.83")),
+         ", record 2: theta' holds a value that is not a number: '0.83'"),
+        ("draws", edit_record(0, lambda rec: rec["theta_prime"][5].__setitem__(0, True)),
+         ", record 1: theta' holds a value that is not a number: True"),
+        ("truth", edit_record(0, lambda rec: rec["theta_prime"][2].__setitem__(0, "0.5")),
+         ": theta' holds a value that is not a number: '0.5'"),
+        ("truth", edit_record(0, lambda rec: rec["c"].__setitem__(0, 7)),
+         ": memberships must be a vector of class indices below 4"),
     ])
     def test_malformed_record_named(self, small_fit, capsys, target, corrupt, message):
         # one error line naming the file, the record (draws) and the field
@@ -716,6 +724,69 @@ class TestCvCommand:
         for key in ("d1", "d2", "max_v", "v_mode"):
             assert getattr(grid_prior, key) == getattr(base, key) == prior[key]
         assert grid_prior.alpha_c.tolist() == base.alpha_c.tolist() == [2.0, 3.0]
+
+
+class TestOutputFiles:
+    """Every output file is overwritten in place and then cut to its length."""
+
+    @pytest.fixture
+    def sim_csv(self, tmp_path):
+        path = tmp_path / "sim.csv"
+        assert cli.main(["simulate", "--classes", "4", "--n", "60", "--seed", "3",
+                         "--out", str(path), "--truth", str(tmp_path / "truth.json")]) == 0
+        return path
+
+    def fit(self, tmp_path, sim_csv, out, **mcmc):
+        config = write_config(tmp_path / "run.json", sim_csv, tmp_path / out, classes=4,
+                              prior={"lambda": 0.5, "v_mode": "free"},
+                              mcmc={"n_warmup": 2, "n_main": 20, "store_c_every": 3, **mcmc})
+        return cli.main(["fit", "--config", str(config)])
+
+    def test_shorter_refit_leaves_no_stale_tail(self, tmp_path, sim_csv):
+        assert self.fit(tmp_path, sim_csv, "out", n_main=20) == 0
+        assert self.fit(tmp_path, sim_csv, "out", n_main=10) == 0
+        assert self.fit(tmp_path, sim_csv, "fresh", n_main=10) == 0
+        for name in ("draws_chain0.jsonl", "memberships_chain0.jsonl", "summary.json"):
+            assert ((tmp_path / "out" / name).read_bytes()
+                    == (tmp_path / "fresh" / name).read_bytes())
+
+    def test_encoding_fault_keeps_the_previous_file(self, tmp_path, sim_csv, monkeypatch,
+                                                    capsys):
+        assert self.fit(tmp_path, sim_csv, "out") == 0
+        draws = tmp_path / "out" / "draws_chain0.jsonl"
+        before = draws.read_bytes()
+        calls = []
+        record = mcmc.parameter_record  # the binding to_jsonl calls
+
+        def failing_record(*args):
+            calls.append(1)
+            if len(calls) == 3:
+                raise ValueError("cannot encode draw 3")
+            return record(*args)
+
+        monkeypatch.setattr(mcmc, "parameter_record", failing_record)
+        assert self.fit(tmp_path, sim_csv, "out", seed=8) == 1
+        assert "cannot encode draw 3" in capsys.readouterr().err
+        assert draws.read_bytes() == before
+
+    def test_metrics_to_dev_null(self, tmp_path, sim_csv):
+        # ftruncate fails on a device, so the writer cuts regular files only
+        assert self.fit(tmp_path, sim_csv, "out") == 0
+        assert cli.main(["metrics", "--truth", str(tmp_path / "truth.json"),
+                         "--draws", str(tmp_path / "out" / "draws_chain0.jsonl"),
+                         "--out", os.devnull]) == 0
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_new_file_mode_follows_the_umask(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            assert cli.main(["simulate", "--classes", "4", "--n", "5",
+                             "--out", str(tmp_path / "d.csv"),
+                             "--truth", str(tmp_path / "t.json")]) == 0
+        finally:
+            os.umask(old)
+        for name in ("d.csv", "t.json"):
+            assert (tmp_path / name).stat().st_mode & 0o777 == 0o666 & ~umask
 
 
 # Run in a fresh interpreter: which scipy and process-pool modules each

@@ -149,6 +149,16 @@ class TestThetaFromBase:
             theta_from_base([0.2], np.array([1, 2, 1]))
 
 
+class TestWriteFile:
+    def test_overwrites_in_place_and_cuts_to_the_new_length(self, tmp_path):
+        path = tmp_path / "out.txt"
+        em.write_file(path, "x" * 10_000)
+        inode = path.stat().st_ino
+        em.write_file(path, "head\n", b"bytes\n", np.frombuffer(b"rows\n", dtype=np.uint8))
+        assert path.read_bytes() == b"head\nbytes\nrows\n"
+        assert path.stat().st_ino == inode
+
+
 class TestCsvReader:
     """``Dataset.from_csv``: ``to_csv``'s byte layout is read from the raw
     bytes, any other file by ``np.loadtxt``."""
