@@ -212,7 +212,7 @@ def cmd_metrics(args):
         raise ValueError(f"holdout has {holdout.n_items} items "
                          f"but the draws have {n_items} items")
     _, theta_bar = evaluation.posterior_mean_parameters(draws, perms)
-    alignment = evaluation.align_classes(truth.theta_matrix(), theta_bar)
+    alignment = evaluation.align_classes(truth.theta_matrix(), theta_bar[None])[0]
     sens, spec = evaluation.restriction_sensitivity_specificity(truth.columns, mode, alignment)
     payload = {
         "sensitivity": sens,

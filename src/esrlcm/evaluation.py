@@ -65,26 +65,84 @@ def _mixture_obs_loglik(x, pi, theta):
     return total / n_obs - float(np.log(n_draws))
 
 
-def align_classes(reference, target) -> np.ndarray:
-    """Permutation matching target classes to reference classes.
+def align_classes(reference, targets) -> np.ndarray:
+    """Permutations matching each target's classes to the reference classes.
 
-    Returns ``perm`` minimizing the squared distance between ``reference``
-    and ``target[perm]``, by optimal assignment on the class-by-class cost
-    matrix.
+    ``reference`` is (C, J) and ``targets`` a (D, C, J) stack. Row d of the
+    (D, C) result is the ``perm`` minimizing the squared distance between
+    ``reference`` and ``targets[d][perm]``: an optimal assignment on the
+    class-by-class cost matrix of draw d. A draw whose row minima pick
+    distinct classes takes them, which is optimal because every assignment
+    costs at least the sum of the row minima; the rest are solved together
+    by :func:`_assign`.
     """
     reference = np.asarray(reference, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if reference.shape != target.shape:
-        raise ValueError("reference and target must have identical shapes")
-    # scipy.optimize costs about 0.35 s to import on top of scipy.special;
-    # only commands that align classes (fit, metrics) should pay it
-    from scipy.optimize import linear_sum_assignment
+    targets = np.asarray(targets, dtype=np.float64)
+    if targets.ndim != 3 or targets.shape[1:] != reference.shape:
+        raise ValueError("targets must be a stack of matrices shaped like the reference")
+    cost = np.stack([((targets - row) ** 2).sum(axis=2) for row in reference], axis=1)
+    perms = cost.argmin(axis=2)
+    clash = (np.sort(perms, axis=1) != np.arange(len(reference))).any(axis=1)
+    if clash.any():
+        perms[clash] = _assign(cost[clash])
+    return perms
 
-    cost = ((reference[:, None, :] - target[None, :, :]) ** 2).sum(axis=2)
-    rows, cols = linear_sum_assignment(cost)
-    perm = np.empty(reference.shape[0], dtype=np.int64)
-    perm[rows] = cols
-    return perm
+
+def _assign(cost):
+    """Minimum-cost assignments of a (B, C, C) stack of cost matrices, as
+    (B, C) column indices per row.
+
+    The shortest augmenting path method (Jonker & Volgenant 1987, Computing
+    38(4); Crouse 2016, IEEE Trans. Aerosp. Electron. Syst. 52(4)): each row
+    in turn is assigned along a Dijkstra shortest path of reduced costs to
+    a free column, and the dual potentials ``u`` and ``v`` keep every
+    reduced cost nonnegative. Every matrix advances one search step per
+    pass; one that has reached a free column waits for the others.
+    """
+    n_mats, n_rows, _ = cost.shape
+    mats = np.arange(n_mats)
+    u, v = np.zeros((2, n_mats, n_rows))
+    col4row, row4col = np.full((2, n_mats, n_rows), -1)
+    for row in range(n_rows):
+        dist = np.full((n_mats, n_rows), np.inf)
+        path = np.zeros((n_mats, n_rows), dtype=np.int64)
+        seen_rows, seen_cols = np.zeros((2, n_mats, n_rows), dtype=bool)
+        low = np.zeros(n_mats)
+        i, sink = np.full(n_mats, row), np.full(n_mats, -1)
+        todo = mats
+        while todo.size:
+            at = i[todo]
+            seen_rows[todo, at] = True
+            reduced = low[todo, None] + cost[todo, at] - u[todo, at, None] - v[todo]
+            closer = (reduced < dist[todo]) & ~seen_cols[todo]
+            path[todo] = np.where(closer, at[:, None], path[todo])
+            dist[todo] = np.where(closer, reduced, dist[todo])
+            # the nearest unseen column, a free one first among equals; each
+            # pass sees a new column, so a free one is reached within C passes
+            near = np.where(seen_cols[todo], np.inf, dist[todo])
+            low[todo] = near.min(axis=1)
+            ties = (near == low[todo, None]) & ~seen_cols[todo]
+            free = ties & (row4col[todo] < 0)
+            j = np.where(free.any(axis=1), free.argmax(axis=1), ties.argmax(axis=1))
+            seen_cols[todo, j] = True
+            owner = row4col[todo, j]
+            sink[todo[owner < 0]] = j[owner < 0]
+            i[todo] = owner
+            todo = todo[owner >= 0]
+        # potentials: the new row, then each other row and column on the tree
+        u[:, row] += low
+        seen_rows[:, row] = False
+        owned = np.take_along_axis(dist, np.maximum(col4row, 0), axis=1)
+        u += np.where(seen_rows, low[:, None] - owned, 0.0)
+        v -= np.where(seen_cols, low[:, None] - dist, 0.0)
+        # flip the path from the free column back to the new row
+        j, todo = sink, mats
+        while todo.size:
+            at = path[todo, j]
+            row4col[todo, j] = at
+            j, col4row[todo, at] = col4row[todo, at], j
+            todo, j = todo[at != row], j[at != row]
+    return col4row
 
 
 def predictive_loglik(draws: PosteriorDraws, holdout: Dataset,
@@ -112,8 +170,7 @@ def aligned_permutations(draws: PosteriorDraws):
     if draws.n_draws == 0:
         raise ValueError("draws must be nonempty")
     thetas = draws.theta_matrices()
-    ref = thetas[int(np.argmax(draws.log_joint))]
-    return [align_classes(ref, theta) for theta in thetas]
+    return align_classes(thetas[int(np.argmax(draws.log_joint))], thetas)
 
 
 def posterior_mean_parameters(draws: PosteriorDraws, perms=None):

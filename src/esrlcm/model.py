@@ -8,6 +8,7 @@ always compare equal.
 """
 
 import json
+import math
 import os
 import reprlib
 import stat
@@ -359,13 +360,19 @@ def read_parameters(texts, where, fields) -> dict:
 
 
 def _block(values, kind, ndim):
-    """``values``, one per record, as one ``kind`` array of ``ndim`` + 1 dimensions, else None."""
+    """``values``, one per record, as one ``kind`` array of ``ndim`` + 1 dimensions, else None.
+    A JSON true or false is not a number, although numpy reads it as 1 or 0
+    among numbers."""
     try:
         block = np.array(values)
     except ValueError:  # ragged
         return None
     fits = block.size == 0 or block.dtype.kind in ("i" if kind is int else "if")
-    return block.astype(kind) if fits and block.ndim == ndim + 1 else None
+    if not fits or block.ndim != ndim + 1:
+        return None
+    for _ in range(ndim):
+        values = chain.from_iterable(values)
+    return None if bool in set(map(type, values)) else block.astype(kind)
 
 
 def theta_matrix(columns, theta_prime) -> np.ndarray:
@@ -434,17 +441,14 @@ def log_joints(pi, columns, theta_prime, v, counts, prior: PriorConfig) -> np.nd
     one sum over its contiguous (C, J) block. So every value has the bits a
     one-draw call gives it, whatever the other draws are.
     """
-    # imported here: scipy.special costs about 0.28 s, which simulate never needs
-    from scipy.special import gammaln
-
     v = np.asarray(v, dtype=np.float64)
     successes, totals = counts
     n_draws, n_items, _ = columns.shape
     log_pi = np.log(pi)
     priors = np.empty((n_draws, 1 + 2 * n_items))
     alpha = prior.alpha_c
-    priors[:, 0] = (((alpha - 1.0) * log_pi).sum(axis=1) + gammaln(alpha.sum())
-                    - gammaln(alpha).sum())
+    priors[:, 0] = (((alpha - 1.0) * log_pi).sum(axis=1) + math.lgamma(alpha.sum())
+                    - np.array([math.lgamma(a) for a in alpha.tolist()]).sum())
     priors[:, 1::2] = base_vector_log_prior(columns, prior)
     priors[:, 2::2] = repelled_beta.log_density_all_ones(theta_prime, v[:, None])
     out = np.cumsum(priors, axis=1)[:, -1]

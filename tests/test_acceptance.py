@@ -205,7 +205,7 @@ def test_criterion_7_desk_scale_recovery(capsys, recovery_run):
 
     mode = evaluation.mode_restrictions(draws)
     _, theta_bar = evaluation.posterior_mean_parameters(draws)
-    alignment = evaluation.align_classes(truth.theta_matrix(), theta_bar)
+    alignment = evaluation.align_classes(truth.theta_matrix(), theta_bar[None])[0]
     sens, spec = evaluation.restriction_sensitivity_specificity(truth.columns, mode, alignment)
 
     oos = evaluation.predictive_loglik(draws, holdout)

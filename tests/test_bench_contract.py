@@ -54,8 +54,8 @@ def test_traced_fit_runs_with_every_patch_installed(tmp_path, monkeypatch, v_mod
     assert len(class_counts) == 1
     count_phase = [rec for rec in tracer.spans if rec[tracing.NAME] == "mcmc.class_counts"]
     assert len(count_phase) == 5
-    # the fit aligns each of its 3 retained draws once, for both summaries
-    assert tracer.counts["evaluation.align_classes"] == 3
+    # the fit aligns its 3 retained draws in one call, for both summaries
+    assert tracer.counts["evaluation.align_classes"] == 1
     # one batched base move per sweep draws every item's column, under both
     # moves; a per-item loop would make one span per item
     base_moves = [rec for rec in tracer.spans if rec[tracing.NAME] == "mcmc.base_move"]

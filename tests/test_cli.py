@@ -494,11 +494,11 @@ class TestMetricsCommand:
         calls = []
         align = evaluation.align_classes
         monkeypatch.setattr(evaluation, "align_classes",
-                            lambda *args: calls.append(1) or align(*args))
+                            lambda ref, targets: calls.append(len(targets)) or align(ref, targets))
         assert cli.main(["metrics", "--truth", str(truth_json), "--draws", str(draws),
                          "--holdout", str(holdout), "--mode", "plug_in"]) == 0
-        # one per draw onto the reference draw, one of the mean onto the truth
-        assert len(calls) == len(draws.read_text().splitlines()) + 1
+        # one call for every draw onto the reference draw, one of the mean onto the truth
+        assert calls == [len(draws.read_text().splitlines()), 1]
 
     @pytest.mark.parametrize("corrupt, message", [
         (lambda recs: recs[0]["B"].__setitem__(0, [2, 1, 1, 1]),
@@ -575,6 +575,23 @@ class TestMetricsCommand:
          ": theta' holds a value that is not a number: '0.5'"),
         ("truth", edit_record(0, lambda rec: rec["c"].__setitem__(0, 7)),
          ": memberships must be a vector of class indices below 4"),
+        # a JSON true or false among numbers is not read as 1 or 0
+        ("draws", edit_record(1, lambda rec: rec.__setitem__("v", True)),
+         ", record 2: field 'v' must be one float like the first record, got True"),
+        ("draws", edit_record(1, lambda rec: rec.__setitem__("iter", True)),
+         ", record 2: field 'iter' must be one int like the first record, got True"),
+        ("draws", edit_record(1, lambda rec: rec.__setitem__("log_joint", False)),
+         ", record 2: field 'log_joint' must be one float like the first record, got False"),
+        ("draws", edit_record(1, lambda rec: rec["B"][5].__setitem__(0, True)),
+         ", record 2: field 'B' must be a 2-d block of ints like the first record, got [["),
+        ("draws", edit_record(0, lambda rec: rec["pi"].__setitem__(0, True)),
+         ", record 1: field 'pi' must be a vector of floats, got [True, "),
+        ("truth", edit_record(0, lambda rec: rec.__setitem__("seed", True)),
+         ": field 'seed' must be one int, got True"),
+        ("truth", edit_record(0, lambda rec: rec["c"].__setitem__(0, True)),
+         ": field 'c' must be a vector of ints, got [True, "),
+        ("truth", edit_record(0, lambda rec: rec["B"][5].__setitem__(0, True)),
+         ": field 'B' must be a 2-d block of ints, got [["),
     ])
     def test_malformed_record_named(self, small_fit, capsys, target, corrupt, message):
         # one error line naming the file, the record (draws) and the field
@@ -789,10 +806,20 @@ class TestOutputFiles:
             assert (tmp_path / name).stat().st_mode & 0o777 == 0o666 & ~umask
 
 
-# Run in a fresh interpreter: which scipy and process-pool modules each
-# command loads.
+# Run in a fresh interpreter with scipy unimportable: every command runs, and
+# none loads scipy or a process pool.
 STARTUP_SCRIPT = """
 import sys
+from importlib.abc import MetaPathFinder
+
+
+class NoScipy(MetaPathFinder):
+    def find_spec(self, name, path, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is refused")
+
+
+sys.meta_path.insert(0, NoScipy())
 
 import esrlcm
 from esrlcm import cli
@@ -804,31 +831,28 @@ def loaded(*packages):
 
 tmp = sys.argv[1]
 assert cli.main(["simulate", "--classes", "4", "--n", "60", "--seed", "1",
-                 "--out", f"{tmp}/data.csv"]) == 0
+                 "--out", f"{tmp}/data.csv", "--truth", f"{tmp}/truth.json"]) == 0
 assert cli.main(["check-id", "--matrix", f"{tmp}/q.csv", "--q-matrix",
                  "--verify-trials", "3", "--out", f"{tmp}/id.json"]) == 0
-scipy = loaded("scipy")
-assert not scipy, f"{len(scipy)} scipy modules loaded: {scipy[:3]} ..."
-pools = loaded("multiprocessing", "concurrent")
-assert not pools, f"process-pool modules loaded: {pools}"
 assert cli.main(["cv", "--config", f"{tmp}/run.json", "--k", "2",
                  "--out", f"{tmp}/cv.json"]) == 0
-assert "scipy.optimize" not in sys.modules
 assert cli.main(["fit", "--config", f"{tmp}/run.json"]) == 0
-assert "scipy.optimize" in sys.modules
-# scipy.special imports concurrent.futures itself, but nothing starts a pool
-assert not loaded("multiprocessing"), loaded("multiprocessing")
+assert cli.main(["metrics", "--truth", f"{tmp}/truth.json",
+                 "--draws", f"{tmp}/out/draws_chain1.jsonl", "--holdout", f"{tmp}/data.csv",
+                 "--out", f"{tmp}/metrics.json"]) == 0
+assert not loaded("scipy"), loaded("scipy")
+assert not loaded("multiprocessing", "concurrent"), loaded("multiprocessing", "concurrent")
 """
 
 
 class TestStartup:
-    def test_scipy_loads_only_where_used(self, tmp_path):
-        """import, simulate and check-id load no scipy and no process pool;
-        cv loads no scipy.optimize; a two-chain fit loads it to align classes,
-        and still no multiprocessing."""
+    def test_commands_run_without_scipy(self, tmp_path):
+        """With scipy unimportable, simulate, check-id, cv, a two-chain free-v
+        fit and metrics all succeed, and none loads scipy or a process pool."""
         q = np.vstack([np.eye(2, dtype=int), np.eye(2, dtype=int), [[1, 1]]])
         np.savetxt(tmp_path / "q.csv", q, fmt="%d", delimiter=",")
-        write_config(tmp_path / "run.json", tmp_path / "data.csv", tmp_path / "out",
+        write_config(tmp_path / "run.json", tmp_path / "data.csv", tmp_path / "out", classes=4,
+                     prior={"lambda": 1.0, "v_mode": "free"},
                      mcmc={"n_warmup": 5, "n_main": 5, "seed": 3, "n_chains": 2})
         src = Path(cli.__file__).resolve().parents[1]
         proc = subprocess.run([sys.executable, "-c", STARTUP_SCRIPT, str(tmp_path)],

@@ -160,12 +160,12 @@ class TestPredictiveLoglik:
 class TestAlignClasses:
     def test_identity(self):
         theta = np.array([[0.1, 0.9], [0.8, 0.2]])
-        assert ev.align_classes(theta, theta).tolist() == [0, 1]
+        assert ev.align_classes(theta, theta[None]).tolist() == [[0, 1]]
 
     def test_row_swap_recovers_inverse(self):
         theta = np.array([[0.1, 0.9], [0.8, 0.2], [0.5, 0.5]])
         swapped = theta[[2, 0, 1]]
-        perm = ev.align_classes(theta, swapped)
+        (perm,) = ev.align_classes(theta, swapped[None])
         assert np.allclose(swapped[perm], theta)
 
     def test_noisy_permutation_recovery(self):
@@ -173,8 +173,56 @@ class TestAlignClasses:
         theta = rng.uniform(0.1, 0.9, size=(4, 6))
         applied = rng.permutation(4)
         target = theta[applied] + rng.normal(0, 0.01, size=theta.shape)
-        perm = ev.align_classes(theta, target)
+        (perm,) = ev.align_classes(theta, target[None])
         assert np.allclose(target[perm], theta, atol=0.05)
+
+
+    @pytest.mark.parametrize("n_classes", range(2, 17))
+    def test_batched_alignment_matches_scipy(self, n_classes):
+        # noisy permuted copies of the reference take the row-minimum
+        # shortcut; unrelated targets mostly have row minima that collide and
+        # need the assignment solve; scipy's optimum is the oracle, and total
+        # costs are compared, so tied optima pass
+        from scipy.optimize import linear_sum_assignment
+
+        rng = np.random.default_rng(n_classes)
+        ref = rng.uniform(0.05, 0.95, size=(n_classes, 6))
+        copies = np.stack([ref[rng.permutation(n_classes)] for _ in range(30)])
+        targets = np.concatenate([copies + rng.normal(0, 0.01, copies.shape),
+                                  rng.uniform(0.05, 0.95, size=(30, n_classes, 6))])
+        perms = ev.align_classes(ref, targets)
+        cost = ((ref[None, :, None] - targets[:, None]) ** 2).sum(axis=3)
+        clash = [len(set(row)) < n_classes for row in cost.argmin(axis=2).tolist()]
+        assert not any(clash[:30]) and any(clash[30:])
+        for d, perm in enumerate(perms):
+            assert sorted(perm) == list(range(n_classes))
+            rows, cols = linear_sum_assignment(cost[d])
+            assert cost[d, rows, perm].sum() == pytest.approx(cost[d, rows, cols].sum(),
+                                                              rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("n_classes", range(2, 17))
+    def test_assignment_matches_scipy(self, n_classes):
+        # the solve alone, on every draw: continuous costs, costs with many
+        # ties and costs with two equal columns
+        from scipy.optimize import linear_sum_assignment
+
+        rng = np.random.default_rng(100 + n_classes)
+        shape = (40, n_classes, n_classes)
+        twins = rng.uniform(size=shape)
+        twins[:, :, -1] = twins[:, :, 0]
+        for cost in (rng.uniform(size=shape), rng.integers(0, 3, size=shape) * 1.0, twins):
+            for row, got in zip(cost, ev._assign(cost)):
+                assert sorted(got) == list(range(n_classes))
+                rows, cols = linear_sum_assignment(row)
+                assert row[rows, got].sum() == pytest.approx(row[rows, cols].sum(),
+                                                             rel=1e-12, abs=1e-15)
+
+    def test_stack_shape_checked(self):
+        theta = np.full((3, 4), 0.5)
+        with pytest.raises(ValueError, match="stack of matrices shaped like the reference"):
+            ev.align_classes(theta, theta)
+        with pytest.raises(ValueError, match="stack of matrices shaped like the reference"):
+            ev.align_classes(theta, np.full((2, 4, 3), 0.5))
 
 
 class TestModeRestrictions:

@@ -151,6 +151,37 @@ class TestBaseClassGibbsV0:
                             for w in ref_ws]
                 assert picks.tolist() == expected
 
+    def test_menu_matches_scipy_betaln_at_large_counts(self):
+        # the menu's log beta functions come from a table of math.lgamma at
+        # integers; scipy's betaln, through the loop form, is the oracle
+        rng = np.random.default_rng(12)
+        n_classes, n_items = 6, 40
+        columns = np.array([random_canonical_column(rng, n_classes) for _ in range(n_items)])
+        totals = rng.multinomial(20_001, np.full(n_classes, 1 / n_classes)).astype(float)
+        succ = np.floor(rng.random((n_items, n_classes)) * (totals + 1))
+        succ[0], succ[1] = 0.0, totals  # every count from none to all
+        prior = PriorConfig.default(n_classes, lam=0.5)
+        targets = rng.integers(n_classes, size=n_items)
+        _, log_w = column_menu(columns, targets, succ, totals, prior)
+        for i in range(n_items):
+            _, ref_w = column_menu_loop(columns[i], int(targets[i]), succ[i], totals, prior)
+            np.testing.assert_allclose(log_w[i, :len(ref_w)], ref_w, rtol=1e-13, atol=1e-9)
+
+    def test_log_gamma_table_matches_scipy_and_is_kept(self):
+        from scipy.special import gammaln
+
+        table = mcmc._log_gamma_table(20_003)
+        k = np.arange(20_004)
+        with np.errstate(divide="ignore"):
+            np.testing.assert_allclose(table[k], gammaln(k), rtol=1e-15, atol=0)
+        # a smaller or equal size reuses the table; a larger one extends it
+        assert mcmc._log_gamma_table(100) is table
+        assert mcmc._log_gamma_table(20_003) is table
+        longer = mcmc._log_gamma_table(20_010)
+        assert np.array_equal(longer[:len(table)], table)
+        np.testing.assert_allclose(longer[len(table):], gammaln(k[-1] + np.arange(1, 8)),
+                                   rtol=1e-15, atol=0)
+
     def test_prior_only_chain_recovers_partition_prior(self):
         rng = np.random.default_rng(0)
         prior = PriorConfig.default(3, lam=0.5, v_mode="fixed_zero")

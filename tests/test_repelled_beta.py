@@ -63,6 +63,26 @@ class TestNormalizer:
         assert normalizer_all_ones(2, 1.0) == pytest.approx(1.0 / integral)
         assert normalizer_all_ones(2, 1.0) == pytest.approx(3.0)
 
+    @pytest.mark.parametrize("n_classes", [1, 4, 16])
+    def test_matches_scipy_gammaln(self, n_classes):
+        # every count m = 1..C at exponents from 0 to 10, past the default
+        # max_v of 2, as one v per row and as one v for a block; scipy's
+        # gammaln is the oracle
+        from scipy.special import gammaln
+
+        rng = np.random.default_rng(n_classes)
+        m = np.arange(1, n_classes + 1)
+        v = np.r_[0.0, rng.uniform(0.0, 10.0, 40), 1e-9, 9.999][:, None]
+        expected = gammaln((m - 1) * (v + 1.0) + 2.0) - gammaln(m + 1) - (m - 1) * gammaln(v + 1.0)
+        np.testing.assert_allclose(rb.log_normalizer_all_ones(m, v), expected,
+                                   rtol=1e-13, atol=1e-13)
+        for row, x in zip(expected, v[:, 0]):
+            np.testing.assert_allclose(rb.log_normalizer_all_ones(m, x), row,
+                                       rtol=1e-13, atol=1e-13)
+        shuffled = rng.permutation(np.repeat(m, 3))
+        assert rb.log_normalizer_all_ones(shuffled, v[5]).tolist() == \
+            rb.log_normalizer_all_ones(m, v[5])[shuffled - 1].tolist()
+
     @pytest.mark.parametrize("m", [2, 3])
     @pytest.mark.parametrize("v", [0.0, 0.5, 1.0, 2.0])
     def test_integrates_to_one(self, m, v):
